@@ -41,14 +41,13 @@ from .formula import (
     TRUE,
     atoms,
     entails,
-    evaluate,
     is_tautology,
     parse_formula,
     to_text,
     truth_mask,
 )
 from .lp import Clause, Program, Stratification, encode_stratified, parse_program, perfect_model, stratify
-from .preorder import PreorderSpec, default_leq, fixture_equiv, strictly_better
+from .preorder import PreorderSpec
 from .specificity import (
     GuardedRule,
     PruneReport,

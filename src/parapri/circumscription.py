@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_CAPS
-from .errors import CapExceededError, UniverseError
+from .config import DEFAULT_CAPS, check_atoms
+from .errors import UniverseError
 from .formula import Formula, Interpretation, truth_mask
 from .preorder import PreorderSpec
 from .theory import Theory
@@ -35,11 +35,6 @@ class PreferredModelSet:
         return len(self.models)
 
 
-def _cap(universe: Sequence[str], max_atoms: int) -> None:
-    if len(universe) > max_atoms:
-        raise CapExceededError(f"{len(universe)} atoms exceeds the enumeration cap of {max_atoms}")
-
-
 def _conjoin_masks(formulas: Iterable[Formula], universe: tuple[str, ...], full: int) -> int:
     mask = full
     for f in formulas:
@@ -54,7 +49,7 @@ def models_of(
 ) -> list[Interpretation]:
     """All total assignments satisfying every base formula, by index order."""
     names = tuple(universe)
-    _cap(names, max_atoms)
+    check_atoms(names, max_atoms)
     size = 1 << len(names)
     mask = _conjoin_masks(base, names, (1 << size) - 1)
     return [Interpretation.from_index(names, z) for z in _iter_bits(mask)]
@@ -101,7 +96,7 @@ def _spec_tables(spec: PreorderSpec, universe: tuple[str, ...]) -> tuple[list[in
 
 def preferred_models(t: Theory, max_atoms: int = DEFAULT_CAPS.model_atoms) -> PreferredModelSet:
     """Base models not strictly dominated by any fixture-equivalent base model."""
-    _cap(t.universe, max_atoms)
+    check_atoms(t.universe, max_atoms)
     size = 1 << len(t.universe)
     full = (1 << size) - 1
     base_mask = _conjoin_masks(t.base, t.universe, full)
@@ -164,7 +159,7 @@ def preorder_equivalent(
 ) -> bool:
     """Whether two default pre-orders agree on every ordered interpretation pair."""
     names = tuple(universe)
-    _cap(names, max_atoms)
+    check_atoms(names, max_atoms)
     size = 1 << len(names)
     masks1, doms1, full = _spec_tables(s1, names)
     masks2, doms2, _ = _spec_tables(s2, names)

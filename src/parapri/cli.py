@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 semantic failure (assertion or non-equivalence),
-2 usage or input error, 3 cap exceeded or internal invariant violation.
+2 usage or input error (including a file that is not UTF-8 text), 3 cap
+exceeded, internal invariant violation or any other unexpected error.
+Every failure is reported as one ``error:`` line, never a traceback.
 """
 
 from __future__ import annotations
@@ -40,9 +42,16 @@ from .transform import (
 )
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text", offset=e.start) from None
+
+
 def _load_theory(path: str) -> Theory:
-    with open(path, encoding="utf-8") as fh:
-        t = parse_theory(fh.read())
+    t = parse_theory(_read_text(path))
     if isinstance(t, SchemaTheory):
         t = ground(t)
     return t
@@ -194,8 +203,7 @@ def cmd_encode_ab(args, caps: Caps) -> int:
 
 
 def cmd_encode_lp(args, caps: Caps) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        p = parse_program(fh.read())
+    p = parse_program(_read_text(args.file))
     print(print_theory(encode_stratified(p)), end="")
     return 0
 
@@ -263,18 +271,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         caps = caps_from_env()
         return args.handler(args, caps)
-    except (ParseError, ValidationError, UniverseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (CapExceededError, InternalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
+    except (ParapriError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ParapriError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:  # the contract: an exit code and one line, never a traceback
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -22,6 +23,12 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
+
+
+def check_atoms(universe: Sequence[str], max_atoms: int) -> None:
+    """Refuse a 2^n enumeration over more than ``max_atoms`` atoms."""
+    if len(universe) > max_atoms:
+        raise CapExceededError(f"{len(universe)} atoms exceeds the enumeration cap of {max_atoms}")
 
 
 def caps_from_env(environ=None) -> Caps:

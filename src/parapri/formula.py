@@ -12,6 +12,11 @@ Grammar (whitespace insensitive, ``#`` starts a line comment)::
 
 Ground atoms such as ``flies(tweety)`` are opaque names; no term structure
 is modelled.
+
+The parser is one operator-precedence loop and every walk over a formula
+(printing, atoms, truth tables, substitution) is a caller of ``fold``, an
+explicit-stack post-order traversal, so nesting depth is limited by memory,
+not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
-from .errors import CapExceededError, ParseError, UniverseError, ValidationError
+from .config import DEFAULT_CAPS, check_atoms
+from .errors import ParseError, UniverseError, ValidationError
 
-DEFAULT_TAUTOLOGY_CAP = 24
+T = TypeVar("T")
 
 
 class Formula:
@@ -76,8 +82,13 @@ class Iff(Formula):
     right: Formula
 
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_TOKEN_RE = re.compile(r"\s+|#[^\n]*|(?P<op><->|->|[~&|(),])|(?P<ident>" + _IDENT + ")")
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# The one grammar of names shared by formulas, theory files and programs.
+ATOM_RE = re.compile(rf"{IDENT}(?:\({IDENT}(?:,{IDENT})*\))?")
+LABEL_RE = re.compile(rf"{IDENT}(?:\[{IDENT}(?:,{IDENT})*\])?")
+VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
+
+_TOKEN_RE = re.compile(r"\s+|#[^\n]*|(?P<op><->|->|[~&|(),])|(?P<ident>" + IDENT + ")")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -96,146 +107,148 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.k = 0
+# Binding strength and node type of each binary operator.
+_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.k]
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}, found {text or 'end of input'!r}", offset=pos)
-        self.take()
-
-    def at_op(self, op: str) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "op" and text == op
-
-    def parse(self) -> Formula:
-        f = self.iff()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {text!r} after formula", offset=pos)
-        return f
-
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.at_op("<->"):
-            self.take()
-            f = Iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        parts = [self.disjunction()]
-        while self.at_op("->"):
-            self.take()
-            parts.append(self.disjunction())
-        f = parts[-1]
-        for g in reversed(parts[:-1]):
-            f = Implies(g, f)
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.at_op("|"):
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.at_op("&"):
-            self.take()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "~":
-            self.take()
-            return Not(self.unary())
-        if kind == "op" and text == "(":
-            self.take()
-            f = self.iff()
-            self.expect_op(")")
-            return f
-        if kind == "ident":
-            self.take()
-            if text == "true":
-                return TRUE
-            if text == "false":
-                return FALSE
-            if self.at_op("("):
-                return Atom(self._atom_args(text))
-            return Atom(text)
-        raise ParseError(f"expected a formula, found {text or 'end of input'!r}", offset=pos)
-
-    def _atom_args(self, functor: str) -> str:
-        self.expect_op("(")
-        args = [self._ident()]
-        while self.at_op(","):
-            self.take()
-            args.append(self._ident())
-        self.expect_op(")")
-        return f"{functor}({','.join(args)})"
-
-    def _ident(self) -> str:
-        kind, text, pos = self.peek()
-        if kind != "ident":
-            raise ParseError(f"expected an identifier, found {text or 'end of input'!r}", offset=pos)
-        self.take()
-        return text
+def _found(text: str) -> str:
+    return repr(text or "end of input")
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse ``text`` into a Formula; raises ParseError with a byte offset."""
-    return _Parser(text).parse()
+    """Parse ``text`` into a Formula; raises ParseError with a byte offset.
+
+    One operator-precedence loop over an operand stack and an operator stack.
+    """
+    tokens = _tokenize(text)
+    operands: list[Formula] = []
+    pending: list[str] = []  # unapplied "~", "(" and binary operators
+    depth = 0  # open parentheses
+    k = 0
+
+    def reduce(strength: int) -> None:
+        while pending and pending[-1] in _BINARY and _BINARY[pending[-1]][0] >= strength:
+            right = operands.pop()
+            operands[-1] = _BINARY[pending.pop()][1](operands[-1], right)
+
+    def close_unary() -> None:
+        while pending and pending[-1] == "~":
+            pending.pop()
+            operands[-1] = Not(operands[-1])
+
+    while True:
+        # Operand position: prefix operators, then one atom or constant.
+        kind, tok, pos = tokens[k]
+        k += 1
+        if kind == "op" and tok in ("~", "("):
+            pending.append(tok)
+            depth += tok == "("
+            continue
+        if kind != "ident":
+            raise ParseError(f"expected a formula, found {_found(tok)}", offset=pos)
+        if tok in ("true", "false"):
+            operands.append(TRUE if tok == "true" else FALSE)
+        elif tokens[k][:2] == ("op", "("):
+            args = []
+            while True:
+                kind, arg, pos = tokens[k + 1]
+                if kind != "ident":
+                    raise ParseError(f"expected an identifier, found {_found(arg)}", offset=pos)
+                args.append(arg)
+                k += 2
+                if tokens[k][:2] != ("op", ","):
+                    break
+            kind, close, pos = tokens[k]
+            if (kind, close) != ("op", ")"):
+                raise ParseError(f"expected ')', found {_found(close)}", offset=pos)
+            k += 1
+            operands.append(Atom(f"{tok}({','.join(args)})"))
+        else:
+            operands.append(Atom(tok))
+        close_unary()
+        # Operator position: closing parentheses, then a binary operator or the end.
+        while True:
+            kind, tok, pos = tokens[k]
+            k += 1
+            if kind == "op" and tok == ")" and depth:
+                reduce(0)
+                pending.pop()
+                depth -= 1
+                close_unary()
+                continue
+            if kind == "op" and tok in _BINARY:
+                strength = _BINARY[tok][0]
+                reduce(strength + 1 if tok == "->" else strength)  # "->" is right associative
+                pending.append(tok)
+                break
+            if depth:
+                raise ParseError(f"expected ')', found {_found(tok)}", offset=pos)
+            if kind != "end":
+                raise ParseError(f"unexpected {tok!r} after formula", offset=pos)
+            reduce(0)
+            return operands[0]
 
 
 _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+_COMBINE = object()
+
+
+def fold(f: Formula, leaf: Callable[[Formula], T], node: Callable[..., T]) -> T:
+    """Post-order fold over ``f`` with an explicit stack.
+
+    ``leaf(g)`` gives the value of an Atom or Const; ``node(g, *values)``
+    combines the values of the children of a Not or binary node, left
+    before right. Leaves are visited left to right.
+    """
+    values: list[T] = []
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        if g is _COMBINE:  # the node below it has all its children's values
+            g = todo.pop()
+            if isinstance(g, Not):
+                values[-1] = node(g, values[-1])
+            else:
+                right = values.pop()
+                values[-1] = node(g, values[-1], right)
+        elif isinstance(g, (Atom, Const)):
+            values.append(leaf(g))
+        elif isinstance(g, Not):
+            todo += (g, _COMBINE, g.arg)
+        elif isinstance(g, (And, Or, Implies, Iff)):
+            todo += (g, _COMBINE, g.right, g.left)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return values[0]
+
+
+def _text_leaf(g: Formula) -> str:
+    if type(g) is Atom:
+        return g.name
+    return "true" if g.value else "false"
+
+
+def _text_node(g: Formula, left: str, right: str = "") -> str:
+    if type(g) is Not:
+        return "~" + left
+    return f"({left} {_BINARY_OPS[type(g)]} {right})"
 
 
 def to_text(f: Formula) -> str:
     """Fully parenthesized text form; ``parse_formula`` round-trips it."""
-    match f:
-        case Atom(name):
-            return name
-        case Const(value):
-            return "true" if value else "false"
-        case Not(arg):
-            return "~" + to_text(arg)
-        case And(left, right) | Or(left, right) | Implies(left, right) | Iff(left, right):
-            return f"({to_text(left)} {_BINARY_OPS[type(f)]} {to_text(right)})"
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, _text_leaf, _text_node)
 
 
-def atoms(f: Formula) -> tuple[str, ...]:
-    """Atom names in first-mention order."""
+def atoms(*formulas: Formula) -> tuple[str, ...]:
+    """Atom names of ``formulas`` in first-mention order."""
     seen: dict[str, None] = {}
 
-    def walk(g: Formula) -> None:
-        match g:
-            case Atom(name):
-                seen.setdefault(name)
-            case Const(_):
-                pass
-            case Not(arg):
-                walk(arg)
-            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-                walk(l)
-                walk(r)
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
+    def leaf(g: Formula) -> None:
+        if type(g) is Atom:
+            seen.setdefault(g.name)
 
-    walk(f)
+    for f in formulas:
+        fold(f, leaf, lambda g, *values: None)
     return tuple(seen)
 
 
@@ -287,26 +300,6 @@ class Interpretation:
         return dict(zip(self.universe, self.values))
 
 
-def evaluate(f: Formula, z: Interpretation) -> bool:
-    """Classical truth value of ``f`` under ``z``."""
-    match f:
-        case Atom(name):
-            return z.value(name)
-        case Const(value):
-            return value
-        case Not(arg):
-            return not evaluate(arg, z)
-        case And(l, r):
-            return evaluate(l, z) and evaluate(r, z)
-        case Or(l, r):
-            return evaluate(l, z) or evaluate(r, z)
-        case Implies(l, r):
-            return (not evaluate(l, z)) or evaluate(r, z)
-        case Iff(l, r):
-            return evaluate(l, z) == evaluate(r, z)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], int]:
     # Column k holds atom k's truth values across all 2^n interpretation
     # indices, built by doubling so construction is O(n^2) bigint ops.
@@ -328,38 +321,32 @@ def truth_mask(f: Formula, universe: Iterable[str]) -> int:
     cols, size = _columns(names)
     full = (1 << size) - 1
 
-    def rec(g: Formula) -> int:
-        match g:
-            case Atom(name):
-                try:
-                    return cols[name]
-                except KeyError:
-                    raise UniverseError(f"atom {name!r} not in universe") from None
-            case Const(value):
-                return full if value else 0
-            case Not(arg):
-                return full ^ rec(arg)
-            case And(l, r):
-                return rec(l) & rec(r)
-            case Or(l, r):
-                return rec(l) | rec(r)
-            case Implies(l, r):
-                return (full ^ rec(l)) | rec(r)
-            case Iff(l, r):
-                return full ^ (rec(l) ^ rec(r))
-        raise TypeError(f"not a formula: {g!r}")
+    def leaf(g: Formula) -> int:
+        if type(g) is Const:
+            return full if g.value else 0
+        try:
+            return cols[g.name]
+        except KeyError:
+            raise UniverseError(f"atom {g.name!r} not in universe") from None
 
-    return rec(f)
+    def node(g: Formula, left: int, right: int = 0) -> int:
+        t = type(g)
+        if t is And:
+            return left & right
+        if t is Or:
+            return left | right
+        if t is Not:
+            return full ^ left
+        if t is Implies:
+            return (full ^ left) | right
+        return full ^ left ^ right
 
-
-def _check_cap(universe: tuple[str, ...], cap: int) -> None:
-    if len(universe) > cap:
-        raise CapExceededError(f"{len(universe)} atoms exceeds the brute-force cap of {cap}")
+    return fold(f, leaf, node)
 
 
-def is_tautology(f: Formula, universe: Iterable[str], max_atoms: int = DEFAULT_TAUTOLOGY_CAP) -> bool:
+def is_tautology(f: Formula, universe: Iterable[str], max_atoms: int = DEFAULT_CAPS.tautology_atoms) -> bool:
     names = tuple(universe)
-    _check_cap(names, max_atoms)
+    check_atoms(names, max_atoms)
     return truth_mask(f, names) == (1 << (1 << len(names))) - 1
 
 
@@ -367,11 +354,11 @@ def entails(
     premises: Iterable[Formula],
     f: Formula,
     universe: Iterable[str],
-    max_atoms: int = DEFAULT_TAUTOLOGY_CAP,
+    max_atoms: int = DEFAULT_CAPS.tautology_atoms,
 ) -> bool:
     """Whether every interpretation satisfying all premises satisfies ``f``."""
     names = tuple(universe)
-    _check_cap(names, max_atoms)
+    check_atoms(names, max_atoms)
     full = (1 << (1 << len(names))) - 1
     premise_mask = full
     for p in premises:

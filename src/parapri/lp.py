@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from .errors import NotStratifiedError, ParseError, ValidationError
-from .formula import And, Atom, Formula, Implies, Interpretation, Not
+from .formula import ATOM_RE, And, Atom, Formula, Implies, Interpretation, Not
 from .theory import LabeledFormula, PriorityOrder, Theory
 
 
@@ -54,12 +54,9 @@ class Stratification:
         return max(self.stratum.values(), default=0)
 
 
-_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\([A-Za-z_][A-Za-z0-9_]*(?:,[A-Za-z_][A-Za-z0-9_]*)*\))?")
-
-
 def _parse_atom(token: str, lineno: int) -> str:
     token = token.strip()
-    if not _ATOM_RE.fullmatch(token):
+    if not ATOM_RE.fullmatch(token):
         raise ParseError(f"bad atom {token!r}", line=lineno)
     return token
 

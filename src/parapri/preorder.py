@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import UniverseError, ValidationError
-from .formula import Formula, Interpretation, evaluate
+from .errors import ValidationError
 from .theory import LabeledFormula, PriorityOrder, Theory, parallel_order
 
 
@@ -36,37 +35,3 @@ class PreorderSpec:
     def parallel(cls, defaults: Iterable[LabeledFormula], fixtures: Iterable[LabeledFormula] = ()) -> "PreorderSpec":
         ds = tuple(defaults)
         return cls(ds, parallel_order(d.label for d in ds), tuple(fixtures))
-
-
-def _check_universes(z: Interpretation, z2: Interpretation) -> None:
-    if z.universe != z2.universe:
-        raise UniverseError("interpretations over different universes are incomparable")
-
-
-def default_leq(spec: PreorderSpec, z: Interpretation, z2: Interpretation) -> bool:
-    """Whether z2 is at least as preferred as z under the prioritized pre-order."""
-    _check_universes(z, z2)
-    formulas = dict(spec.defaults)
-    doms = spec.priority.dominators_map
-    for label, f in spec.defaults:
-        binding = all(
-            evaluate(formulas[j], z) == evaluate(formulas[j], z2) for j in doms[label]
-        )
-        if binding and evaluate(f, z) and not evaluate(f, z2):
-            return False
-    return True
-
-
-def fixture_equiv(fixtures: Iterable[Formula], z: Interpretation, z2: Interpretation) -> bool:
-    """Whether every fixture formula has the same truth value in z and z2."""
-    _check_universes(z, z2)
-    return all(evaluate(f, z) == evaluate(f, z2) for f in fixtures)
-
-
-def strictly_better(spec: PreorderSpec, z2: Interpretation, z: Interpretation) -> bool:
-    """Whether z2 strictly improves on z: fixture-equivalent, z below z2, not conversely."""
-    return (
-        fixture_equiv((f for _, f in spec.fixtures), z, z2)
-        and default_leq(spec, z, z2)
-        and not default_leq(spec, z2, z)
-    )

@@ -86,6 +86,8 @@ def prune_redundant(
     max_atoms: int = DEFAULT_CAPS.model_atoms,
 ) -> PruneReport:
     """Iteratively drop redundant formulas from a parallel default set."""
+    if k < 0:
+        raise ValidationError(f"k must be non-negative, got {k}")
     if isinstance(w, TransformOutput):
         block_of: dict[str, int] = {}
         for p in w.provenance:
@@ -273,14 +275,9 @@ def encode_abnormality(
         raise ValidationError("rules and priority order disagree on labels")
     rule_of = {r.label: r for r in rules}
 
-    mentioned: dict[str, None] = {}
-    for f in base:
-        for a in formula_atoms(f):
-            mentioned.setdefault(a)
-    for r in rules:
-        for a in formula_atoms(r.condition) + formula_atoms(r.consequent):
-            mentioned.setdefault(a)
-    names = tuple(universe) if universe is not None else tuple(mentioned)
+    if universe is None:
+        universe = formula_atoms(*base, *(g for r in rules for g in (r.condition, r.consequent)))
+    names = tuple(universe)
 
     ab_atoms = {}
     for r in rules:

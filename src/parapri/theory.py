@@ -24,7 +24,19 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import CycleError, ParseError, ValidationError
-from .formula import Atom, Const, Formula, Iff, Implies, Not, And, Or, atoms as formula_atoms, parse_formula, to_text
+from .formula import (
+    ATOM_RE,
+    IDENT,
+    LABEL_RE,
+    VARIABLE_RE,
+    Atom,
+    Formula,
+    Not,
+    atoms as formula_atoms,
+    fold,
+    parse_formula,
+    to_text,
+)
 
 
 class LabeledFormula(NamedTuple):
@@ -121,18 +133,9 @@ class Theory:
         if len(set(self.universe)) != len(self.universe):
             raise ValidationError("duplicate atom in universe")
         declared = set(self.universe)
-        for f in self._all_formulas():
-            for a in formula_atoms(f):
-                if a not in declared:
-                    raise ValidationError(f"atom {a!r} not in declared universe")
-
-    def _all_formulas(self) -> Iterable[Formula]:
-        for f in self.base:
-            yield f
-        for _, f in self.defaults:
-            yield f
-        for _, f in self.fixtures:
-            yield f
+        for a in formula_atoms(*self.base, *(f for _, f in (*self.defaults, *self.fixtures))):
+            if a not in declared:
+                raise ValidationError(f"atom {a!r} not in declared universe")
 
     @property
     def default_labels(self) -> tuple[str, ...]:
@@ -170,14 +173,14 @@ class SchemaTheory:
         transitive_closure(self.edges)  # reject cycles before grounding
         for s in self.schemas:
             for p in s.params:
-                if not re.fullmatch(r"[A-Z][A-Za-z0-9_]*", p):
+                if not VARIABLE_RE.fullmatch(p):
                     raise ValidationError(f"schema parameter {p!r} is not an uppercase identifier")
             free = _schema_variables(s.formula) - set(s.params)
             if free:
                 raise ValidationError(f"schema {s.label!r} uses undeclared variables {sorted(free)}")
 
 
-_GROUND_ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((.*)\)")
+_GROUND_ATOM_RE = re.compile(rf"({IDENT})\((.*)\)")
 
 
 def _schema_variables(f: Formula) -> set[str]:
@@ -185,7 +188,7 @@ def _schema_variables(f: Formula) -> set[str]:
     for name in formula_atoms(f):
         m = _GROUND_ATOM_RE.fullmatch(name)
         parts = m.group(2).split(",") if m else [name]
-        out.update(p for p in parts if re.fullmatch(r"[A-Z][A-Za-z0-9_]*", p))
+        out.update(p for p in parts if VARIABLE_RE.fullmatch(p))
     return out
 
 
@@ -198,22 +201,10 @@ def _substitute_atom(name: str, binding: dict[str, str]) -> str:
 
 
 def _substitute(f: Formula, binding: dict[str, str]) -> Formula:
-    match f:
-        case Atom(name):
-            return Atom(_substitute_atom(name, binding))
-        case Const(_):
-            return f
-        case Not(arg):
-            return Not(_substitute(arg, binding))
-        case And(l, r):
-            return And(_substitute(l, binding), _substitute(r, binding))
-        case Or(l, r):
-            return Or(_substitute(l, binding), _substitute(r, binding))
-        case Implies(l, r):
-            return Implies(_substitute(l, binding), _substitute(r, binding))
-        case Iff(l, r):
-            return Iff(_substitute(l, binding), _substitute(r, binding))
-    raise TypeError(f"not a formula: {f!r}")
+    def leaf(g: Formula) -> Formula:
+        return Atom(_substitute_atom(g.name, binding)) if type(g) is Atom else g
+
+    return fold(f, leaf, lambda g, *args: type(g)(*args))
 
 
 def ground(s: SchemaTheory) -> Theory:
@@ -239,7 +230,7 @@ def ground(s: SchemaTheory) -> Theory:
         for ga in instances[a]
         for gb in instances[b]
     )
-    universe = _mentioned_atoms(s.base, grounded, s.fixtures)
+    universe = formula_atoms(*s.base, *(f for _, f in (*grounded, *s.fixtures)))
     return Theory(
         universe=universe,
         base=s.base,
@@ -247,21 +238,6 @@ def ground(s: SchemaTheory) -> Theory:
         priority=PriorityOrder(tuple(lf.label for lf in grounded), lifted),
         fixtures=s.fixtures,
     )
-
-
-def _mentioned_atoms(
-    base: Iterable[Formula],
-    defaults: Iterable[LabeledFormula],
-    fixtures: Iterable[LabeledFormula],
-) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for f in base:
-        for a in formula_atoms(f):
-            seen.setdefault(a)
-    for _, f in itertools.chain(defaults, fixtures):
-        for a in formula_atoms(f):
-            seen.setdefault(a)
-    return tuple(seen)
 
 
 def fixtures_to_defaults(t: Theory) -> Theory:
@@ -280,10 +256,6 @@ def fixtures_to_defaults(t: Theory) -> Theory:
         priority=PriorityOrder(tuple(d.label for d in new_defaults), t.priority.edges),
         fixtures=(),
     )
-
-
-_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\[[A-Za-z_][A-Za-z0-9_]*(?:,[A-Za-z_][A-Za-z0-9_]*)*\])?")
-_ATOM_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\([A-Za-z_][A-Za-z0-9_]*(?:,[A-Za-z_][A-Za-z0-9_]*)*\))?")
 
 
 def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
@@ -309,7 +281,7 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
                     fail("duplicate atoms: line", lineno)
                 names = line[len("atoms:"):].split()
                 for n in names:
-                    if not _ATOM_NAME_RE.fullmatch(n):
+                    if not ATOM_RE.fullmatch(n):
                         fail(f"bad atom name {n!r}", lineno)
                 explicit_atoms = tuple(names)
             elif line.startswith("base:"):
@@ -319,18 +291,18 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
                     fail("duplicate domain: line", lineno)
                 consts = line[len("domain:"):].split()
                 for c in consts:
-                    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", c):
+                    if not re.fullmatch(IDENT, c):
                         fail(f"bad domain constant {c!r}", lineno)
                 domain = tuple(consts)
             elif line.startswith("default "):
                 head, _, body = line[len("default "):].partition(":")
                 label = head.strip()
-                if not _LABEL_RE.fullmatch(label):
+                if not LABEL_RE.fullmatch(label):
                     fail(f"bad default label {label!r}", lineno)
                 defaults.append(LabeledFormula(label, parse_formula(body)))
             elif line.startswith("schema "):
                 head, _, body = line[len("schema "):].partition(":")
-                m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\[([^\]]*)\]", head.strip())
+                m = re.fullmatch(rf"({IDENT})\[([^\]]*)\]", head.strip())
                 if not m:
                     fail(f"bad schema head {head.strip()!r}", lineno)
                 params = tuple(p.strip() for p in m.group(2).split(",")) if m.group(2).strip() else ()
@@ -343,7 +315,7 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
             elif line.startswith("fix "):
                 head, _, body = line[len("fix "):].partition(":")
                 label = head.strip()
-                if not _LABEL_RE.fullmatch(label):
+                if not LABEL_RE.fullmatch(label):
                     fail(f"bad fixture label {label!r}", lineno)
                 fixtures.append(LabeledFormula(label, parse_formula(body)))
             else:
@@ -364,7 +336,9 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
             edges=frozenset(edges),
             fixtures=tuple(fixtures),
         )
-    universe = explicit_atoms if explicit_atoms is not None else _mentioned_atoms(base, defaults, fixtures)
+    universe = explicit_atoms
+    if universe is None:
+        universe = formula_atoms(*base, *(f for _, f in (*defaults, *fixtures)))
     return Theory(
         universe=universe,
         base=tuple(base),
@@ -390,9 +364,10 @@ def build_theory(
     base_f = tuple(conv(f) for f in base)
     defaults_f = tuple(LabeledFormula(l, conv(f)) for l, f in defaults)
     fixtures_f = tuple(LabeledFormula(l, conv(f)) for l, f in fixtures)
-    universe = tuple(atoms) if atoms is not None else _mentioned_atoms(base_f, defaults_f, fixtures_f)
+    if atoms is None:
+        atoms = formula_atoms(*base_f, *(f for _, f in (*defaults_f, *fixtures_f)))
     return Theory(
-        universe=universe,
+        universe=tuple(atoms),
         base=base_f,
         defaults=defaults_f,
         priority=PriorityOrder(tuple(d.label for d in defaults_f), frozenset(prefer)),

@@ -161,18 +161,30 @@ def transform_all(
         raise ValidationError("limit must be positive")
     _check_alignment(defaults, order)
     _guard_size(order, max_formulas)
-    labels = [label for label, _ in defaults]
+    members = _sigma_combinations(order, [label for label, _ in defaults])
+    return [_assemble(defaults, sigmas) for sigmas in itertools.islice(members, limit)]
 
-    def members(k: int) -> Iterator[dict[str, tuple[str, ...]]]:
-        if k == len(labels):
-            yield {}
+
+def _sigma_combinations(order: PriorityOrder, labels: Sequence[str]) -> Iterator[dict[str, tuple[str, ...]]]:
+    # A lazy odometer over the labels' descending orderings, the last label
+    # turning fastest. Each digit restarts its own generator instead of
+    # holding a label's orderings, which can number m!.
+    def orderings(label: str) -> Iterator[tuple[str, ...]]:
+        return _iter_descending(order, _ordered_dominators(order, label))
+
+    digits = [orderings(label) for label in labels]
+    current = [next(d) for d in digits]
+    while True:
+        yield dict(zip(labels, current))
+        for k in reversed(range(len(labels))):
+            sigma = next(digits[k], None)
+            if sigma is not None:
+                current[k] = sigma
+                break
+            digits[k] = orderings(labels[k])
+            current[k] = next(digits[k])
+        else:
             return
-        label = labels[k]
-        for sigma in _iter_descending(order, _ordered_dominators(order, label)):
-            for rest in members(k + 1):
-                yield {label: sigma, **rest}
-
-    return [_assemble(defaults, sigmas) for sigmas in itertools.islice(members(0), limit)]
 
 
 def _ordered_dominators(order: PriorityOrder, label: str) -> tuple[str, ...]:

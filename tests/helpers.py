@@ -1,15 +1,75 @@
 """Shared test utilities: independent oracles and comparison helpers.
 
 The oracles here deliberately avoid the package's packed-truth-table
-machinery: they recurse over the AST per interpretation, so agreement with
-the engine is a genuine cross-check.
+machinery and its formula fold: they recurse over the AST per
+interpretation, so agreement with the engine is a genuine cross-check.
+No library code calls them.
 """
 
 from __future__ import annotations
 
-from parapri.formula import And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or, evaluate
-from parapri.preorder import PreorderSpec, strictly_better
+from typing import Iterable
+
+from parapri.errors import UniverseError
+from parapri.formula import And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
+from parapri.preorder import PreorderSpec
 from parapri.theory import Theory, build_theory
+
+
+def evaluate(f: Formula, z: Interpretation) -> bool:
+    """Classical truth value of ``f`` under ``z``."""
+    match f:
+        case Atom(name):
+            return z.value(name)
+        case Const(value):
+            return value
+        case Not(arg):
+            return not evaluate(arg, z)
+        case And(l, r):
+            return evaluate(l, z) and evaluate(r, z)
+        case Or(l, r):
+            return evaluate(l, z) or evaluate(r, z)
+        case Implies(l, r):
+            return (not evaluate(l, z)) or evaluate(r, z)
+        case Iff(l, r):
+            return evaluate(l, z) == evaluate(r, z)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+
+def _check_universes(z: Interpretation, z2: Interpretation) -> None:
+    if z.universe != z2.universe:
+        raise UniverseError("interpretations over different universes are incomparable")
+
+
+def default_leq(spec: PreorderSpec, z: Interpretation, z2: Interpretation) -> bool:
+    """Whether z2 is at least as preferred as z under the prioritized pre-order."""
+    _check_universes(z, z2)
+    formulas = dict(spec.defaults)
+    doms = spec.priority.dominators_map
+    for label, f in spec.defaults:
+        binding = all(
+            evaluate(formulas[j], z) == evaluate(formulas[j], z2) for j in doms[label]
+        )
+        if binding and evaluate(f, z) and not evaluate(f, z2):
+            return False
+    return True
+
+
+def fixture_equiv(fixtures: Iterable[Formula], z: Interpretation, z2: Interpretation) -> bool:
+    """Whether every fixture formula has the same truth value in z and z2."""
+    _check_universes(z, z2)
+    return all(evaluate(f, z) == evaluate(f, z2) for f in fixtures)
+
+
+def strictly_better(spec: PreorderSpec, z2: Interpretation, z: Interpretation) -> bool:
+    """Whether z2 strictly improves on z: fixture-equivalent, z below z2, not conversely."""
+    return (
+        fixture_equiv((f for _, f in spec.fixtures), z, z2)
+        and default_leq(spec, z, z2)
+        and not default_leq(spec, z2, z)
+    )
+
 
 
 def models_naive(base, universe) -> list[Interpretation]:

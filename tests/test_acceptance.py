@@ -160,8 +160,8 @@ def test_criterion_5_two_default_proof_replay():
 
 
 def test_criterion_6_inheritance_goldens(capsys):
-    from helpers import preferred_indices_naive
-    from parapri.formula import Interpretation, evaluate
+    from helpers import evaluate, preferred_indices_naive
+    from parapri.formula import Interpretation
 
     def holds_in_every_preferred_model_naive(t, q):
         return all(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import preferred_indices_naive
+from helpers import default_leq, preferred_indices_naive
 from parapri.circumscription import (
     circ_equivalent,
     format_model,
@@ -16,7 +16,7 @@ from parapri.circumscription import (
 from parapri.errors import CapExceededError, UniverseError
 from parapri.formula import Interpretation, parse_formula
 from parapri.generate import random_theory
-from parapri.preorder import PreorderSpec, default_leq
+from parapri.preorder import PreorderSpec
 from parapri.theory import build_theory
 from parapri.transform import parallel_theory, transform_all, transform_canonical
 

@@ -1,9 +1,15 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ac_set
 from parapri.cli import main
@@ -252,3 +258,148 @@ class TestDeterminism:
         second = run(capsys, *cmd)
         assert first == second
         assert first[0] == 0
+
+
+DEEP = 10_000
+SUBCOMMANDS = (
+    ("transform", "{f}"),
+    ("transform", "{f}", "--format", "json"),
+    ("query", "{f}", "{q}"),
+    ("models", "{f}"),
+    ("check-equiv", "{f}"),
+    ("check-equiv", "{f}", "--preorder"),
+    ("stats", "{f}"),
+    ("prune", "{f}"),
+    ("encode-ab", "{f}"),
+)
+DEEP_KINDS = ("~", "(", "&", "->", "schema")
+CONTRACT_CASES = [
+    *((kind, argv, 0) for kind in DEEP_KINDS for argv in SUBCOMMANDS),
+    ("long-clause", ("encode-lp", "{f}"), 0),
+    *(("not-utf8", argv, 2) for argv in (*SUBCOMMANDS, ("encode-lp", "{f}"))),
+    ("tweety", ("prune", "{f}", "--k", "-1"), 2),
+    ("1100-defaults", ("transform", "{f}", "--all", "1"), 0),
+    ("1100-defaults", ("check-equiv", "{f}", "--all", "1"), 0),
+]
+
+
+def _deep_formula(kind: str, atom: str = "a") -> str:
+    if kind == "~":
+        return "~" * DEEP + atom
+    if kind == "(":
+        return "(" * DEEP + atom + ")" * DEEP
+    return f" {kind} ".join([atom] * DEEP)
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """Input name -> (file, query) for the exit-code contract cases."""
+    d = tmp_path_factory.mktemp("contract")
+    inputs = {}
+    for kind in DEEP_KINDS[:-1]:
+        f = d / f"deep{len(inputs)}.thy"
+        f.write_text(f"base: a\ndefault d1: a -> {_deep_formula(kind)}\ndefault d2: a -> a\nprefer d1 > d2\n")
+        inputs[kind] = (f, _deep_formula(kind))
+    f = d / "schema.thy"
+    f.write_text(
+        "domain: c1 c2\n"
+        f"schema e[X]: p(X) -> {_deep_formula('&', 'p(X)')}\n"
+        "default d: p(c1) -> p(c1)\n"
+        "prefer e > d\n"
+    )
+    inputs["schema"] = (f, _deep_formula("->", "p(c1)"))
+    f = d / "long_clause.lp"
+    f.write_text("q.\np :- " + ", ".join(["q"] * DEEP) + ".\n")
+    inputs["long-clause"] = (f, "")
+    f = d / "latin1.thy"
+    f.write_bytes("default d: café\n".encode("latin-1"))
+    inputs["not-utf8"] = (f, "a")
+    inputs["tweety"] = (DATA / "tweety.thy", "")
+    f = d / "wide.thy"
+    f.write_text("".join(f"default d{k}: p{k % 5}\n" for k in range(1100)))
+    inputs["1100-defaults"] = (f, "")
+    return inputs
+
+
+@pytest.mark.parametrize(
+    "name, argv, expected",
+    CONTRACT_CASES,
+    ids=[f"{name}-{'-'.join(a for a in argv if '{' not in a)}" for name, argv, _ in CONTRACT_CASES],
+)
+def test_exit_code_contract(capsys, contract_inputs, name, argv, expected):
+    path, query = contract_inputs[name]
+    code, _, err = run(capsys, *(a.format(f=path, q=query) for a in argv))
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert err.count("error:") == (expected != 0)
+
+
+THEORY_LINES = (
+    "atoms: a b c",
+    "base: a -> b",
+    "base: ~a | c",
+    "default d1: a",
+    "default d1: c",
+    "default d2: b & ~a",
+    "default d3: a -> c",
+    "default e: ~(a <-> b)",
+    "prefer d1 > d2",
+    "prefer d2 > d3",
+    "prefer d3 > d1",
+    "prefer d1 > d9",
+    "fix f1: a <-> b",
+    "domain: k1 k2",
+    "schema s[X]: p(X) -> q(X)",
+    "schema t[X,Y]: r(X,Y)",
+    "prefer s > d1",
+    "default d4: p(k1) -> ~q(k1)",
+)
+PROGRAM_LINES = ("p.", "q :- p.", "r :- q, not p.", "p :- not r.", "s :- t(a), not u.", "u :- u.")
+FUZZ_ARGV = (
+    ("transform",),
+    ("transform", "--all", "3"),
+    ("transform", "--format", "json"),
+    ("transform", "--size-only"),
+    ("query", "{q}"),
+    ("query", "{q}", "--assert", "yes"),
+    ("models",),
+    ("models", "--format", "json"),
+    ("check-equiv",),
+    ("check-equiv", "--preorder"),
+    ("check-equiv", "--all", "2"),
+    ("check-equiv", "--project", "a,b"),
+    ("stats",),
+    ("prune",),
+    ("prune", "--k", "1"),
+    ("encode-ab",),
+    ("encode-ab", "--variant", "class"),
+    ("encode-lp",),
+)
+
+
+def _text_of(lines):
+    return st.lists(st.one_of(st.sampled_from(lines), st.text(max_size=30)), max_size=8).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    content=st.one_of(
+        _text_of(THEORY_LINES).map(str.encode),
+        _text_of(PROGRAM_LINES).map(str.encode),
+        st.binary(max_size=40),
+    ),
+    argv=st.sampled_from(FUZZ_ARGV),
+    query=st.one_of(st.sampled_from(["a", "~b | c", "p(k1)", "a & (b", "zz"]), st.text(max_size=15)),
+    max_atoms=st.sampled_from(["0", "2", "4"]),
+)
+def test_cli_fuzz_exit_codes(tmp_path_factory, content, argv, query, max_atoms):
+    f = tmp_path_factory.getbasetemp() / "fuzz_input"
+    f.write_bytes(content)
+    args = [argv[0], str(f), *(a.format(q=query) for a in argv[1:])]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"PARAPRI_MAX_ATOMS": max_atoms}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert code != 1 or argv[0] == "check-equiv" or "--assert" in argv

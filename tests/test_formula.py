@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import evaluate
 from parapri.errors import CapExceededError, ParseError, UniverseError
 from parapri.formula import (
     FALSE,
@@ -17,7 +18,6 @@ from parapri.formula import (
     Or,
     atoms,
     entails,
-    evaluate,
     is_tautology,
     parse_formula,
     to_text,
@@ -176,3 +176,37 @@ class TestInterpretation:
     def test_duplicate_atom_rejected(self):
         with pytest.raises(UniverseError):
             Interpretation(("a", "a"), (True, False))
+
+
+DEEP = 10_000
+A, B = Atom("a"), Atom("b")
+
+
+def _nest(step, start):
+    f = start
+    for _ in range(DEEP):
+        f = step(f)
+    return f
+
+
+# name -> (builder, truth table over ("a", "b"): a = 0b1010, b = 0b1100)
+DEEP_CASES = {
+    "not": (lambda: _nest(Not, And(A, B)), 0b1000),
+    "and-left": (lambda: _nest(lambda f: And(f, B), A), 0b1000),
+    "or-right": (lambda: _nest(lambda f: Or(A, f), B), 0b1110),
+    "implies-right": (lambda: _nest(lambda f: Implies(A, f), B), 0b1101),
+    "iff-left": (lambda: _nest(lambda f: Iff(f, B), A), 0b1010),
+}
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize("name", DEEP_CASES)
+    def test_round_trip_atoms_and_truth_table(self, name):
+        build, mask = DEEP_CASES[name]
+        f = build()
+        text = to_text(f)
+        # Fully parenthesized text is injective on trees, so equal text
+        # means parse_formula rebuilt the same tree.
+        assert to_text(parse_formula(text)) == text
+        assert atoms(f) == ("a", "b")
+        assert truth_mask(f, ("a", "b")) == mask

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from helpers import default_leq, evaluate, fixture_equiv, strictly_better
 from parapri.circumscription import _leq_row, _spec_tables
 from parapri.errors import UniverseError
-from parapri.formula import Interpretation, evaluate, parse_formula
+from parapri.formula import Interpretation, parse_formula
 from parapri.generate import random_theory
-from parapri.preorder import PreorderSpec, default_leq, fixture_equiv, strictly_better
+from parapri.preorder import PreorderSpec
 from parapri.theory import build_theory
 
 F = parse_formula
