@@ -3,7 +3,17 @@
 All operations enumerate total interpretations explicitly, so they are exact
 but only usable at small atom counts; the caps make the limit explicit.
 Truth tables are packed into ints (bit i = truth under interpretation index
-i), which keeps the quadratic pairwise domination checks cheap.
+i).
+
+The prioritized pre-order and fixture equivalence read an interpretation
+only through its truth values on the defaults and fixtures, so domination
+is decided on a quotient: the models are split into cells, the non-empty
+sets of models that agree on every default and fixture (at most
+min(#models, 2^(defaults+fixtures)) of them), each mask is re-expressed as
+a K-bit mask over the K cells, and the packed pre-order rows compare cells,
+not interpretations. The preferred models are the union of the undominated
+cells; ``preorder_equivalent`` compares both pre-orders on the joint cells
+of their defaults over the whole universe.
 """
 
 from __future__ import annotations
@@ -56,10 +66,12 @@ def models_of(
 
 
 def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of ``mask``, ascending, in one linear scan."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _leq_row(
@@ -68,7 +80,8 @@ def _leq_row(
     dom_positions: Sequence[Sequence[int]],
     full: int,
 ) -> int:
-    """Bitmask over z2 of: z is at most as preferred as z2."""
+    """Bitmask over z2 of: z is at most as preferred as z2 (indices of cells
+    or of interpretations alike, over the same packed default masks)."""
     row = full
     for i, ti in enumerate(default_masks):
         if not (ti >> z) & 1:
@@ -82,40 +95,69 @@ def _leq_row(
     return row
 
 
-def _spec_tables(spec: PreorderSpec, universe: tuple[str, ...]) -> tuple[list[int], list[list[int]], int]:
-    size = 1 << len(universe)
-    full = (1 << size) - 1
+def _dominator_positions(spec: PreorderSpec) -> list[list[int]]:
     position = {label: k for k, (label, _) in enumerate(spec.defaults)}
-    masks = [truth_mask(f, universe) for _, f in spec.defaults]
-    doms = [
+    return [
         [position[j] for j in spec.priority.dominators_map[label]]
         for label, _ in spec.defaults
     ]
-    return masks, doms, full
+
+
+def _quotient(base_mask: int, masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Split ``base_mask`` into the non-empty cells on which every mask is
+    constant; return the cells and each mask re-expressed over them (bit k =
+    the mask holds on cell k)."""
+    cells, profiles = ([base_mask], [0]) if base_mask else ([], [])
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        split_cells, split_profiles = [], []
+        for c, p in zip(cells, profiles):
+            inside = c & m
+            if inside:
+                split_cells.append(inside)
+                split_profiles.append(p | bit)
+            if inside != c:
+                split_cells.append(c ^ inside)
+                split_profiles.append(p)
+        cells, profiles = split_cells, split_profiles
+    return cells, _transpose(profiles, len(masks))
+
+
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Transpose a bit matrix of ``width``-bit rows: bit k of column i is
+    bit i of rows[k]."""
+    # One fixed-width binary string per row, last row first; every width-th
+    # character from offset width-1-i then spells column i, high bit first.
+    table = "".join(format(r, f"0{width}b") for r in reversed(rows))
+    return [int(table[width - 1 - i :: width] or "0", 2) for i in range(width)]
 
 
 def preferred_models(t: Theory, max_atoms: int = DEFAULT_CAPS.model_atoms) -> PreferredModelSet:
     """Base models not strictly dominated by any fixture-equivalent base model."""
     check_atoms(t.universe, max_atoms)
-    size = 1 << len(t.universe)
-    full = (1 << size) - 1
+    full = (1 << (1 << len(t.universe))) - 1
     base_mask = _conjoin_masks(t.base, t.universe, full)
     spec = PreorderSpec.of(t)
-    masks, doms, _ = _spec_tables(spec, t.universe)
+    masks = [truth_mask(f, t.universe) for _, f in spec.defaults]
+    doms = _dominator_positions(spec)
     fixture_masks = [truth_mask(f, t.universe) for _, f in t.fixtures]
 
-    model_idxs = list(_iter_bits(base_mask))
-    rows = {z: _leq_row(z, masks, doms, full) for z in model_idxs}
-    preferred = []
-    for z in model_idxs:
-        candidates = rows[z] & base_mask
-        for fm in fixture_masks:
-            candidates &= fm if (fm >> z) & 1 else full ^ fm
-        if all((rows[z2] >> z) & 1 for z2 in _iter_bits(candidates)):
-            preferred.append(z)
+    cells, quotient = _quotient(base_mask, masks + fixture_masks)
+    cell_masks, cell_fixtures = quotient[: len(masks)], quotient[len(masks):]
+    cells_full = (1 << len(cells)) - 1
+    rows = [_leq_row(k, cell_masks, doms, cells_full) for k in range(len(cells))]
+    below = _transpose(rows, len(cells))  # bit k2 of below[k]: k2 is at most as preferred as k
+    preferred = 0
+    for k, row in enumerate(rows):
+        # cells at least as preferred as k, fixture-equivalent to it, and not conversely
+        better = row & (cells_full ^ below[k])
+        for fm in cell_fixtures:
+            better &= fm if (fm >> k) & 1 else cells_full ^ fm
+        if not better:
+            preferred |= cells[k]
     return PreferredModelSet(
         t.universe,
-        tuple(Interpretation.from_index(t.universe, z) for z in preferred),
+        tuple(Interpretation.from_index(t.universe, z) for z in _iter_bits(preferred)),
     )
 
 
@@ -160,13 +202,18 @@ def preorder_equivalent(
     """Whether two default pre-orders agree on every ordered interpretation pair."""
     names = tuple(universe)
     check_atoms(names, max_atoms)
-    size = 1 << len(names)
-    masks1, doms1, full = _spec_tables(s1, names)
-    masks2, doms2, _ = _spec_tables(s2, names)
-    for z in range(size):
-        if _leq_row(z, masks1, doms1, full) != _leq_row(z, masks2, doms2, full):
-            return False
-    return True
+    full = (1 << (1 << len(names))) - 1
+    masks1 = [truth_mask(f, names) for _, f in s1.defaults]
+    doms1 = _dominator_positions(s1)
+    masks2 = [truth_mask(f, names) for _, f in s2.defaults]
+    doms2 = _dominator_positions(s2)
+    cells, quotient = _quotient(full, masks1 + masks2)
+    cell_masks1, cell_masks2 = quotient[: len(masks1)], quotient[len(masks1):]
+    cells_full = (1 << len(cells)) - 1
+    return all(
+        _leq_row(k, cell_masks1, doms1, cells_full) == _leq_row(k, cell_masks2, doms2, cells_full)
+        for k in range(len(cells))
+    )
 
 
 def format_model(z: Interpretation) -> str:

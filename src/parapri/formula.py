@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, TypeVar
 
 from .config import DEFAULT_CAPS, check_atoms
@@ -300,9 +300,11 @@ class Interpretation:
         return dict(zip(self.universe, self.values))
 
 
+@lru_cache(maxsize=4)
 def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], int]:
     # Column k holds atom k's truth values across all 2^n interpretation
     # indices, built by doubling so construction is O(n^2) bigint ops.
+    # Cached per universe: the returned dict is shared and read-only.
     if len(set(universe)) != len(universe):
         raise ValidationError("universe contains a duplicate atom")
     cols: dict[str, int] = {}

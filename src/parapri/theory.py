@@ -46,7 +46,7 @@ class LabeledFormula(NamedTuple):
 
 def transitive_closure(edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     """Smallest transitive superset of ``edges``; raises CycleError if it
-    would contain a reflexive pair."""
+    would contain a reflexive pair, naming the least label on a cycle."""
     direct: dict[str, set[str]] = {}
     nodes: set[str] = set()
     for a, b in edges:
@@ -63,9 +63,9 @@ def transitive_closure(edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str,
             if not extra <= reach[x]:
                 reach[x] |= extra
                 changed = True
-    for x in nodes:
-        if x in reach[x]:
-            raise CycleError(f"priority cycle through {x!r}")
+    cyclic = [x for x in nodes if x in reach[x]]
+    if cyclic:
+        raise CycleError(f"priority cycle through {min(cyclic)!r}")
     return frozenset((x, y) for x in nodes for y in reach[x])
 
 

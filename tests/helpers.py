@@ -8,12 +8,18 @@ No library code calls them.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterable
 
 from parapri.errors import UniverseError
 from parapri.formula import And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
 from parapri.preorder import PreorderSpec
 from parapri.theory import Theory, build_theory
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def evaluate(f: Formula, z: Interpretation) -> bool:
@@ -122,3 +128,16 @@ def chain_theory(n: int) -> Theory:
     defaults = [(f"d{k}", f"p{k}") for k in range(1, n + 1)]
     prefer = [(f"d{k}", f"d{k + 1}") for k in range(1, n)]
     return build_theory(defaults=defaults, prefer=prefer)
+
+
+def run_python(*args, **env: str) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a child process that imports parapri from this
+    checkout's ``src``; ``env`` entries are added to the environment."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=300,
+    )

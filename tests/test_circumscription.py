@@ -1,10 +1,13 @@
 """Preferred-model enumeration, skeptical entailment, and the equivalence oracles."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import default_leq, preferred_indices_naive
+from helpers import default_leq, evaluate, preferred_indices_naive
 from parapri.circumscription import (
     circ_equivalent,
     format_model,
@@ -14,10 +17,10 @@ from parapri.circumscription import (
     skeptical_entails,
 )
 from parapri.errors import CapExceededError, UniverseError
-from parapri.formula import Interpretation, parse_formula
+from parapri.formula import FALSE, TRUE, And, Atom, Iff, Implies, Interpretation, Not, Or, parse_formula
 from parapri.generate import random_theory
 from parapri.preorder import PreorderSpec
-from parapri.theory import build_theory
+from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory
 from parapri.transform import parallel_theory, transform_all, transform_canonical
 
 F = parse_formula
@@ -210,3 +213,85 @@ class TestFormatModel:
     def test_all_negative(self):
         z = Interpretation.of(("b", "a"), {"a": False, "b": False})
         assert format_model(z) == "~a ~b"
+
+
+@lru_cache(maxsize=None)
+def formulas_over(universe):
+    leaves = st.sampled_from([TRUE, FALSE, *(Atom(a) for a in universe)])
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            kids.map(Not),
+            *(st.builds(op, kids, kids) for op in (And, Or, Implies, Iff)),
+        ),
+        max_leaves=5,
+    )
+
+
+@st.composite
+def priorities(draw, labels):
+    """A random strict order: edges run forward along a drawn permutation."""
+    perm = draw(st.permutations(labels))
+    pairs = [(perm[i], perm[j]) for i in range(len(perm)) for j in range(i + 1, len(perm))]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return PriorityOrder(tuple(labels), frozenset(e for e, k in zip(pairs, keep) if k))
+
+
+@st.composite
+def theories(draw, universe=None):
+    """Random theories: empty universes, unsatisfiable bases, fixtures,
+    random priorities, and (drawn) their parallel transforms."""
+    if universe is None:
+        universe = ("a", "b", "c", "d")[: draw(st.integers(0, 4))]
+    fs = formulas_over(universe)
+    base = draw(st.lists(fs, max_size=3))
+    if draw(st.integers(0, 7)) == 0:
+        base.append(And(Atom(universe[0]), Not(Atom(universe[0]))) if universe else FALSE)
+    labels = tuple(f"d{k}" for k in range(draw(st.integers(0, 4))))
+    defaults = tuple(LabeledFormula(l, draw(fs)) for l in labels)
+    fixtures = tuple(
+        LabeledFormula(f"fx{k}", f) for k, f in enumerate(draw(st.lists(fs, max_size=2)))
+    )
+    t = Theory(universe, tuple(base), defaults, draw(priorities(labels)), fixtures)
+    if draw(st.booleans()):
+        t = parallel_theory(t, transform_canonical(t.defaults, t.priority))
+    return t
+
+
+class TestDifferential:
+    """The cell-quotient engine against the per-interpretation naive oracle."""
+
+    @given(theories())
+    @settings(max_examples=300, deadline=None)
+    def test_preferred_models(self, t):
+        pm = preferred_models(t)
+        assert pm.universe == t.universe
+        assert [m.index for m in pm.models] == sorted(preferred_indices_naive(t))
+        assert all(m.universe == t.universe for m in pm.models)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_skeptical_entails(self, data):
+        t = data.draw(theories())
+        q = data.draw(formulas_over(t.universe))
+        naive = preferred_indices_naive(t)
+        expected = all(evaluate(q, Interpretation.from_index(t.universe, z)) for z in naive)
+        assert skeptical_entails(t, q) == expected
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_preorder_equivalent(self, data):
+        t = data.draw(theories())
+        s1 = PreorderSpec.of(t)
+        kind = data.draw(st.sampled_from(("transform", "reordered", "other")))
+        if kind == "transform":
+            s2 = PreorderSpec.parallel(transform_canonical(t.defaults, t.priority).defaults)
+        elif kind == "reordered":
+            s2 = PreorderSpec(t.defaults, data.draw(priorities(t.default_labels)))
+        else:
+            s2 = PreorderSpec.of(data.draw(theories(universe=t.universe)))
+        zs = [Interpretation.from_index(t.universe, z) for z in range(2 ** len(t.universe))]
+        expected = all(
+            default_leq(s1, z, z2) == default_leq(s2, z, z2) for z in zs for z2 in zs
+        )
+        assert preorder_equivalent(s1, s2, t.universe) == expected

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ac_set
+from helpers import ac_set, run_python
 from parapri.cli import main
 from parapri.formula import parse_formula
 from parapri.theory import parse_theory
@@ -237,6 +237,18 @@ class TestErrorPaths:
         monkeypatch.setenv("PARAPRI_MAX_ATOMS", "many")
         code, _, err = run(capsys, "models", DATA / "tweety.thy")
         assert code == 2
+
+    def test_cycle_error_is_independent_of_hash_seed(self):
+        # the cycle's nodes reach the closure through a frozenset of edges
+        runs = {
+            seed: run_python("-m", "parapri.cli", "stats", DATA / "cyclic.thy", PYTHONHASHSEED=seed)
+            for seed in ("0", "1", "2", "3")
+        }
+        first = runs["0"]
+        assert first.returncode == 2
+        assert first.stderr == "error: priority cycle through 'a'\n"
+        for r in runs.values():
+            assert (r.returncode, r.stdout, r.stderr) == (first.returncode, first.stdout, first.stderr)
 
 
 class TestDeterminism:

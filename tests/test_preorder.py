@@ -5,14 +5,33 @@ import random
 import pytest
 
 from helpers import default_leq, evaluate, fixture_equiv, strictly_better
-from parapri.circumscription import _leq_row, _spec_tables
+from parapri.circumscription import _dominator_positions, _iter_bits, _leq_row, _quotient
 from parapri.errors import UniverseError
-from parapri.formula import Interpretation, parse_formula
+from parapri.formula import Interpretation, parse_formula, truth_mask
 from parapri.generate import random_theory
 from parapri.preorder import PreorderSpec
 from parapri.theory import build_theory
 
 F = parse_formula
+
+
+def quotient_rows(spec, universe):
+    """Packed pre-order rows over every interpretation (bit z2 of rows[z]:
+    z is at most as preferred as z2), decided on the cell quotient of the
+    full universe and lifted back to interpretations."""
+    full = (1 << (1 << len(universe))) - 1
+    masks = [truth_mask(f, universe) for _, f in spec.defaults]
+    cells, cell_masks = _quotient(full, masks)
+    cells_full = (1 << len(cells)) - 1
+    doms = _dominator_positions(spec)
+    rows = [0] * (1 << len(universe))
+    for k, cell in enumerate(cells):
+        lifted = 0
+        for k2 in _iter_bits(_leq_row(k, cell_masks, doms, cells_full)):
+            lifted |= cells[k2]
+        for z in _iter_bits(cell):
+            rows[z] = lifted
+    return rows
 
 
 def spec_two_levels():
@@ -78,9 +97,8 @@ class TestDefaultLeq:
         rng = random.Random(77)
         for _ in range(5):
             t = random_theory(rng, max_atoms=8, max_defaults=4)
-            masks, doms, full = _spec_tables(PreorderSpec.of(t), t.universe)
+            rows = quotient_rows(PreorderSpec.of(t), t.universe)
             size = 2 ** len(t.universe)
-            rows = [_leq_row(z, masks, doms, full) for z in range(size)]
             for z in range(size):
                 assert (rows[z] >> z) & 1, "not reflexive"
                 reachable = 0
@@ -96,10 +114,10 @@ class TestDefaultLeq:
         for _ in range(25):
             t = random_theory(rng, max_atoms=4)
             spec = PreorderSpec.of(t)
-            masks, doms, full = _spec_tables(spec, t.universe)
+            rows = quotient_rows(spec, t.universe)
             size = 2 ** len(t.universe)
             for z in range(size):
-                row = _leq_row(z, masks, doms, full)
+                row = rows[z]
                 for z2 in range(size):
                     expected = default_leq(
                         spec,
