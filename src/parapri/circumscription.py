@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .config import DEFAULT_CAPS, check_atoms
 from .errors import UniverseError
-from .formula import Formula, Interpretation, truth_mask
+from .formula import Formula, Interpretation, iter_bits, truth_mask
 from .preorder import PreorderSpec
 from .theory import Theory
 
@@ -62,16 +62,7 @@ def models_of(
     check_atoms(names, max_atoms)
     size = 1 << len(names)
     mask = _conjoin_masks(base, names, (1 << size) - 1)
-    return [Interpretation.from_index(names, z) for z in _iter_bits(mask)]
-
-
-def _iter_bits(mask: int):
-    """Indices of the set bits of ``mask``, ascending, in one linear scan."""
-    digits = bin(mask)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
+    return [Interpretation.from_index(names, z) for z in iter_bits(mask)]
 
 
 def _leq_row(
@@ -96,11 +87,8 @@ def _leq_row(
 
 
 def _dominator_positions(spec: PreorderSpec) -> list[list[int]]:
-    position = {label: k for k, (label, _) in enumerate(spec.defaults)}
-    return [
-        [position[j] for j in spec.priority.dominators_map[label]]
-        for label, _ in spec.defaults
-    ]
+    # the spec's defaults are its priority labels, in the same order
+    return [list(iter_bits(a)) for a in spec.priority.above]
 
 
 def _quotient(base_mask: int, masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -157,7 +145,7 @@ def preferred_models(t: Theory, max_atoms: int = DEFAULT_CAPS.model_atoms) -> Pr
             preferred |= cells[k]
     return PreferredModelSet(
         t.universe,
-        tuple(Interpretation.from_index(t.universe, z) for z in _iter_bits(preferred)),
+        tuple(Interpretation.from_index(t.universe, z) for z in iter_bits(preferred)),
     )
 
 

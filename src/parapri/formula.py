@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .config import DEFAULT_CAPS, check_atoms
 from .errors import ParseError, UniverseError, ValidationError
@@ -298,6 +298,15 @@ class Interpretation:
 
     def as_dict(self) -> dict[str, bool]:
         return dict(zip(self.universe, self.values))
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending, in one linear scan."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 @lru_cache(maxsize=4)

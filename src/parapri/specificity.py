@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence, Union
 from .circumscription import circ_equivalent
 from .config import DEFAULT_CAPS
 from .errors import CapExceededError, InternalError, ValidationError
-from .formula import Atom, Formula, Implies, Not, atoms as formula_atoms, parse_formula, truth_mask
+from .formula import Atom, Formula, Implies, Not, atoms as formula_atoms, iter_bits, parse_formula, truth_mask
 from .theory import (
     LabeledFormula,
     PriorityOrder,
@@ -273,7 +273,6 @@ def encode_abnormality(
         raise ValidationError(f"unknown variant {variant!r}; choose from {AB_VARIANTS}")
     if tuple(r.label for r in rules) != priority.indices:
         raise ValidationError("rules and priority order disagree on labels")
-    rule_of = {r.label: r for r in rules}
 
     if universe is None:
         universe = formula_atoms(*base, *(g for r in rules for g in (r.condition, r.consequent)))
@@ -289,11 +288,9 @@ def encode_abnormality(
     new_base = list(base)
     for r in rules:
         new_base.append(Implies(Not(Atom(ab_atoms[r.label])), Implies(r.condition, r.consequent)))
-    for i in priority.indices:
-        for j in priority.indices:
-            if not priority.higher(j, i):
-                continue
-            rj = rule_of[j]
+    for i, above in zip(priority.indices, priority.above):
+        for k in iter_bits(above):
+            rj = rules[k]
             if variant == "violation":
                 trigger: Formula = Not(Implies(rj.condition, rj.consequent))
             elif variant == "class":

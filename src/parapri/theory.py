@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -34,6 +34,7 @@ from .formula import (
     Not,
     atoms as formula_atoms,
     fold,
+    iter_bits,
     parse_formula,
     to_text,
 )
@@ -44,65 +45,103 @@ class LabeledFormula(NamedTuple):
     formula: Formula
 
 
+def _order_masks(names: Sequence[str], edges: Iterable[tuple[int, int]]) -> list[int]:
+    """For (higher, lower) position pairs over ``names``: one int per name
+    whose bit k is set when ``names[k]`` is strictly higher, the rows of the
+    transitive closure filled in one topological pass. Raises CycleError
+    naming the least name on a cycle."""
+    below: dict[int, list[int]] = {}
+    pending: dict[int, int] = {}
+    for hi, lo in edges:
+        below.setdefault(hi, []).append(lo)
+        pending[lo] = pending.get(lo, 0) + 1
+    above = [0] * len(names)
+    # Kahn's order (the list grows while it is read): a name is taken once
+    # every name directly above it is, and hands itself and all above it down.
+    ready = [k for k in below if k not in pending]
+    for hi in ready:
+        up = above[hi] | 1 << hi
+        for lo in below.get(hi, ()):
+            above[lo] |= up
+            pending[lo] -= 1
+            if not pending[lo]:
+                ready.append(lo)
+    left = [k for k, p in pending.items() if p]
+    if left:
+        # The names left lie on a cycle or below one: close the relation
+        # among them (Warshall) and keep those that reach themselves.
+        reach = {k: sum({1 << lo for lo in below.get(k, ())}) for k in left}
+        for k in left:
+            bit, rk = 1 << k, reach[k]
+            for i in left:
+                if reach[i] & bit:
+                    reach[i] |= rk
+        raise CycleError(f"priority cycle through {min(names[k] for k in left if reach[k] >> k & 1)!r}")
+    return above
+
+
+def _pairs(names: Sequence[str], above: Sequence[int]) -> frozenset[tuple[str, str]]:
+    return frozenset((names[j], names[i]) for i, a in enumerate(above) for j in iter_bits(a))
+
+
 def transitive_closure(edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     """Smallest transitive superset of ``edges``; raises CycleError if it
     would contain a reflexive pair, naming the least label on a cycle."""
-    direct: dict[str, set[str]] = {}
-    nodes: set[str] = set()
-    for a, b in edges:
-        direct.setdefault(a, set()).add(b)
-        nodes.update((a, b))
-    reach = {x: set(direct.get(x, ())) for x in nodes}
-    changed = True
-    while changed:
-        changed = False
-        for x in nodes:
-            extra = set()
-            for y in reach[x]:
-                extra |= reach.get(y, set())
-            if not extra <= reach[x]:
-                reach[x] |= extra
-                changed = True
-    cyclic = [x for x in nodes if x in reach[x]]
-    if cyclic:
-        raise CycleError(f"priority cycle through {min(cyclic)!r}")
-    return frozenset((x, y) for x in nodes for y in reach[x])
+    edges = list(edges)
+    names = list(dict.fromkeys(x for e in edges for x in e))
+    position = {x: k for k, x in enumerate(names)}
+    return _pairs(names, _order_masks(names, ((position[a], position[b]) for a, b in edges)))
 
 
 @dataclass(frozen=True)
 class PriorityOrder:
     """Finite strict partial order over default labels.
 
-    ``edges`` holds (higher, lower) pairs as entered; ``closure`` is the
-    transitive closure, computed once and checked for irreflexivity.
+    ``edges`` holds (higher, lower) pairs as entered. Construction checks
+    them for cycles and keeps the order as ``above``: one int per label, in
+    ``indices`` order, whose bit k is set when ``indices[k]`` is strictly
+    higher. ``closure`` (the pairs) and ``dominators_map`` are label views
+    of it, built on first use.
     """
 
     indices: tuple[str, ...]
     edges: frozenset[tuple[str, str]] = frozenset()
+    above: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        declared = set(self.indices)
-        if len(declared) != len(self.indices):
+        if len(set(self.indices)) != len(self.indices):
             raise ValidationError("duplicate label in priority order")
+        # Without edges (the parallel order of every transform) nothing is
+        # higher, so no label positions are kept until ``position`` is read.
+        position = dict(zip(self.indices, range(len(self.indices)))) if self.edges else {}
         for a, b in self.edges:
             for x in (a, b):
-                if x not in declared:
+                if x not in position:
                     raise ValidationError(f"undeclared index {x!r} in priority order")
-        self.closure  # force cycle detection at construction
+        pairs = ((position[a], position[b]) for a, b in self.edges)
+        object.__setattr__(self, "above", tuple(_order_masks(self.indices, pairs)))
+        object.__setattr__(self, "_position", position)
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Label -> its index in ``indices``."""
+        return self._position or dict(zip(self.indices, range(len(self.indices))))
 
     @cached_property
     def closure(self) -> frozenset[tuple[str, str]]:
-        return transitive_closure(self.edges)
+        return _pairs(self.indices, self.above)
 
     @cached_property
     def dominators_map(self) -> dict[str, frozenset[str]]:
-        doms: dict[str, set[str]] = {i: set() for i in self.indices}
-        for j, i in self.closure:
-            doms[i].add(j)
-        return {i: frozenset(doms[i]) for i in self.indices}
+        names = self.indices
+        return {i: frozenset(names[j] for j in iter_bits(a)) for i, a in zip(names, self.above)}
 
     def higher(self, j: str, i: str) -> bool:
-        return (j, i) in self.closure
+        try:
+            return self.above[self._position[i]] >> self._position[j] & 1 == 1
+        except KeyError:
+            return False
 
     @property
     def is_empty(self) -> bool:
@@ -165,12 +204,7 @@ class SchemaTheory:
             raise ValidationError("duplicate default/schema label")
         if self.schemas and not self.domain:
             raise ValidationError("schemas present but the domain is empty")
-        declared = set(labels)
-        for a, b in self.edges:
-            for x in (a, b):
-                if x not in declared:
-                    raise ValidationError(f"undeclared index {x!r} in priority order")
-        transitive_closure(self.edges)  # reject cycles before grounding
+        PriorityOrder(tuple(labels), self.edges)  # reject undeclared labels and cycles before grounding
         for s in self.schemas:
             for p in s.params:
                 if not VARIABLE_RE.fullmatch(p):
@@ -405,33 +439,28 @@ def classify_order(order: PriorityOrder) -> str:
     """Shape of the priority order: parallel, chain/columnar, layered, general."""
     if order.is_empty:
         return "parallel"
-    closure = order.closure
-    cover = {
-        (j, i)
-        for (j, i) in closure
-        if not any((j, k) in closure and (k, i) in closure for k in order.indices)
-    }
-    parents: dict[str, int] = {i: 0 for i in order.indices}
-    children: dict[str, int] = {i: 0 for i in order.indices}
-    for j, i in cover:
-        children[j] += 1
-        parents[i] += 1
-    if all(parents[x] <= 1 and children[x] <= 1 for x in order.indices):
+    above = order.above
+    # The cover parents of i: labels above i that are above no other label above i.
+    covers = []
+    for a in above:
+        through = 0
+        for j in iter_bits(a):
+            through |= above[j]
+        covers.append(a & ~through)
+    seen = shared = 0  # shared: labels that are a cover parent twice
+    for c in covers:
+        shared |= seen & c
+        seen |= c
+    if not shared and all(c & (c - 1) == 0 for c in covers):
         return "chain/columnar"
-    doms = order.dominators_map
-    level: dict[str, int] = {}
-
-    def rank(x: str) -> int:
-        if x not in level:
-            level[x] = 0 if not doms[x] else 1 + max(rank(j) for j in doms[x])
-        return level[x]
-
-    for x in order.indices:
-        rank(x)
-    layered = all(
-        ((j, i) in closure) == (level[j] < level[i])
-        for j in order.indices
-        for i in order.indices
-        if j != i
-    )
-    return "layered" if layered else "general"
+    # A label has fewer labels above it than any label below it, so
+    # levels are final when taken in that order.
+    level = [0] * len(above)
+    for i in sorted(range(len(above)), key=lambda k: above[k].bit_count()):
+        level[i] = max((level[j] + 1 for j in iter_bits(covers[i])), default=0)
+    lower = [0] * (max(level) + 2)  # lower[v]: the labels below level v
+    for i, v in enumerate(level):
+        lower[v + 1] |= 1 << i
+    for v in range(1, len(lower)):
+        lower[v] |= lower[v - 1]
+    return "layered" if all(a == lower[v] for a, v in zip(above, level)) else "general"

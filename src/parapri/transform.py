@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .config import DEFAULT_CAPS
 from .errors import CapExceededError, ValidationError
-from .formula import And, Formula, Or
+from .formula import And, Formula, Or, iter_bits
 from .theory import LabeledFormula, PriorityOrder, Theory, parallel_order
 
 DEFAULT_TOP_HEAVY_THRESHOLD = 10
@@ -56,33 +56,35 @@ class SizeReport:
         return max((v for _, v in self.m), default=0)
 
 
-def dominators(order: PriorityOrder, index: str) -> frozenset[str]:
-    """Labels strictly higher in priority than ``index``."""
+def _dominator_mask(order: PriorityOrder, index: str) -> int:
     try:
-        return order.dominators_map[index]
+        return order.above[order.position[index]]
     except KeyError:
         raise ValidationError(f"unknown index {index!r}") from None
 
 
-def _iter_descending(order: PriorityOrder, remaining: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-    # Emit maximal elements first; candidate choice follows declaration order,
-    # so the first sequence generated is the canonical one.
+def dominators(order: PriorityOrder, index: str) -> frozenset[str]:
+    """Labels strictly higher in priority than ``index``."""
+    return frozenset(order.indices[k] for k in iter_bits(_dominator_mask(order, index)))
+
+
+def _iter_descending(order: PriorityOrder, remaining: int) -> Iterator[tuple[str, ...]]:
+    # ``remaining`` is a mask of label positions. Emit maximal elements first;
+    # candidate choice follows declaration order, so the first sequence
+    # generated is the canonical one.
     if not remaining:
         yield ()
         return
-    for k, x in enumerate(remaining):
-        if any(order.higher(y, x) for y in remaining if y != x):
+    for x in iter_bits(remaining):
+        if order.above[x] & remaining:
             continue
-        rest = remaining[:k] + remaining[k + 1:]
-        for tail in _iter_descending(order, rest):
-            yield (x,) + tail
+        for tail in _iter_descending(order, remaining ^ 1 << x):
+            yield (order.indices[x],) + tail
 
 
 def descending_sequences(order: PriorityOrder, index: str) -> list[tuple[str, ...]]:
     """All descending topological orderings of ``index``'s dominators."""
-    doms = dominators(order, index)
-    remaining = tuple(l for l in order.indices if l in doms)
-    return list(_iter_descending(order, remaining))
+    return list(_iter_descending(order, _dominator_mask(order, index)))
 
 
 def build_wil(formulas: Mapping[str, Formula], index: str, sigma: Sequence[str], bits: str) -> Formula:
@@ -98,7 +100,7 @@ def build_wil(formulas: Mapping[str, Formula], index: str, sigma: Sequence[str],
 
 def output_size(order: PriorityOrder, top_heavy_threshold: int = DEFAULT_TOP_HEAVY_THRESHOLD) -> SizeReport:
     """Output size sum(2^m_i) without materializing anything."""
-    m = tuple((i, len(order.dominators_map[i])) for i in order.indices)
+    m = tuple((i, a.bit_count()) for i, a in zip(order.indices, order.above))
     total = sum(1 << v for _, v in m)
     return SizeReport(total=total, m=m, top_heavy=any(v > top_heavy_threshold for _, v in m))
 
@@ -143,7 +145,7 @@ def transform_canonical(
     """The deterministic member: canonical topological ordering per default."""
     _check_alignment(defaults, order)
     _guard_size(order, max_formulas)
-    sigmas = {label: next(_iter_descending(order, _ordered_dominators(order, label))) for label, _ in defaults}
+    sigmas = {label: next(_iter_descending(order, a)) for label, a in zip(order.indices, order.above)}
     return _assemble(defaults, sigmas)
 
 
@@ -161,18 +163,16 @@ def transform_all(
         raise ValidationError("limit must be positive")
     _check_alignment(defaults, order)
     _guard_size(order, max_formulas)
-    members = _sigma_combinations(order, [label for label, _ in defaults])
+    members = _sigma_combinations(order)
     return [_assemble(defaults, sigmas) for sigmas in itertools.islice(members, limit)]
 
 
-def _sigma_combinations(order: PriorityOrder, labels: Sequence[str]) -> Iterator[dict[str, tuple[str, ...]]]:
+def _sigma_combinations(order: PriorityOrder) -> Iterator[dict[str, tuple[str, ...]]]:
     # A lazy odometer over the labels' descending orderings, the last label
     # turning fastest. Each digit restarts its own generator instead of
     # holding a label's orderings, which can number m!.
-    def orderings(label: str) -> Iterator[tuple[str, ...]]:
-        return _iter_descending(order, _ordered_dominators(order, label))
-
-    digits = [orderings(label) for label in labels]
+    labels, above = order.indices, order.above
+    digits = [_iter_descending(order, a) for a in above]
     current = [next(d) for d in digits]
     while True:
         yield dict(zip(labels, current))
@@ -181,15 +181,10 @@ def _sigma_combinations(order: PriorityOrder, labels: Sequence[str]) -> Iterator
             if sigma is not None:
                 current[k] = sigma
                 break
-            digits[k] = orderings(labels[k])
+            digits[k] = _iter_descending(order, above[k])
             current[k] = next(digits[k])
         else:
             return
-
-
-def _ordered_dominators(order: PriorityOrder, label: str) -> tuple[str, ...]:
-    doms = dominators(order, label)
-    return tuple(l for l in order.indices if l in doms)
 
 
 def _check_alignment(defaults: Sequence[LabeledFormula], order: PriorityOrder) -> None:

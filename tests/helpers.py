@@ -14,10 +14,10 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from parapri.errors import UniverseError
+from parapri.errors import CycleError, UniverseError
 from parapri.formula import And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
 from parapri.preorder import PreorderSpec
-from parapri.theory import Theory, build_theory
+from parapri.theory import PriorityOrder, Theory, build_theory
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,6 +76,70 @@ def strictly_better(spec: PreorderSpec, z2: Interpretation, z: Interpretation) -
         and not default_leq(spec, z2, z)
     )
 
+
+
+def transitive_closure_naive(edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    """Smallest transitive superset of ``edges``; raises CycleError if it
+    would contain a reflexive pair, naming the least label on a cycle."""
+    direct: dict[str, set[str]] = {}
+    nodes: set[str] = set()
+    for a, b in edges:
+        direct.setdefault(a, set()).add(b)
+        nodes.update((a, b))
+    reach = {x: set(direct.get(x, ())) for x in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for x in nodes:
+            extra = set()
+            for y in reach[x]:
+                extra |= reach.get(y, set())
+            if not extra <= reach[x]:
+                reach[x] |= extra
+                changed = True
+    cyclic = [x for x in nodes if x in reach[x]]
+    if cyclic:
+        raise CycleError(f"priority cycle through {min(cyclic)!r}")
+    return frozenset((x, y) for x in nodes for y in reach[x])
+
+
+def classify_order_naive(order: PriorityOrder) -> str:
+    """Shape of the priority order: parallel, chain/columnar, layered, general.
+
+    Cover relation by the cubic scan over closure pairs and levels by
+    recursion; the closure and dominators come from the fixpoint oracle."""
+    if order.is_empty:
+        return "parallel"
+    closure = transitive_closure_naive(order.edges)
+    cover = {
+        (j, i)
+        for (j, i) in closure
+        if not any((j, k) in closure and (k, i) in closure for k in order.indices)
+    }
+    parents: dict[str, int] = {i: 0 for i in order.indices}
+    children: dict[str, int] = {i: 0 for i in order.indices}
+    for j, i in cover:
+        children[j] += 1
+        parents[i] += 1
+    if all(parents[x] <= 1 and children[x] <= 1 for x in order.indices):
+        return "chain/columnar"
+    doms = {i: {j for j, k in closure if k == i} for i in order.indices}
+    level: dict[str, int] = {}
+
+    def rank(x: str) -> int:
+        if x not in level:
+            level[x] = 0 if not doms[x] else 1 + max(rank(j) for j in doms[x])
+        return level[x]
+
+    for x in order.indices:
+        rank(x)
+    layered = all(
+        ((j, i) in closure) == (level[j] < level[i])
+        for j in order.indices
+        for i in order.indices
+        if j != i
+    )
+    return "layered" if layered else "general"
 
 
 def models_naive(base, universe) -> list[Interpretation]:

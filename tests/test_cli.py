@@ -292,7 +292,11 @@ CONTRACT_CASES = [
     ("tweety", ("prune", "{f}", "--k", "-1"), 2),
     ("1100-defaults", ("transform", "{f}", "--all", "1"), 0),
     ("1100-defaults", ("check-equiv", "{f}", "--all", "1"), 0),
+    ("1500-fork", ("stats", "{f}"), 0),
+    ("1500-fork", ("transform", "{f}", "--size-only"), 0),
+    ("1500-fork", ("transform", "{f}"), 3),
 ]
+FORK_SIZE = 3 * 2**1500 - 1  # sum of 2^k for k < 1500, plus 2^1500 for each of a and b
 
 
 def _deep_formula(kind: str, atom: str = "a") -> str:
@@ -330,6 +334,15 @@ def contract_inputs(tmp_path_factory):
     f = d / "wide.thy"
     f.write_text("".join(f"default d{k}: p{k % 5}\n" for k in range(1100)))
     inputs["1100-defaults"] = (f, "")
+    f = d / "fork.thy"
+    chain = [f"d{k}" for k in range(1500)]
+    f.write_text(
+        "".join(f"default {label}: p{k % 25}\n" for k, label in enumerate(chain))
+        + "default a: p0\ndefault b: p1\n"
+        + "".join(f"prefer {hi} > {lo}\n" for hi, lo in zip(chain, chain[1:]))
+        + "prefer d1499 > a\nprefer d1499 > b\n"
+    )
+    inputs["1500-fork"] = (f, "")
     return inputs
 
 
@@ -344,6 +357,16 @@ def test_exit_code_contract(capsys, contract_inputs, name, argv, expected):
     assert code == expected, err
     assert "Traceback" not in err
     assert err.count("error:") == (expected != 0)
+
+
+def test_large_order_is_classified_and_sized(capsys, contract_inputs):
+    # a 1500-label chain forking at the bottom: layered, 2^1500-sized blocks
+    path = contract_inputs["1500-fork"][0]
+    code, out, _ = run(capsys, "stats", path)
+    assert code == 0
+    assert "classification: layered\n" in out
+    assert f"size: {FORK_SIZE}\n" in out
+    assert run(capsys, "transform", path, "--size-only")[:2] == (0, f"{FORK_SIZE}\n")
 
 
 THEORY_LINES = (

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from helpers import default_leq, evaluate, fixture_equiv, strictly_better
-from parapri.circumscription import _dominator_positions, _iter_bits, _leq_row, _quotient
+from parapri.circumscription import _dominator_positions, _leq_row, _quotient
 from parapri.errors import UniverseError
-from parapri.formula import Interpretation, parse_formula, truth_mask
+from parapri.formula import Interpretation, iter_bits, parse_formula, truth_mask
 from parapri.generate import random_theory
 from parapri.preorder import PreorderSpec
 from parapri.theory import build_theory
@@ -27,9 +27,9 @@ def quotient_rows(spec, universe):
     rows = [0] * (1 << len(universe))
     for k, cell in enumerate(cells):
         lifted = 0
-        for k2 in _iter_bits(_leq_row(k, cell_masks, doms, cells_full)):
+        for k2 in iter_bits(_leq_row(k, cell_masks, doms, cells_full)):
             lifted |= cells[k2]
-        for z in _iter_bits(cell):
+        for z in iter_bits(cell):
             rows[z] = lifted
     return rows
 

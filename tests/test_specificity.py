@@ -23,7 +23,7 @@ from parapri.specificity import (
     prune_redundant,
     verify_special_case,
 )
-from parapri.theory import LabeledFormula, Theory, build_theory, parallel_order
+from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory, parallel_order
 from parapri.transform import transform_canonical
 
 F = parse_formula
@@ -178,6 +178,23 @@ class TestEncodeAbnormality:
         assert [to_text(f) for _, f in enc.defaults] == ["~ab_e1", "~ab_e2"]
         assert enc.priority.is_empty
         assert enc.fixtures == ()
+
+    def test_cancellation_axioms_follow_declaration_order(self):
+        # one axiom per strict pair (j, i): lower rule i in declaration
+        # order, then its higher rules j in declaration order
+        rules = [GuardedRule(f"r{k}", F(f"c{k}"), F(f"q{k}")) for k in range(5)]
+        order = PriorityOrder(
+            tuple(r.label for r in rules),
+            frozenset({("r3", "r1"), ("r1", "r0"), ("r4", "r0"), ("r2", "r4"), ("r3", "r2")}),
+        )
+        enc = encode_abnormality(rules, order, variant="class-positive")
+        want = [
+            f"({j.replace('r', 'c')} -> ab_{i})"
+            for i in order.indices
+            for j in order.indices
+            if (j, i) in order.closure
+        ]
+        assert [to_text(f) for f in enc.base[len(rules):]] == want
 
     def test_empty_priority_adds_no_cancellation(self):
         rules = [GuardedRule("r1", F("p"), F("q"))]

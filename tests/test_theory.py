@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import preferred_indices_naive
+from helpers import classify_order_naive, preferred_indices_naive, transitive_closure_naive
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.errors import CycleError, ParseError, ValidationError
 from parapri.formula import Atom
@@ -23,6 +25,7 @@ from parapri.theory import (
     theory_to_json,
     transitive_closure,
 )
+from parapri.transform import output_size
 
 TWEETY = """\
 # two defaults, the specific one wins
@@ -264,3 +267,107 @@ class TestPriorityOrder:
                 defaults=(LabeledFormula("a", Atom("p")),),
                 priority=PriorityOrder(("b",), frozenset()),
             )
+
+
+NAMES = ("m", "c", "x", "a", "k", "b", "z", "e", "q", "g")
+
+
+@st.composite
+def relations(draw):
+    """Labels in a shuffled order and a list of (higher, lower) edges over
+    them; duplicate edges, self-loops, cycles and isolated labels all occur."""
+    labels = tuple(draw(st.permutations(NAMES)))[: draw(st.integers(1, len(NAMES)))]
+    n = len(labels)
+    shape = draw(st.sampled_from(("any", "acyclic", "layers")))
+    if shape == "layers":  # consecutive levels fully joined, less up to two edges
+        level = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        edges = [(a, b) for a in range(n) for b in range(n) if level[b] == level[a] + 1]
+        for k in draw(st.lists(st.integers(0, 99), max_size=2)):
+            if edges:
+                edges.pop(k % len(edges))
+    else:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        if shape == "acyclic":  # edges follow a random ranking of the labels
+            rank = draw(st.permutations(range(n)))
+            pairs = pairs.filter(lambda p: rank[p[0]] < rank[p[1]])
+        edges = draw(st.lists(pairs, max_size=3 * n))
+    return labels, [(labels[a], labels[b]) for a, b in edges]
+
+
+@st.composite
+def schema_texts(draw):
+    """Schema theories over domains of 2-6 constants: schemas of arity 0-2,
+    plain defaults and priority edges between any two of their labels."""
+    lines = ["domain: " + " ".join(f"c{k}" for k in range(draw(st.integers(2, 6))))]
+    labels = []
+    for k in range(draw(st.integers(1, 3))):
+        params = ["X", "Y"][: draw(st.integers(0, 2))]
+        lines.append(f"schema s{k}[{','.join(params)}]: p{k}({','.join(params)})" if params else f"schema s{k}[]: p{k}")
+        labels.append(f"s{k}")
+    for k in range(draw(st.integers(0, 2))):
+        lines.append(f"default d{k}: q{k}")
+        labels.append(f"d{k}")
+    k = st.integers(0, len(labels) - 1)
+    pairs = st.tuples(k, k)
+    if draw(st.booleans()):  # acyclic, as in relations()
+        rank = draw(st.permutations(range(len(labels))))
+        pairs = pairs.filter(lambda p: rank[p[0]] < rank[p[1]])
+    edges = [(labels[a], labels[b]) for a, b in draw(st.lists(pairs, max_size=5))]
+    lines += [f"prefer {a} > {b}" for a, b in edges]
+    return "\n".join(lines) + "\n", edges
+
+
+def check_order_against_oracles(labels, edges):
+    try:
+        want = transitive_closure_naive(edges)
+    except CycleError as e:
+        with pytest.raises(CycleError) as got:
+            transitive_closure(edges)
+        assert str(got.value) == str(e)
+        with pytest.raises(CycleError) as got:
+            PriorityOrder(labels, frozenset(edges))
+        assert str(got.value) == str(e)
+        return
+    assert transitive_closure(edges) == want
+    order = PriorityOrder(labels, frozenset(edges))
+    assert order.closure == want
+    doms = {i: frozenset(j for j, k in want if k == i) for i in labels}
+    assert order.dominators_map == doms
+    for j in labels:
+        assert not order.higher(j, "unknown") and not order.higher("unknown", j)
+        for i in labels:
+            assert order.higher(j, i) == ((j, i) in want)
+    report = output_size(order)
+    assert report.m == tuple((i, len(doms[i])) for i in labels)
+    assert report.total == sum(1 << len(doms[i]) for i in labels)
+    assert classify_order(order) == classify_order_naive(order)
+
+
+class TestOrderDifferential:
+    """The bitmask order against the fixpoint closure and the cubic cover scan."""
+
+    @given(relations())
+    @settings(max_examples=400, deadline=None)
+    def test_random_relations(self, relation):
+        check_order_against_oracles(*relation)
+
+    @given(schema_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_grounded_schema_theories(self, schema):
+        text, edges = schema
+        try:
+            transitive_closure_naive(edges)
+        except CycleError as e:
+            with pytest.raises(CycleError) as got:
+                parse_theory(text)
+            assert str(got.value) == str(e)
+            return
+        order = ground(parse_theory(text)).priority
+        check_order_against_oracles(order.indices, sorted(order.edges))
+
+    def test_cycle_names_the_least_label_on_a_cycle(self):
+        # "a" sits below the cycle, not on it
+        edges = [("z", "y"), ("y", "z"), ("y", "a"), ("q", "z")]
+        for build in (lambda: transitive_closure(edges), lambda: PriorityOrder(("q", "z", "y", "a"), frozenset(edges))):
+            with pytest.raises(CycleError, match="priority cycle through 'y'"):
+                build()
