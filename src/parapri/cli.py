@@ -28,7 +28,7 @@ from .errors import (
     UniverseError,
     ValidationError,
 )
-from .formula import Implies, Not, atoms as formula_atoms, parse_formula, to_text
+from .formula import Implies, Not, atoms as formula_atoms, parse_formula, shared_nodes, to_text
 from .lp import encode_stratified, parse_program
 from .preorder import PreorderSpec
 from .specificity import GuardedRule, encode_abnormality, transformed_then_pruned
@@ -81,16 +81,17 @@ def cmd_transform(args, caps: Caps) -> int:
         return 0
     members = _members(t, args.all, caps)
     if args.format == "json":
+        memo = shared_nodes(*t.base, *(f for _, f in t.fixtures), *(f for m in members for f in m.formulas))
         doc = {
             "universe": list(t.universe),
-            "base": [to_text(f) for f in t.base],
-            "fixtures": [{"label": l, "formula": to_text(f)} for l, f in t.fixtures],
+            "base": [to_text(f, memo) for f in t.base],
+            "fixtures": [{"label": l, "formula": to_text(f, memo)} for l, f in t.fixtures],
             "members": [
                 {
                     "defaults": [
                         {
                             "label": l,
-                            "formula": to_text(f),
+                            "formula": to_text(f, memo),
                             "source": p.source,
                             "sigma": list(p.sigma),
                             "bits": p.bits,
@@ -182,8 +183,9 @@ def cmd_stats(args, caps: Caps) -> int:
 def cmd_prune(args, caps: Caps) -> int:
     t = _load_theory(args.file)
     report = transformed_then_pruned(t, k=args.k, max_atoms=caps.model_atoms)
+    memo = shared_nodes(*(f for _, f in report.kept))
     for l, f in report.kept:
-        print(f"kept {l}: {to_text(f)}")
+        print(f"kept {l}: {to_text(f, memo)}")
     for d in report.dropped:
         print(f"dropped {d.label}: {d.describe()}")
     print(f"kept {len(report.kept)} of {len(report.kept) + len(report.dropped)}")

@@ -13,10 +13,10 @@ Grammar (whitespace insensitive, ``#`` starts a line comment)::
 Ground atoms such as ``flies(tweety)`` are opaque names; no term structure
 is modelled.
 
-The parser is one operator-precedence loop and every walk over a formula
-(printing, atoms, truth tables, substitution) is a caller of ``fold``, an
-explicit-stack post-order traversal, so nesting depth is limited by memory,
-not by Python's recursion limit.
+The parser is one operator-precedence loop; every walk over a formula is
+``fold``, an explicit-stack post-order traversal (printing, truth tables,
+substitution), or ``_walk_once`` over the distinct nodes (atoms, shared
+nodes), so nesting depth is limited by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -191,31 +191,43 @@ def parse_formula(text: str) -> Formula:
 
 _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 _COMBINE = object()
+_PENDING = object()
 
 
-def fold(f: Formula, leaf: Callable[[Formula], T], node: Callable[..., T]) -> T:
+def fold(f: Formula, leaf: Callable[[Formula], T], node: Callable[..., T], memo: dict[int, T] | None = None) -> T:
     """Post-order fold over ``f`` with an explicit stack.
 
     ``leaf(g)`` gives the value of an Atom or Const; ``node(g, *values)``
     combines the values of the children of a Not or binary node, left
     before right. Leaves are visited left to right.
+
+    ``memo`` (from ``shared_nodes``) keeps the value of a node under its
+    ``id()``; a node whose value it holds is not walked again, so the folds
+    of several roots given one memo fold each shared subtree once. Ids are
+    valid only while their objects live: keep every root referenced while
+    the memo is in use.
     """
     values: list[T] = []
     todo: list = [f]
     while todo:
         g = todo.pop()
+        t = type(g)
         if g is _COMBINE:  # the node below it has all its children's values
             g = todo.pop()
-            if isinstance(g, Not):
+            if type(g) is Not:
                 values[-1] = node(g, values[-1])
             else:
                 right = values.pop()
                 values[-1] = node(g, values[-1], right)
-        elif isinstance(g, (Atom, Const)):
+            if memo is not None and id(g) in memo:
+                memo[id(g)] = values[-1]
+        elif t is Atom or t is Const:
             values.append(leaf(g))
-        elif isinstance(g, Not):
+        elif memo is not None and memo.get(id(g), _PENDING) is not _PENDING:
+            values.append(memo[id(g)])
+        elif t is Not:
             todo += (g, _COMBINE, g.arg)
-        elif isinstance(g, (And, Or, Implies, Iff)):
+        elif t in _BINARY_OPS:
             todo += (g, _COMBINE, g.right, g.left)
         else:
             raise TypeError(f"not a formula: {g!r}")
@@ -234,22 +246,42 @@ def _text_node(g: Formula, left: str, right: str = "") -> str:
     return f"({left} {_BINARY_OPS[type(g)]} {right})"
 
 
-def to_text(f: Formula) -> str:
+def to_text(f: Formula, memo: dict[int, str] | None = None) -> str:
     """Fully parenthesized text form; ``parse_formula`` round-trips it."""
-    return fold(f, _text_leaf, _text_node)
+    return fold(f, _text_leaf, _text_node, memo)
+
+
+def _walk_once(roots: tuple[Formula, ...]) -> tuple[tuple[str, ...], dict[int, object]]:
+    # Each distinct node of ``roots`` once, depth first, left to right: the
+    # atom names in first-mention order and the inner nodes reached again.
+    names: dict[str, None] = {}
+    seen: set[int] = set()
+    shared: dict[int, object] = {}
+    todo = list(reversed(roots))
+    while todo:
+        g = todo.pop()
+        t = type(g)
+        if t is Atom:
+            names.setdefault(g.name)
+        elif id(g) in seen:
+            shared[id(g)] = _PENDING
+        elif t is Not or t in _BINARY_OPS:
+            seen.add(id(g))
+            todo += (g.arg,) if t is Not else (g.right, g.left)
+        elif t is not Const:
+            raise TypeError(f"not a formula: {g!r}")
+    return tuple(names), shared
 
 
 def atoms(*formulas: Formula) -> tuple[str, ...]:
     """Atom names of ``formulas`` in first-mention order."""
-    seen: dict[str, None] = {}
+    return _walk_once(formulas)[0]
 
-    def leaf(g: Formula) -> None:
-        if type(g) is Atom:
-            seen.setdefault(g.name)
 
-    for f in formulas:
-        fold(f, leaf, lambda g, *values: None)
-    return tuple(seen)
+def shared_nodes(*roots: Formula) -> dict[int, object]:
+    """An empty ``fold`` memo for ``roots`` that keeps the values of the
+    nodes they reach more than once, and of no other node."""
+    return _walk_once(roots)[1]
 
 
 @dataclass(frozen=True)

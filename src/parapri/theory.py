@@ -36,6 +36,7 @@ from .formula import (
     fold,
     iter_bits,
     parse_formula,
+    shared_nodes,
     to_text,
 )
 
@@ -416,21 +417,23 @@ def _sorted_edges(t: Theory) -> list[tuple[str, str]]:
 
 def print_theory(t: Theory) -> str:
     """Theory file text that parses back to an equal Theory."""
+    memo = shared_nodes(*t.base, *(f for _, f in (*t.defaults, *t.fixtures)))
     lines = [f"atoms: {' '.join(t.universe)}"] if t.universe else ["atoms:"]
-    lines += [f"base: {to_text(f)}" for f in t.base]
-    lines += [f"default {l}: {to_text(f)}" for l, f in t.defaults]
+    lines += [f"base: {to_text(f, memo)}" for f in t.base]
+    lines += [f"default {l}: {to_text(f, memo)}" for l, f in t.defaults]
     lines += [f"prefer {a} > {b}" for a, b in _sorted_edges(t)]
-    lines += [f"fix {l}: {to_text(f)}" for l, f in t.fixtures]
+    lines += [f"fix {l}: {to_text(f, memo)}" for l, f in t.fixtures]
     return "\n".join(lines) + "\n"
 
 
 def theory_to_json(t: Theory) -> str:
+    memo = shared_nodes(*t.base, *(f for _, f in (*t.defaults, *t.fixtures)))
     doc = {
         "universe": list(t.universe),
-        "base": [to_text(f) for f in t.base],
-        "defaults": [{"label": l, "formula": to_text(f)} for l, f in t.defaults],
+        "base": [to_text(f, memo) for f in t.base],
+        "defaults": [{"label": l, "formula": to_text(f, memo)} for l, f in t.defaults],
         "edges": [list(e) for e in _sorted_edges(t)],
-        "fixtures": [{"label": l, "formula": to_text(f)} for l, f in t.fixtures],
+        "fixtures": [{"label": l, "formula": to_text(f, memo)} for l, f in t.fixtures],
     }
     return json.dumps(doc, indent=2)
 

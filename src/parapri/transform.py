@@ -71,15 +71,16 @@ def dominators(order: PriorityOrder, index: str) -> frozenset[str]:
 def _iter_descending(order: PriorityOrder, remaining: int) -> Iterator[tuple[str, ...]]:
     # ``remaining`` is a mask of label positions. Emit maximal elements first;
     # candidate choice follows declaration order, so the first sequence
-    # generated is the canonical one.
-    if not remaining:
-        yield ()
-        return
-    for x in iter_bits(remaining):
-        if order.above[x] & remaining:
+    # generated is the canonical one. A depth-first walk on an explicit
+    # stack, so the number of dominators is not bounded by recursion.
+    stack = [(remaining, ())]
+    while stack:
+        rest, chosen = stack.pop()
+        if not rest:
+            yield tuple(order.indices[k] for k in chosen)
             continue
-        for tail in _iter_descending(order, remaining ^ 1 << x):
-            yield (order.indices[x],) + tail
+        maximal = [x for x in iter_bits(rest) if not order.above[x] & rest]
+        stack += [(rest ^ 1 << x, chosen + (x,)) for x in reversed(maximal)]
 
 
 def descending_sequences(order: PriorityOrder, index: str) -> list[tuple[str, ...]]:
@@ -117,16 +118,20 @@ def _assemble(
     out: list[LabeledFormula] = []
     prov: list[Provenance] = []
     seen: set[str] = set()
-    for label, _ in defaults:
+    for label, f in defaults:
         sigma = sigmas[label]
         m = len(sigma)
+        block = [f]  # innermost first: block[v] is build_wil's nest for v's bits
+        for j in reversed(sigma):
+            s = formulas[j]
+            block = [Or(s, a) for a in block] + [And(s, a) for a in block]
         for v in range((1 << m) - 1, -1, -1):
             bits = format(v, f"0{m}b") if m else ""
             w_label = _label_for(label, bits)
             if w_label in seen:
                 raise ValidationError(f"generated label {w_label!r} is not unique")
             seen.add(w_label)
-            out.append(LabeledFormula(w_label, build_wil(formulas, label, sigma, bits)))
+            out.append(LabeledFormula(w_label, block[v]))
             prov.append(Provenance(label, sigma, bits))
     return TransformOutput(tuple(out), tuple(prov))
 

@@ -18,8 +18,10 @@ from parapri.formula import (
     Or,
     atoms,
     entails,
+    fold,
     is_tautology,
     parse_formula,
+    shared_nodes,
     to_text,
     truth_mask,
 )
@@ -90,6 +92,39 @@ class TestParser:
     @settings(max_examples=150)
     def test_round_trip(self, f):
         assert parse_formula(to_text(f)) == f
+
+
+def unshared_atoms(*roots):
+    """Atom names in first-mention order from plain folds, with no memo."""
+    names = []
+    for f in roots:
+        fold(f, lambda g: names.append(g.name) if type(g) is Atom else None, lambda g, *values: None)
+    return tuple(dict.fromkeys(names))
+
+
+class TestSharedWalks:
+    """A memo shared across roots changes how often a subtree is walked, never the result."""
+
+    @given(st.lists(formulas(("a", "b", "c", "d")), min_size=1, max_size=4))
+    @settings(max_examples=150)
+    def test_memo_gives_the_unmemoized_results(self, fs):
+        # Roots that repeat objects, nest them on either side and inside one another.
+        roots = fs + [And(f, g) for f, g in zip(fs, reversed(fs))] + [Not(Or(fs[0], fs[-1])), fs[0]]
+        memo = shared_nodes(*roots)
+        assert [to_text(f, memo) for f in roots] == [to_text(f) for f in roots]
+        assert atoms(*roots) == unshared_atoms(*roots)
+        assert [atoms(f) for f in roots] == [unshared_atoms(f) for f in roots]
+
+    def test_self_shared_dag_is_walked_once(self):
+        g = Or(Atom("a"), Not(Atom("b")))
+        for _ in range(200):  # 2^201 leaf occurrences, 202 distinct inner nodes
+            g = And(g, g)
+        assert atoms(g) == ("a", "b")
+        assert atoms(Atom("c"), g, Atom("a")) == ("c", "a", "b")
+        # Every node below the top is reached twice, so the memo keeps all 200.
+        memo = shared_nodes(g)
+        assert len(memo) == 200
+        assert fold(g, lambda leaf: 1, lambda node, *sizes: sum(sizes), memo) == 2 ** 201
 
 
 class TestEvaluate:
@@ -208,5 +243,12 @@ class TestDeepFormulas:
         # Fully parenthesized text is injective on trees, so equal text
         # means parse_formula rebuilt the same tree.
         assert to_text(parse_formula(text)) == text
+        # Only the root is reached twice: the memo keeps its text and none of
+        # the 10,000 descendants', so its size does not grow with the depth.
+        memo = shared_nodes(f, f)
+        assert to_text(f, memo) == text
+        assert memo == {id(f): text}
+        assert to_text(f, memo) == text
         assert atoms(f) == ("a", "b")
+        assert atoms(Atom("c"), f, f) == ("c", "a", "b")
         assert truth_mask(f, ("a", "b")) == mask

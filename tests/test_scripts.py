@@ -1,5 +1,6 @@
 """The repository's verification scripts run clean."""
 
+import json
 import re
 
 from helpers import ROOT, run_python
@@ -12,3 +13,13 @@ def test_equivalence_suites_pass():
     assert [line.split(":")[0] for line in lines] == ["pre-order suite", "circumscription suite"]
     for line in lines:
         assert re.search(r"\b500 instances, .*\b0 failures,", line), line
+
+
+def test_perfbench_smoke():
+    # Tiny sizes of all four workloads; every answer is checked against the
+    # benchmark's own semantics, and every checker must reject a corrupted one.
+    r = run_python(ROOT / "perfbench" / "run.py", "--smoke")
+    assert r.returncode == 0, r.stdout + r.stderr
+    result = json.loads(r.stdout.splitlines()[-1])
+    assert result["correct"] is True, r.stdout
+    assert result["failed"] == 0, r.stdout

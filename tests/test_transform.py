@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ac_set, chain_theory
 from parapri.circumscription import preorder_equivalent
@@ -10,12 +12,14 @@ from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import And, Atom, Or, parse_formula
 from parapri.generate import random_theory
 from parapri.preorder import PreorderSpec
-from parapri.theory import build_theory, parallel_order
+from parapri.theory import LabeledFormula, PriorityOrder, build_theory, parallel_order, print_theory, theory_to_json
 from parapri.transform import (
+    TransformOutput,
     build_wil,
     descending_sequences,
     dominators,
     output_size,
+    parallel_theory,
     transform_all,
     transform_canonical,
 )
@@ -79,6 +83,11 @@ class TestDescendingSequences:
     def test_no_dominators(self):
         t = chain_theory(2)
         assert descending_sequences(t.priority, "d1") == [()]
+
+    def test_long_chain_needs_no_recursion(self):
+        labels = tuple(f"d{k}" for k in range(1500))
+        order = PriorityOrder(labels, frozenset(zip(labels, labels[1:])))
+        assert descending_sequences(order, labels[-1]) == [labels[:-1]]
 
     def test_descending_property(self):
         rng = random.Random(2)
@@ -283,3 +292,74 @@ class TestStructuralInvariants:
                 assert preorder_equivalent(
                     base_spec, PreorderSpec.parallel(m.defaults), t.universe
                 )
+
+
+GOLDEN_THEORIES = [pair_theory, columns_theory, fan_out_theory, fan_in_theory, lambda: chain_theory(3)]
+
+
+@st.composite
+def ordered_theories(draw):
+    """Up to 8 defaults, some compound, under a random acyclic order."""
+    n = draw(st.integers(1, 8))
+    texts = draw(st.lists(st.sampled_from(["p", "q", "p & q", "~p | r", "q -> r"]), min_size=n, max_size=n))
+    labels = [f"d{k}" for k in range(n)]
+    rank = draw(st.permutations(labels))
+    edges = [(a, b) for i, a in enumerate(rank) for b in rank[i + 1 :] if draw(st.booleans())]
+    return build_theory(defaults=list(zip(labels, texts)), prefer=edges)
+
+
+def assert_outputs_are_nests(t, out):
+    """Each output equals, and prints like, build_wil's nest for its provenance."""
+    formulas = dict(t.defaults)
+    nests = []
+    for (label, f), p in zip(out.defaults, out.provenance):
+        nests.append(LabeledFormula(label, build_wil(formulas, p.source, p.sigma, p.bits)))
+        assert f == nests[-1].formula
+    unshared = TransformOutput(tuple(nests), out.provenance)
+    for show in (print_theory, theory_to_json):
+        assert show(parallel_theory(t, out)) == show(parallel_theory(t, unshared))
+
+
+def blocks(out):
+    """Source label -> {bits: output formula}."""
+    by_source = {}
+    for (_, f), p in zip(out.defaults, out.provenance):
+        by_source.setdefault(p.source, {})[p.bits] = f
+    return by_source
+
+
+class TestSuffixSharing:
+    """Each block is built innermost-first; it must equal the per-output nests."""
+
+    @pytest.mark.parametrize("build", GOLDEN_THEORIES)
+    def test_goldens_equal_per_output_nests(self, build):
+        t = build()
+        for out in [transform_canonical(t.defaults, t.priority), *transform_all(t.defaults, t.priority, limit=8)]:
+            assert_outputs_are_nests(t, out)
+
+    @given(ordered_theories())
+    @settings(max_examples=60, deadline=None)
+    def test_random_orders_equal_per_output_nests(self, t):
+        assert_outputs_are_nests(t, transform_canonical(t.defaults, t.priority))
+        for out in transform_all(t.defaults, t.priority, limit=6):
+            assert_outputs_are_nests(t, out)
+
+    @given(ordered_theories())
+    @settings(max_examples=60, deadline=None)
+    def test_block_builds_each_suffix_once(self, t):
+        out = transform_canonical(t.defaults, t.priority)
+        sources = {id(f) for _, f in t.defaults}
+        for block in blocks(out).values():
+            m = len(next(iter(block)))
+            nodes = set()
+            todo = list(block.values())
+            while todo:
+                g = todo.pop()
+                if id(g) not in sources and id(g) not in nodes:
+                    assert type(g) in (And, Or)
+                    nodes.add(id(g))
+                    todo += (g.left, g.right)
+            assert len(nodes) == 2 ** (m + 1) - 2
+            for bits, f in block.items():
+                if bits.startswith("1"):
+                    assert f.right is block["0" + bits[1:]].right
