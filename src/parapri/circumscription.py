@@ -3,53 +3,73 @@
 All operations enumerate total interpretations explicitly, so they are exact
 but only usable at small atom counts; the caps make the limit explicit.
 Truth tables are packed into ints (bit i = truth under interpretation index
-i).
+i), and so are results: a ``PreferredModelSet`` is the mask of its models.
 
 The prioritized pre-order and fixture equivalence read an interpretation
 only through its truth values on the defaults and fixtures, so domination
 is decided on a quotient: the models are split into cells, the non-empty
 sets of models that agree on every default and fixture (at most
-min(#models, 2^(defaults+fixtures)) of them), each mask is re-expressed as
-a K-bit mask over the K cells, and the packed pre-order rows compare cells,
-not interpretations. The preferred models are the union of the undominated
+min(#models, 2^(defaults+fixtures)) of them), one streamed truth mask at a
+time. Packed pre-order rows compare the cells of a prioritized theory; a
+parallel one, such as the transform's output, needs only containment of
+cell profiles. The preferred models are the union of the undominated
 cells; ``preorder_equivalent`` compares both pre-orders on the joint cells
 of their defaults over the whole universe.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_CAPS, check_atoms
 from .errors import UniverseError
-from .formula import Formula, Interpretation, iter_bits, truth_mask
+from .formula import Formula, Interpretation, iter_bits, shared_nodes, truth_mask
 from .preorder import PreorderSpec
 from .theory import Theory
 
 
 @dataclass(frozen=True)
 class PreferredModelSet:
+    """Preferred models as a mask (bit z: interpretation z is preferred);
+    ``PreferredModelSet(universe, models)`` builds one from interpretations."""
+
     universe: tuple[str, ...]
-    models: tuple[Interpretation, ...]   # sorted by interpretation index
+    mask: int
+
+    def __init__(self, universe: Iterable[str], models: Iterable[Interpretation] = (), mask: int = 0):
+        for m in models:
+            mask |= 1 << m.index
+        object.__setattr__(self, "universe", tuple(universe))
+        object.__setattr__(self, "mask", mask)
+
+    @cached_property
+    def models(self) -> tuple[Interpretation, ...]:
+        return tuple(Interpretation.from_index(self.universe, z) for z in iter_bits(self.mask))
 
     @cached_property
     def index_set(self) -> frozenset[int]:
-        return frozenset(m.index for m in self.models)
+        return frozenset(iter_bits(self.mask))
 
     def __iter__(self):
         return iter(self.models)
 
     def __len__(self):
-        return len(self.models)
+        return self.mask.bit_count()
 
 
-def _conjoin_masks(formulas: Iterable[Formula], universe: tuple[str, ...], full: int) -> int:
-    mask = full
-    for f in formulas:
-        mask &= truth_mask(f, universe)
-    return mask
+def truth_masks(
+    base: Iterable[Formula], formulas: Sequence[Formula], universe: tuple[str, ...]
+) -> tuple[int, Iterator[int]]:
+    """The conjunction of the base's truth masks, and the truth masks of
+    ``formulas`` in order, one at a time; a subtree they share is evaluated once."""
+    base_mask = (1 << (1 << len(universe))) - 1
+    for b in base:
+        base_mask &= truth_mask(b, universe)
+    memo = shared_nodes(*formulas)
+    return base_mask, (truth_mask(f, universe, memo) for f in formulas)
 
 
 def models_of(
@@ -60,8 +80,7 @@ def models_of(
     """All total assignments satisfying every base formula, by index order."""
     names = tuple(universe)
     check_atoms(names, max_atoms)
-    size = 1 << len(names)
-    mask = _conjoin_masks(base, names, (1 << size) - 1)
+    mask, _ = truth_masks(base, (), names)
     return [Interpretation.from_index(names, z) for z in iter_bits(mask)]
 
 
@@ -91,10 +110,10 @@ def _dominator_positions(spec: PreorderSpec) -> list[list[int]]:
     return [list(iter_bits(a)) for a in spec.priority.above]
 
 
-def _quotient(base_mask: int, masks: Sequence[int]) -> tuple[list[int], list[int]]:
+def _quotient(base_mask: int, masks: Iterable[int]) -> tuple[list[int], list[int]]:
     """Split ``base_mask`` into the non-empty cells on which every mask is
-    constant; return the cells and each mask re-expressed over them (bit k =
-    the mask holds on cell k)."""
+    constant, taking the masks one at a time; return the cells and their
+    profiles (bit i of profiles[k] = mask i holds on cell k)."""
     cells, profiles = ([base_mask], [0]) if base_mask else ([], [])
     for i, m in enumerate(masks):
         bit = 1 << i
@@ -108,7 +127,7 @@ def _quotient(base_mask: int, masks: Sequence[int]) -> tuple[list[int], list[int
                 split_cells.append(c ^ inside)
                 split_profiles.append(p)
         cells, profiles = split_cells, split_profiles
-    return cells, _transpose(profiles, len(masks))
+    return cells, profiles
 
 
 def _transpose(rows: Sequence[int], width: int) -> list[int]:
@@ -120,18 +139,44 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return [int(table[width - 1 - i :: width] or "0", 2) for i in range(width)]
 
 
+def _parallel_preferred(cells: list[int], profiles: list[int], n: int) -> int:
+    """Union of the cells that no fixture-equivalent cell dominates by a
+    strictly larger set of the first ``n`` profile bits (the defaults). By
+    descending default count, each cell takes the cheaper of two equal tests:
+    its class's maximal profiles so far, or the AND of its defaults' columns."""
+    low = (1 << n) - 1
+    columns = _transpose([p & low for p in profiles], n)
+    classes: defaultdict[int, int] = defaultdict(int)  # fixture profile -> mask of its cells
+    for k, p in enumerate(profiles):
+        classes[p >> n] |= 1 << k
+    tops: defaultdict[int, list[int]] = defaultdict(list)
+    preferred = 0
+    for k in sorted(range(len(cells)), key=lambda k: -(profiles[k] & low).bit_count()):
+        d, maximal = profiles[k] & low, tops[profiles[k] >> n]
+        if len(maximal) <= d.bit_count():
+            dominated = any(m & d == d for m in maximal)
+        else:
+            wider = classes[profiles[k] >> n] ^ 1 << k
+            for i in iter_bits(d):
+                wider &= columns[i]
+            dominated = wider != 0
+        if not dominated:
+            maximal.append(d)
+            preferred |= cells[k]
+    return preferred
+
+
 def preferred_models(t: Theory, max_atoms: int = DEFAULT_CAPS.model_atoms) -> PreferredModelSet:
     """Base models not strictly dominated by any fixture-equivalent base model."""
     check_atoms(t.universe, max_atoms)
-    full = (1 << (1 << len(t.universe))) - 1
-    base_mask = _conjoin_masks(t.base, t.universe, full)
     spec = PreorderSpec.of(t)
-    masks = [truth_mask(f, t.universe) for _, f in spec.defaults]
+    base_mask, masks = truth_masks(t.base, [f for _, f in spec.defaults + t.fixtures], t.universe)
+    cells, profiles = _quotient(base_mask, masks)
+    if not any(spec.priority.above):
+        return PreferredModelSet(t.universe, mask=_parallel_preferred(cells, profiles, len(spec.defaults)))
     doms = _dominator_positions(spec)
-    fixture_masks = [truth_mask(f, t.universe) for _, f in t.fixtures]
-
-    cells, quotient = _quotient(base_mask, masks + fixture_masks)
-    cell_masks, cell_fixtures = quotient[: len(masks)], quotient[len(masks):]
+    quotient = _transpose(profiles, len(spec.defaults) + len(t.fixtures))
+    cell_masks, cell_fixtures = quotient[: len(spec.defaults)], quotient[len(spec.defaults):]
     cells_full = (1 << len(cells)) - 1
     rows = [_leq_row(k, cell_masks, doms, cells_full) for k in range(len(cells))]
     below = _transpose(rows, len(cells))  # bit k2 of below[k]: k2 is at most as preferred as k
@@ -143,17 +188,13 @@ def preferred_models(t: Theory, max_atoms: int = DEFAULT_CAPS.model_atoms) -> Pr
             better &= fm if (fm >> k) & 1 else cells_full ^ fm
         if not better:
             preferred |= cells[k]
-    return PreferredModelSet(
-        t.universe,
-        tuple(Interpretation.from_index(t.universe, z) for z in iter_bits(preferred)),
-    )
+    return PreferredModelSet(t.universe, mask=preferred)
 
 
 def skeptical_entails(t: Theory, q: Formula, max_atoms: int = DEFAULT_CAPS.model_atoms) -> bool:
     """Whether q holds in every preferred model (vacuously true when none)."""
     pm = preferred_models(t, max_atoms)
-    qm = truth_mask(q, t.universe)
-    return all((qm >> z) & 1 for z in pm.index_set)
+    return pm.mask & ~truth_mask(q, t.universe) == 0
 
 
 def circ_equivalent(
@@ -166,17 +207,17 @@ def circ_equivalent(
     if project is None:
         if t1.universe != t2.universe:
             raise UniverseError("theories compare over different universes; pass a projection")
-        return preferred_models(t1, max_atoms).index_set == preferred_models(t2, max_atoms).index_set
+        return preferred_models(t1, max_atoms).mask == preferred_models(t2, max_atoms).mask
     names = tuple(project)
     for t in (t1, t2):
         missing = [a for a in names if a not in t.universe]
         if missing:
             raise UniverseError(f"projection atoms {missing} not in universe")
 
-    def projected(t: Theory) -> frozenset[tuple[bool, ...]]:
-        return frozenset(
-            tuple(m.value(a) for a in names) for m in preferred_models(t, max_atoms).models
-        )
+    def projected(t: Theory) -> set[int]:
+        positions = [t.universe.index(a) for a in names]  # bit j of a projected index: names[j]
+        pm = preferred_models(t, max_atoms)
+        return {sum((z >> p & 1) << j for j, p in enumerate(positions)) for z in iter_bits(pm.mask)}
 
     return projected(t1) == projected(t2)
 
@@ -190,13 +231,11 @@ def preorder_equivalent(
     """Whether two default pre-orders agree on every ordered interpretation pair."""
     names = tuple(universe)
     check_atoms(names, max_atoms)
-    full = (1 << (1 << len(names))) - 1
-    masks1 = [truth_mask(f, names) for _, f in s1.defaults]
-    doms1 = _dominator_positions(s1)
-    masks2 = [truth_mask(f, names) for _, f in s2.defaults]
-    doms2 = _dominator_positions(s2)
-    cells, quotient = _quotient(full, masks1 + masks2)
-    cell_masks1, cell_masks2 = quotient[: len(masks1)], quotient[len(masks1):]
+    n1, n2 = len(s1.defaults), len(s2.defaults)
+    cells, profiles = _quotient(*truth_masks((), [f for _, f in s1.defaults + s2.defaults], names))
+    quotient = _transpose(profiles, n1 + n2)
+    cell_masks1, cell_masks2 = quotient[:n1], quotient[n1:]
+    doms1, doms2 = _dominator_positions(s1), _dominator_positions(s2)
     cells_full = (1 << len(cells)) - 1
     return all(
         _leq_row(k, cell_masks1, doms1, cells_full) == _leq_row(k, cell_masks2, doms2, cells_full)
@@ -204,7 +243,12 @@ def preorder_equivalent(
     )
 
 
+def format_row(universe: Sequence[str], values: Sequence[bool]) -> str:
+    """One-line model: positive atoms then negated ones, each group sorted."""
+    tokens = sorted((not v, a) for a, v in zip(universe, values))
+    return " ".join(("~" if neg else "") + a for neg, a in tokens)
+
+
 def format_model(z: Interpretation) -> str:
     """One-line model: positive atoms then negated ones, each group sorted."""
-    tokens = sorted((not v, a) for a, v in zip(z.universe, z.values))
-    return " ".join(("~" if neg else "") + a for neg, a in tokens)
+    return format_row(z.universe, z.values)

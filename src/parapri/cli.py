@@ -14,7 +14,7 @@ import sys
 
 from .circumscription import (
     circ_equivalent,
-    format_model,
+    format_row,
     preferred_models,
     preorder_equivalent,
     skeptical_entails,
@@ -28,7 +28,7 @@ from .errors import (
     UniverseError,
     ValidationError,
 )
-from .formula import Implies, Not, atoms as formula_atoms, parse_formula, shared_nodes, to_text
+from .formula import Implies, Not, atoms as formula_atoms, iter_bits, parse_formula, shared_nodes, to_text
 from .lp import encode_stratified, parse_program
 from .preorder import PreorderSpec
 from .specificity import GuardedRule, encode_abnormality, transformed_then_pruned
@@ -135,12 +135,13 @@ def cmd_query(args, caps: Caps) -> int:
 def cmd_models(args, caps: Caps) -> int:
     t = _load_theory(args.file)
     pm = preferred_models(t, caps.model_atoms)
+    rows = [[bool((z >> k) & 1) for k in range(len(pm.universe))] for z in iter_bits(pm.mask)]
     if args.format == "json":
-        doc = {"universe": list(pm.universe), "models": [list(m.values) for m in pm.models]}
+        doc = {"universe": list(pm.universe), "models": rows}
         print(json.dumps(doc, indent=2))
         return 0
-    for m in pm.models:
-        print(format_model(m))
+    for r in rows:
+        print(format_row(pm.universe, r))
     return 0
 
 

@@ -358,8 +358,9 @@ def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], int]:
     return cols, width
 
 
-def truth_mask(f: Formula, universe: Iterable[str]) -> int:
-    """Truth table of ``f`` packed into an int: bit i = value under index i."""
+def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, int] | None = None) -> int:
+    """Truth table of ``f`` packed into an int: bit i = value under index i;
+    ``memo`` is a ``fold`` memo, shared by the masks of several formulas."""
     names = tuple(universe)
     cols, size = _columns(names)
     full = (1 << size) - 1
@@ -384,7 +385,7 @@ def truth_mask(f: Formula, universe: Iterable[str]) -> int:
             return (full ^ left) | right
         return full ^ left ^ right
 
-    return fold(f, leaf, node)
+    return fold(f, leaf, node, memo)
 
 
 def is_tautology(f: Formula, universe: Iterable[str], max_atoms: int = DEFAULT_CAPS.tautology_atoms) -> bool:

@@ -15,10 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
-from .circumscription import circ_equivalent
+from .circumscription import circ_equivalent, truth_masks
 from .config import DEFAULT_CAPS
 from .errors import CapExceededError, InternalError, ValidationError
-from .formula import Atom, Formula, Implies, Not, atoms as formula_atoms, iter_bits, parse_formula, truth_mask
+from .formula import Atom, Formula, Implies, Not, atoms as formula_atoms, iter_bits, parse_formula
 from .theory import (
     LabeledFormula,
     PriorityOrder,
@@ -103,12 +103,8 @@ def prune_redundant(
             entries.append((label, f, (pos, 0)))
 
     names = tuple(universe)
-    size = 1 << len(names)
-    full = (1 << size) - 1
-    base_mask = full
-    for b in base:
-        base_mask &= truth_mask(b, names)
-    masks = [truth_mask(f, names) for _, f, _ in entries]
+    base_mask, masks = truth_masks(base, [f for _, f, _ in entries], names)
+    masks = list(masks)
 
     alive = set(range(len(entries)))
     drops: dict[int, DropRecord] = {}

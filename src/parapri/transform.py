@@ -72,15 +72,26 @@ def _iter_descending(order: PriorityOrder, remaining: int) -> Iterator[tuple[str
     # ``remaining`` is a mask of label positions. Emit maximal elements first;
     # candidate choice follows declaration order, so the first sequence
     # generated is the canonical one. A depth-first walk on an explicit
-    # stack, so the number of dominators is not bounded by recursion.
-    stack = [(remaining, ())]
+    # stack, so the number of dominators is not bounded by recursion; a
+    # level looks for its next maximal candidate only when the walk returns.
+    if not remaining:
+        yield ()
+        return
+    above = order.above
+    stack = [[remaining, remaining, -1]]  # per level: labels left, candidates untried, choice
     while stack:
-        rest, chosen = stack.pop()
-        if not rest:
-            yield tuple(order.indices[k] for k in chosen)
+        level = stack[-1]
+        rest, untried, _ = level
+        while untried and above[x := (untried & -untried).bit_length() - 1] & rest:
+            untried ^= 1 << x
+        if not untried:
+            stack.pop()
             continue
-        maximal = [x for x in iter_bits(rest) if not order.above[x] & rest]
-        stack += [(rest ^ 1 << x, chosen + (x,)) for x in reversed(maximal)]
+        level[1:] = untried ^ 1 << x, x
+        if rest ^ 1 << x:
+            stack.append([rest ^ 1 << x, rest ^ 1 << x, -1])
+        else:
+            yield tuple(order.indices[lv[2]] for lv in stack)
 
 
 def descending_sequences(order: PriorityOrder, index: str) -> list[tuple[str, ...]]:

@@ -12,7 +12,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from parapri.errors import CycleError, UniverseError
 from parapri.formula import And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
@@ -101,6 +101,25 @@ def transitive_closure_naive(edges: Iterable[tuple[str, str]]) -> frozenset[tupl
     if cyclic:
         raise CycleError(f"priority cycle through {min(cyclic)!r}")
     return frozenset((x, y) for x in nodes for y in reach[x])
+
+
+def descending_naive(order: PriorityOrder, label: str) -> Iterator[tuple[str, ...]]:
+    """The descending topological orderings of ``label``'s dominators, by
+    recursion: a remaining label that no remaining label is above comes
+    next, candidates in declaration order. The dominators come from the
+    fixpoint closure of the order's edges."""
+    closure = transitive_closure_naive(order.edges)
+
+    def walk(rest: frozenset[str]) -> Iterator[tuple[str, ...]]:
+        if not rest:
+            yield ()
+            return
+        for x in order.indices:
+            if x in rest and not any((y, x) in closure for y in rest):
+                for tail in walk(rest - {x}):
+                    yield (x,) + tail
+
+    return walk(frozenset(j for j, i in closure if i == label))
 
 
 def classify_order_naive(order: PriorityOrder) -> str:

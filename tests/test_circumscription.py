@@ -1,7 +1,8 @@
 """Preferred-model enumeration, skeptical entailment, and the equivalence oracles."""
 
+import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import default_leq, evaluate, preferred_indices_naive
 from parapri.circumscription import (
+    PreferredModelSet,
+    _quotient,
     circ_equivalent,
     format_model,
     models_of,
@@ -20,7 +23,7 @@ from parapri.errors import CapExceededError, UniverseError
 from parapri.formula import FALSE, TRUE, And, Atom, Iff, Implies, Interpretation, Not, Or, parse_formula
 from parapri.generate import random_theory
 from parapri.preorder import PreorderSpec
-from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory
+from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory, parallel_order
 from parapri.transform import parallel_theory, transform_all, transform_canonical
 
 F = parse_formula
@@ -130,6 +133,14 @@ class TestCircEquivalent:
         with pytest.raises(UniverseError):
             circ_equivalent(t1, t2)
         assert circ_equivalent(t1, t2, project=["a"])
+
+    def test_projection_reads_atoms_by_name(self):
+        t1 = build_theory(atoms=["a", "b"], base=["a & ~b"])
+        t2 = build_theory(atoms=["b", "a"], base=["a & ~b"])
+        t3 = build_theory(atoms=["b", "a"], base=["~a & b"])
+        assert circ_equivalent(t1, t2, project=["b"])
+        assert circ_equivalent(t1, t2, project=["b", "a"])
+        assert not circ_equivalent(t1, t3, project=["b"])
 
     def test_unknown_projection_atom(self):
         t = tweety_theory()
@@ -295,3 +306,97 @@ class TestDifferential:
             default_leq(s1, z, z2) == default_leq(s2, z, z2) for z in zs for z2 in zs
         )
         assert preorder_equivalent(s1, s2, t.universe) == expected
+
+
+def exactly(k, universe):
+    """Exactly k of the universe's atoms hold: under atom defaults its
+    models form an antichain of cells."""
+    return reduce(Or, (
+        reduce(And, (Atom(a) if a in chosen else Not(Atom(a)) for a in universe))
+        for chosen in itertools.combinations(universe, k)
+    ))
+
+
+@st.composite
+def parallel_theories(draw):
+    """Empty-priority theories with up to 12 defaults drawn from a small
+    pool, so formula objects repeat, as roots and as shared subtrees;
+    fixtures; now and then one default per atom and an "exactly k of n"
+    base, so that both tests of the containment kernel decide cells."""
+    universe = ("a", "b", "c", "d", "e")[: draw(st.integers(1, 5))]
+    fs = formulas_over(universe)
+    pool = draw(st.lists(fs, min_size=1, max_size=4)) + [Atom(a) for a in universe]
+    picks = st.sampled_from(pool)
+    compound = st.one_of(picks, st.builds(And, picks, picks), st.builds(Or, picks, picks))
+    defaults = draw(st.lists(compound, max_size=12))
+    if draw(st.booleans()):  # atom defaults: an "exactly k" base makes them incomparable
+        defaults = [Atom(a) for a in universe] + defaults[len(universe):]
+    base = draw(st.lists(fs, max_size=2))
+    if draw(st.booleans()):
+        base.append(exactly(draw(st.integers(0, len(universe))), universe))
+    fixtures = tuple(
+        LabeledFormula(f"fx{k}", f) for k, f in enumerate(draw(st.lists(picks, max_size=2)))
+    )
+    labels = tuple(f"d{k}" for k in range(len(defaults)))
+    return Theory(
+        universe, tuple(base), tuple(map(LabeledFormula, labels, defaults)), parallel_order(labels), fixtures
+    )
+
+
+class TestParallelKernel:
+    """The containment kernel, which decides theories without priorities,
+    against the per-interpretation naive oracle."""
+
+    @given(parallel_theories())
+    @settings(max_examples=200, deadline=None)
+    def test_preferred_models(self, t):
+        assert preferred_models(t).index_set == preferred_indices_naive(t)
+
+    def test_fixture_classes_are_separate(self):
+        # three incomparable cells where f holds, and where f fails one cell
+        # above all three; fixture f keeps the four apart
+        t = build_theory(
+            atoms=["a", "b", "c", "f"],
+            base=["(f & ((a & ~b & ~c) | (~a & b & ~c) | (~a & ~b & c))) | (~f & a & b & c)"],
+            defaults=[("da", "a"), ("db", "b"), ("dc", "c")],
+            fixtures=[("ff", "f")],
+        )
+        assert len(preferred_models(t)) == 4
+
+    def test_antichain_keeps_every_cell(self):
+        universe = tuple(f"a{k}" for k in range(8))
+        t = build_theory(atoms=universe, defaults=[(f"d{a}", a) for a in universe])
+        t = Theory(universe, (exactly(4, universe),), t.defaults, t.priority, ())
+        assert len(preferred_models(t)) == 70
+
+
+class TestPreferredModelSet:
+    @given(theories())
+    @settings(max_examples=100, deadline=None)
+    def test_built_from_models_equals_engine_result(self, t):
+        pm = preferred_models(t)
+        naive = sorted(preferred_indices_naive(t))
+        models = [Interpretation.from_index(t.universe, z) for z in reversed(naive)]
+        built = PreferredModelSet(t.universe, models)
+        assert built == pm and hash(built) == hash(pm)
+        assert built.mask == pm.mask == sum(1 << z for z in naive)
+        assert built.index_set == pm.index_set == frozenset(naive)
+        assert built.models == pm.models == tuple(reversed(models))
+        assert len(built) == len(pm) == len(naive)
+        assert list(built) == list(pm) == list(reversed(models))
+
+    def test_universe_takes_part_in_equality(self):
+        assert PreferredModelSet(("a",), mask=1) != PreferredModelSet(("b",), mask=1)
+        assert PreferredModelSet(("a",), mask=1) != PreferredModelSet(("a",), mask=2)
+
+
+class TestQuotient:
+    def test_masks_from_a_generator(self):
+        cells, profiles = _quotient(0b1111, (m for m in (0b1100, 0b1010)))
+        assert sorted(zip(cells, profiles)) == [(0b0001, 0b00), (0b0010, 0b10), (0b0100, 0b01), (0b1000, 0b11)]
+
+    def test_no_masks(self):
+        assert _quotient(0b101, iter(())) == ([0b101], [0])
+
+    def test_empty_base(self):
+        assert _quotient(0, iter((0b1, 0b10))) == ([], [])

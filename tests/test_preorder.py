@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import default_leq, evaluate, fixture_equiv, strictly_better
-from parapri.circumscription import _dominator_positions, _leq_row, _quotient
+from parapri.circumscription import _dominator_positions, _leq_row, _quotient, _transpose
 from parapri.errors import UniverseError
 from parapri.formula import Interpretation, iter_bits, parse_formula, truth_mask
 from parapri.generate import random_theory
@@ -21,7 +21,8 @@ def quotient_rows(spec, universe):
     full universe and lifted back to interpretations."""
     full = (1 << (1 << len(universe))) - 1
     masks = [truth_mask(f, universe) for _, f in spec.defaults]
-    cells, cell_masks = _quotient(full, masks)
+    cells, profiles = _quotient(full, masks)
+    cell_masks = _transpose(profiles, len(masks))
     cells_full = (1 << len(cells)) - 1
     doms = _dominator_positions(spec)
     rows = [0] * (1 << len(universe))

@@ -23,3 +23,15 @@ def test_perfbench_smoke():
     result = json.loads(r.stdout.splitlines()[-1])
     assert result["correct"] is True, r.stdout
     assert result["failed"] == 0, r.stdout
+
+
+def test_cli_matrix_smoke():
+    # Every combination ends in a contract exit code with no traceback.
+    r = run_python(ROOT / "scripts" / "cli_matrix.py", "tests/data/pair_chain.thy", "tests/data/two_strata.lp")
+    assert r.returncode == 0, r.stderr
+    runs = [json.loads(line) for line in r.stdout.splitlines()]
+    assert {run["argv"][1] for run in runs} == {"tests/data/pair_chain.thy", "tests/data/two_strata.lp"}
+    assert len(runs) == 2 * 2 * 32  # files x environments x combinations
+    for run in runs:
+        assert run["exit"] in (0, 1, 2, 3), run
+        assert "Traceback" not in run["stderr"], run

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ac_set, chain_theory
+from helpers import ac_set, chain_theory, descending_naive
 from parapri.circumscription import preorder_equivalent
 from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import And, Atom, Or, parse_formula
@@ -306,6 +306,15 @@ def ordered_theories(draw):
     rank = draw(st.permutations(labels))
     edges = [(a, b) for i, a in enumerate(rank) for b in rank[i + 1 :] if draw(st.booleans())]
     return build_theory(defaults=list(zip(labels, texts)), prefer=edges)
+
+
+class TestDescendingOracle:
+    @given(ordered_theories())
+    @settings(max_examples=150, deadline=None)
+    def test_sequences_match_recursive_generator(self, t):
+        # the same sequences in the same order, so the first is the canonical one
+        for label in t.priority.indices:
+            assert descending_sequences(t.priority, label) == list(descending_naive(t.priority, label))
 
 
 def assert_outputs_are_nests(t, out):
