@@ -20,6 +20,7 @@ class Caps:
     pairwise_atoms: int = 12       # pre-order comparison over all 2^n x 2^n pairs
     transform_formulas: int = 1 << 20
     members: int = 64              # enumerated alternatives of the transform
+    combination_tables: int = 4096  # and/or closure of a pruning candidate's witnesses
 
 
 DEFAULT_CAPS = Caps()

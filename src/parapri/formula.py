@@ -13,10 +13,12 @@ Grammar (whitespace insensitive, ``#`` starts a line comment)::
 Ground atoms such as ``flies(tweety)`` are opaque names; no term structure
 is modelled.
 
-The parser is one operator-precedence loop; every walk over a formula is
-``fold``, an explicit-stack post-order traversal (printing, truth tables,
-substitution), or ``_walk_once`` over the distinct nodes (atoms, shared
-nodes), so nesting depth is limited by memory, not by the recursion limit.
+The parser is one operator-precedence loop. A walk over a formula is
+``fold``, an explicit-stack post-order traversal (printing, substitution),
+``_walk_once`` over the distinct nodes (atoms, shared nodes), or the
+evaluation loop of ``truth_mask``, the hot path of the transform route,
+which keeps its own explicit stack. So nesting depth is limited by memory,
+not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -359,33 +361,80 @@ def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], int]:
 
 
 def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, int] | None = None) -> int:
-    """Truth table of ``f`` packed into an int: bit i = value under index i;
-    ``memo`` is a ``fold`` memo, shared by the masks of several formulas."""
-    names = tuple(universe)
-    cols, size = _columns(names)
+    """Truth table of ``f`` packed into an int: bit i = value under index i.
+
+    ``memo`` (from ``shared_nodes``) works as in ``fold``: the masks of
+    several formulas given one memo evaluate each shared subtree once.
+
+    Its own explicit-stack loop rather than ``fold``: a frame is a
+    connective with the value of its left operand, or ``_PENDING`` while
+    that is still being computed, and a literal left operand (an atom, a
+    negated atom or a constant) is valued on the way down. A right-nested
+    spine such as a transform output costs one push and one pop per
+    connective, with no callbacks.
+    """
+    cols, size = _columns(tuple(universe))
     full = (1 << size) - 1
-
-    def leaf(g: Formula) -> int:
-        if type(g) is Const:
-            return full if g.value else 0
-        try:
-            return cols[g.name]
-        except KeyError:
-            raise UniverseError(f"atom {g.name!r} not in universe") from None
-
-    def node(g: Formula, left: int, right: int = 0) -> int:
-        t = type(g)
-        if t is And:
-            return left & right
-        if t is Or:
-            return left | right
-        if t is Not:
-            return full ^ left
-        if t is Implies:
-            return (full ^ left) | right
-        return full ^ left ^ right
-
-    return fold(f, leaf, node, memo)
+    stack: list[tuple[Formula, int | object]] = []
+    g = f
+    try:
+        while True:
+            # Down: value ``g``, pushing one frame per connective left to combine.
+            while True:
+                t = type(g)
+                if t is And or t is Or or t is Implies or t is Iff:
+                    if memo and id(g) in memo and (v := memo[id(g)]) is not _PENDING:
+                        break
+                    a = g.left
+                    u = type(a)
+                    if u is Atom:
+                        stack.append((g, cols[a.name]))
+                    elif u is Not and type(a.arg) is Atom:
+                        stack.append((g, full ^ cols[a.arg.name]))
+                    elif u is Const:
+                        stack.append((g, full if a.value else 0))
+                    else:
+                        stack.append((g, _PENDING))
+                        g = a
+                        continue
+                    g = g.right
+                elif t is Atom:
+                    v = cols[g.name]
+                    break
+                elif t is Not:
+                    if memo and id(g) in memo and (v := memo[id(g)]) is not _PENDING:
+                        break
+                    stack.append((g, _PENDING))
+                    g = g.arg
+                elif t is Const:
+                    v = full if g.value else 0
+                    break
+                else:
+                    raise TypeError(f"not a formula: {g!r}")
+            # Up: ``v`` is the last operand of the top frame; combine it.
+            while stack:
+                g, left = stack.pop()
+                t = type(g)
+                if t is Not:
+                    v ^= full
+                elif left is _PENDING:  # ``v`` is the left operand; go right
+                    stack.append((g, v))
+                    g = g.right
+                    break
+                elif t is And:
+                    v &= left
+                elif t is Or:
+                    v |= left
+                elif t is Implies:
+                    v |= full ^ left
+                else:
+                    v ^= full ^ left
+                if memo and id(g) in memo:
+                    memo[id(g)] = v
+            else:
+                return v
+    except KeyError as e:  # only column lookups raise it
+        raise UniverseError(f"atom {e.args[0]!r} not in universe") from None
 
 
 def is_tautology(f: Formula, universe: Iterable[str], max_atoms: int = DEFAULT_CAPS.tautology_atoms) -> bool:

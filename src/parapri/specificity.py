@@ -56,7 +56,7 @@ class PruneReport:
         return tuple(f for _, f in self.kept)
 
 
-def _positive_combinations(masks: Sequence[int]) -> set[int]:
+def _positive_combinations(masks: Sequence[int], max_tables: int = DEFAULT_CAPS.combination_tables) -> set[int]:
     # Closure of the given truth tables under & and |; finite but can grow
     # quickly, so give up loudly rather than stall.
     vals = set(masks)
@@ -69,8 +69,8 @@ def _positive_combinations(masks: Sequence[int]) -> set[int]:
         if not fresh:
             return vals
         vals |= fresh
-        if len(vals) > 4096:
-            raise CapExceededError("positive-combination closure grew past 4096 tables")
+        if len(vals) > max_tables:
+            raise CapExceededError(f"positive-combination closure grew past {max_tables} tables")
 
 
 def _scan_order(entries: list[tuple[str, Formula, tuple[int, int]]]) -> list[int]:

@@ -231,6 +231,11 @@ DEEP_CASES = {
     "or-right": (lambda: _nest(lambda f: Or(A, f), B), 0b1110),
     "implies-right": (lambda: _nest(lambda f: Implies(A, f), B), 0b1101),
     "iff-left": (lambda: _nest(lambda f: Iff(f, B), A), 0b1010),
+    # Right spines with literal left operands, the shape of transform outputs.
+    "and-right-negated": (lambda: _nest(lambda f: And(Not(A), f), B), 0b0100),
+    "or-right-negated": (lambda: _nest(lambda f: Or(Not(A), f), B), 0b1101),
+    "alternating-spine": (lambda: _nest(lambda f: And(A, Or(Not(B), f)), B), 0b1010),
+    "not-odd-over-spine": (lambda: Not(_nest(Not, Or(Not(A), B))), 0b0010),
 }
 
 
@@ -252,3 +257,52 @@ class TestDeepFormulas:
         assert atoms(f) == ("a", "b")
         assert atoms(Atom("c"), f, f) == ("c", "a", "b")
         assert truth_mask(f, ("a", "b")) == mask
+        memo = shared_nodes(f, f)
+        assert truth_mask(f, ("a", "b"), memo) == mask
+        assert memo == {id(f): mask}
+
+
+@st.composite
+def shared_roots(draw, atom_names=("a", "b", "c")):
+    """Roots over one pool of nodes, each new node built from earlier ones,
+    so subtrees repeat within a root and across roots."""
+    pool = [Atom(n) for n in atom_names] + [TRUE, FALSE]
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from([Not, And, Or, Implies, Iff]))
+        pool.append(kind(*(draw(st.sampled_from(pool)) for _ in range(1 if kind is Not else 2))))
+    return draw(st.lists(st.sampled_from(pool[len(atom_names) + 2 :]), min_size=1, max_size=5))
+
+
+class TestTruthMask:
+    @given(shared_roots())
+    @settings(max_examples=200)
+    def test_shared_memo_matches_oracle(self, roots):
+        universe = ("a", "b", "c")
+        memo = shared_nodes(*roots)
+        masks = [truth_mask(f, universe, memo) for f in roots]
+        assert masks == [truth_mask(f, universe) for f in roots]
+        assert [truth_mask(f, universe, memo) for f in roots] == masks  # now read from the memo
+        for f, mask in zip(roots, masks):
+            for idx in range(8):
+                assert evaluate(f, Interpretation.from_index(universe, idx)) == bool((mask >> idx) & 1)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            And(Atom("z"), A),  # a spine literal
+            Or(Not(Atom("z")), A),  # a negated spine literal
+            Not(Atom("z")),  # under a Not
+            Not(And(A, Or(B, Atom("z")))),
+            Atom("z"),  # a plain leaf
+            Implies(And(A, B), Atom("z")),
+        ],
+    )
+    def test_unknown_atom(self, f):
+        for memo in (None, shared_nodes(f, f)):
+            with pytest.raises(UniverseError, match=r"^atom 'z' not in universe$"):
+                truth_mask(f, ("a", "b"), memo)
+
+    @pytest.mark.parametrize("f", [And(A, 3), And(3, A), Not(None), Iff(Not(A), Not("a"))])
+    def test_not_a_formula(self, f):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            truth_mask(f, ("a", "b"))

@@ -6,8 +6,9 @@ import pytest
 
 from helpers import ac_set
 from parapri.circumscription import circ_equivalent, preferred_models, skeptical_entails
-from parapri.errors import ValidationError
-from parapri.formula import parse_formula, to_text
+from parapri.config import DEFAULT_CAPS
+from parapri.errors import CapExceededError, ValidationError
+from parapri.formula import Atom, parse_formula, to_text, truth_mask
 from parapri.generate import random_theory
 from parapri.specificity import (
     COMBINATION,
@@ -20,6 +21,7 @@ from parapri.specificity import (
     inheritance_parallel_theory,
     inheritance_rules,
     inheritance_theory,
+    _positive_combinations,
     prune_redundant,
     verify_special_case,
 )
@@ -128,6 +130,27 @@ class TestPruneRedundant:
                     priority=parallel_order(l for l, _ in readded),
                 )
                 assert preferred_models(kept).index_set == preferred_models(again).index_set
+
+
+class TestPositiveCombinations:
+    @staticmethod
+    def columns(n):
+        universe = tuple("abcde"[:n])
+        return [truth_mask(Atom(a), universe) for a in universe]
+
+    def test_closure_of_three_atoms(self):
+        # the monotone functions of three atoms, less the two constants
+        assert len(_positive_combinations(self.columns(3))) == 18
+
+    def test_small_cap_refuses(self):
+        with pytest.raises(CapExceededError, match="^positive-combination closure grew past 8 tables$"):
+            _positive_combinations(self.columns(3), max_tables=8)
+
+    def test_default_cap(self):
+        # five atoms have 7579 non-constant monotone functions
+        assert DEFAULT_CAPS.combination_tables == 4096
+        with pytest.raises(CapExceededError, match="^positive-combination closure grew past 4096 tables$"):
+            _positive_combinations(self.columns(5))
 
 
 class TestInheritanceCases:

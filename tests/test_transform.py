@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import ac_set, chain_theory, descending_naive
 from parapri.circumscription import preorder_equivalent
 from parapri.errors import CapExceededError, ValidationError
-from parapri.formula import And, Atom, Or, parse_formula
+from parapri.formula import And, Atom, Or, parse_formula, truth_mask
 from parapri.generate import random_theory
 from parapri.preorder import PreorderSpec
 from parapri.theory import LabeledFormula, PriorityOrder, build_theory, parallel_order, print_theory, theory_to_json
@@ -372,3 +372,42 @@ class TestSuffixSharing:
             for bits, f in block.items():
                 if bits.startswith("1"):
                     assert f.right is block["0" + bits[1:]].right
+
+
+def assert_block_masks(t, out):
+    """The outputs' truth masks follow from the source masks alone: per block,
+    innermost-first, ``d | a`` and ``d & a`` for each dominator mask ``d``,
+    then the list reversed, bit strings from all-ones down."""
+    source = {label: truth_mask(f, t.universe) for label, f in t.defaults}
+    sigma = {p.source: p.sigma for p in out.provenance}
+    expected = []
+    for label, _ in t.defaults:
+        acc = [source[label]]
+        for j in reversed(sigma[label]):
+            d = source[j]
+            acc = [d | a for a in acc] + [d & a for a in acc]
+        expected += reversed(acc)
+    assert [truth_mask(f, t.universe) for f in out.formulas] == expected
+
+
+class TestBlockMasks:
+    """Output masks built from the source masks equal the outputs' own masks."""
+
+    @pytest.mark.parametrize("build", GOLDEN_THEORIES)
+    def test_goldens(self, build):
+        t = build()
+        for out in [transform_canonical(t.defaults, t.priority), *transform_all(t.defaults, t.priority, limit=8)]:
+            assert_block_masks(t, out)
+
+    @given(ordered_theories())
+    @settings(max_examples=60, deadline=None)
+    def test_random_orders_and_members(self, t):
+        for out in transform_all(t.defaults, t.priority, limit=6):
+            assert_block_masks(t, out)
+
+    def test_random_theories(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            t = random_theory(rng, max_defaults=6)
+            for out in [transform_canonical(t.defaults, t.priority), *transform_all(t.defaults, t.priority, limit=4)]:
+                assert_block_masks(t, out)
