@@ -56,9 +56,10 @@ class PruneReport:
         return tuple(f for _, f in self.kept)
 
 
-def _positive_combinations(masks: Sequence[int], max_tables: int = DEFAULT_CAPS.combination_tables) -> set[int]:
+def _positive_combinations(masks: Sequence[int]) -> set[int]:
     # Closure of the given truth tables under & and |; finite but can grow
     # quickly, so give up loudly rather than stall.
+    max_tables = DEFAULT_CAPS.combination_tables
     vals = set(masks)
     while True:
         fresh = set()

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from helpers import ac_set
+from parapri import specificity
 from parapri.circumscription import circ_equivalent, preferred_models, skeptical_entails
-from parapri.config import DEFAULT_CAPS
+from parapri.config import DEFAULT_CAPS, Caps
 from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import Atom, parse_formula, to_text, truth_mask
 from parapri.generate import random_theory
@@ -142,9 +143,10 @@ class TestPositiveCombinations:
         # the monotone functions of three atoms, less the two constants
         assert len(_positive_combinations(self.columns(3))) == 18
 
-    def test_small_cap_refuses(self):
+    def test_small_cap_refuses(self, monkeypatch):
+        monkeypatch.setattr(specificity, "DEFAULT_CAPS", Caps(combination_tables=8))
         with pytest.raises(CapExceededError, match="^positive-combination closure grew past 8 tables$"):
-            _positive_combinations(self.columns(3), max_tables=8)
+            _positive_combinations(self.columns(3))
 
     def test_default_cap(self):
         # five atoms have 7579 non-constant monotone functions
