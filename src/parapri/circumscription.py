@@ -1,7 +1,8 @@
 """Brute-force model semantics for prioritized default circumscription.
 
 All operations enumerate total interpretations explicitly, so they are exact
-but only usable at small atom counts; the caps make the limit explicit.
+but only usable at small atom counts; ``truth_masks``, where every 2^n
+enumeration starts, refuses a universe above its atom cap.
 Truth tables are packed into ints (bit i = truth under interpretation index
 i), and so are results: a ``PreferredModelSet`` is the mask of its models.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .config import DEFAULT_CAPS, check_atoms
+from .config import MODEL_ATOMS, check_atoms
 from .errors import UniverseError
 from .formula import Formula, Interpretation, iter_bits, shared_nodes, truth_mask
 from .preorder import PreorderSpec
@@ -71,11 +72,13 @@ SHARED_MEMO_MIN_FORMULAS = 16
 
 
 def truth_masks(
-    base: Iterable[Formula], formulas: Sequence[Formula], universe: tuple[str, ...]
+    base: Iterable[Formula], formulas: Sequence[Formula], universe: tuple[str, ...], max_atoms: int
 ) -> tuple[int, Iterator[int]]:
     """The conjunction of the base's truth masks, and the truth masks of
     ``formulas`` in order, one at a time; from ``SHARED_MEMO_MIN_FORMULAS``
-    formulas on, a subtree they share is evaluated once."""
+    formulas on, a subtree they share is evaluated once. Refuses a universe
+    of more than ``max_atoms`` atoms."""
+    check_atoms(universe, max_atoms)
     base_mask = (1 << (1 << len(universe))) - 1
     for b in base:
         base_mask &= truth_mask(b, universe)
@@ -83,15 +86,10 @@ def truth_masks(
     return base_mask, (truth_mask(f, universe, memo) for f in formulas)
 
 
-def models_of(
-    base: Iterable[Formula],
-    universe: Iterable[str],
-    max_atoms: int = DEFAULT_CAPS.model_atoms,
-) -> list[Interpretation]:
+def models_of(base: Iterable[Formula], universe: Iterable[str]) -> list[Interpretation]:
     """All total assignments satisfying every base formula, by index order."""
     names = tuple(universe)
-    check_atoms(names, max_atoms)
-    mask, _ = truth_masks(base, (), names)
+    mask, _ = truth_masks(base, (), names, MODEL_ATOMS)
     return [Interpretation.from_index(names, z) for z in iter_bits(mask)]
 
 
@@ -177,11 +175,10 @@ def _parallel_preferred(cells: list[int], profiles: list[int], n: int) -> int:
     return preferred
 
 
-def preferred_models(t: Theory, max_atoms: int = DEFAULT_CAPS.model_atoms) -> PreferredModelSet:
+def preferred_models(t: Theory, max_atoms: int = MODEL_ATOMS) -> PreferredModelSet:
     """Base models not strictly dominated by any fixture-equivalent base model."""
-    check_atoms(t.universe, max_atoms)
     spec = PreorderSpec.of(t)
-    base_mask, masks = truth_masks(t.base, [f for _, f in spec.defaults + t.fixtures], t.universe)
+    base_mask, masks = truth_masks(t.base, [f for _, f in spec.defaults + t.fixtures], t.universe, max_atoms)
     cells, profiles = _quotient(base_mask, masks)
     if not any(spec.priority.above):
         return PreferredModelSet(t.universe, mask=_parallel_preferred(cells, profiles, len(spec.defaults)))
@@ -202,7 +199,7 @@ def preferred_models(t: Theory, max_atoms: int = DEFAULT_CAPS.model_atoms) -> Pr
     return PreferredModelSet(t.universe, mask=preferred)
 
 
-def skeptical_entails(t: Theory, q: Formula, max_atoms: int = DEFAULT_CAPS.model_atoms) -> bool:
+def skeptical_entails(t: Theory, q: Formula, max_atoms: int = MODEL_ATOMS) -> bool:
     """Whether q holds in every preferred model (vacuously true when none)."""
     pm = preferred_models(t, max_atoms)
     return pm.mask & ~truth_mask(q, t.universe) == 0
@@ -212,7 +209,7 @@ def circ_equivalent(
     t1: Theory,
     t2: Theory,
     project: Sequence[str] | None = None,
-    max_atoms: int = DEFAULT_CAPS.model_atoms,
+    max_atoms: int = MODEL_ATOMS,
 ) -> bool:
     """Equality of preferred-model sets, optionally restricted to ``project`` atoms."""
     if project is None:
@@ -237,13 +234,12 @@ def preorder_equivalent(
     s1: PreorderSpec,
     s2: PreorderSpec,
     universe: Iterable[str],
-    max_atoms: int = DEFAULT_CAPS.pairwise_atoms,
+    max_atoms: int = MODEL_ATOMS,
 ) -> bool:
     """Whether two default pre-orders agree on every ordered interpretation pair."""
-    names = tuple(universe)
-    check_atoms(names, max_atoms)
     n1, n2 = len(s1.defaults), len(s2.defaults)
-    cells, profiles = _quotient(*truth_masks((), [f for _, f in s1.defaults + s2.defaults], names))
+    masks = truth_masks((), [f for _, f in s1.defaults + s2.defaults], tuple(universe), max_atoms)
+    cells, profiles = _quotient(*masks)
     quotient = _transpose(profiles, n1 + n2)
     cell_masks1, cell_masks2 = quotient[:n1], quotient[n1:]
     doms1, doms2 = _dominator_positions(s1), _dominator_positions(s2)

@@ -19,7 +19,7 @@ from .circumscription import (
     preorder_equivalent,
     skeptical_entails,
 )
-from .config import Caps, caps_from_env
+from .config import atom_cap_from_env
 from .errors import (
     CapExceededError,
     InternalError,
@@ -57,10 +57,10 @@ def _load_theory(path: str) -> Theory:
     return t
 
 
-def _members(t: Theory, n: int | None, caps: Caps) -> list[TransformOutput]:
+def _members(t: Theory, n: int | None) -> list[TransformOutput]:
     if n is None:
-        return [transform_canonical(t.defaults, t.priority, caps.transform_formulas)]
-    return transform_all(t.defaults, t.priority, limit=n, max_formulas=caps.transform_formulas)
+        return [transform_canonical(t.defaults, t.priority)]
+    return transform_all(t.defaults, t.priority, limit=n)
 
 
 def _corrupt(out: TransformOutput) -> TransformOutput:
@@ -74,12 +74,12 @@ def _corrupt(out: TransformOutput) -> TransformOutput:
     )
 
 
-def cmd_transform(args, caps: Caps) -> int:
+def cmd_transform(args, max_atoms: int) -> int:
     t = _load_theory(args.file)
     if args.size_only:
         print(output_size(t.priority).total)
         return 0
-    members = _members(t, args.all, caps)
+    members = _members(t, args.all)
     if args.format == "json":
         memo = shared_nodes(*t.base, *(f for _, f in t.fixtures), *(f for m in members for f in m.formulas))
         doc = {
@@ -112,15 +112,15 @@ def cmd_transform(args, caps: Caps) -> int:
     return 0
 
 
-def cmd_query(args, caps: Caps) -> int:
+def cmd_query(args, max_atoms: int) -> int:
     t = _load_theory(args.file)
     q = parse_formula(args.query)
     for a in formula_atoms(q):
         if a not in t.universe:
             raise UniverseError(f"query atom {a!r} not in the theory's universe")
-    direct = skeptical_entails(t, q, caps.model_atoms)
-    out = transform_canonical(t.defaults, t.priority, caps.transform_formulas)
-    via_parallel = skeptical_entails(parallel_theory(t, out), q, caps.model_atoms)
+    direct = skeptical_entails(t, q, max_atoms)
+    out = transform_canonical(t.defaults, t.priority)
+    via_parallel = skeptical_entails(parallel_theory(t, out), q, max_atoms)
     if direct != via_parallel:
         raise InternalError(
             f"direct answer {direct} disagrees with the transform route {via_parallel}"
@@ -132,9 +132,9 @@ def cmd_query(args, caps: Caps) -> int:
     return 0
 
 
-def cmd_models(args, caps: Caps) -> int:
+def cmd_models(args, max_atoms: int) -> int:
     t = _load_theory(args.file)
-    pm = preferred_models(t, caps.model_atoms)
+    pm = preferred_models(t, max_atoms)
     rows = [[bool((z >> k) & 1) for k in range(len(pm.universe))] for z in iter_bits(pm.mask)]
     if args.format == "json":
         doc = {"universe": list(pm.universe), "models": rows}
@@ -145,9 +145,9 @@ def cmd_models(args, caps: Caps) -> int:
     return 0
 
 
-def cmd_check_equiv(args, caps: Caps) -> int:
+def cmd_check_equiv(args, max_atoms: int) -> int:
     t = _load_theory(args.file)
-    members = _members(t, args.all, caps)
+    members = _members(t, args.all)
     if args.self_test_corrupt:
         members = [_corrupt(m) for m in members]
     project = args.project.split(",") if args.project else None
@@ -158,17 +158,17 @@ def cmd_check_equiv(args, caps: Caps) -> int:
                 PreorderSpec.of(t),
                 PreorderSpec.parallel(m.defaults),
                 t.universe,
-                caps.pairwise_atoms,
+                max_atoms,
             )
         else:
-            ok = circ_equivalent(t, parallel_theory(t, m), project, caps.model_atoms)
+            ok = circ_equivalent(t, parallel_theory(t, m), project, max_atoms)
         if not ok:
             break
     print("equivalent" if ok else "not-equivalent")
     return 0 if ok else 1
 
 
-def cmd_stats(args, caps: Caps) -> int:
+def cmd_stats(args, max_atoms: int) -> int:
     t = _load_theory(args.file)
     report = output_size(t.priority)
     print(f"defaults: {len(t.defaults)}")
@@ -181,9 +181,9 @@ def cmd_stats(args, caps: Caps) -> int:
     return 0
 
 
-def cmd_prune(args, caps: Caps) -> int:
+def cmd_prune(args, max_atoms: int) -> int:
     t = _load_theory(args.file)
-    report = transformed_then_pruned(t, k=args.k, max_atoms=caps.model_atoms)
+    report = transformed_then_pruned(t, k=args.k, max_atoms=max_atoms)
     memo = shared_nodes(*(f for _, f in report.kept))
     for l, f in report.kept:
         print(f"kept {l}: {to_text(f, memo)}")
@@ -193,7 +193,7 @@ def cmd_prune(args, caps: Caps) -> int:
     return 0
 
 
-def cmd_encode_ab(args, caps: Caps) -> int:
+def cmd_encode_ab(args, max_atoms: int) -> int:
     t = _load_theory(args.file)
     rules = []
     for label, f in t.defaults:
@@ -205,7 +205,7 @@ def cmd_encode_ab(args, caps: Caps) -> int:
     return 0
 
 
-def cmd_encode_lp(args, caps: Caps) -> int:
+def cmd_encode_lp(args, max_atoms: int) -> int:
     p = parse_program(_read_text(args.file))
     print(print_theory(encode_stratified(p)), end="")
     return 0
@@ -272,8 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        caps = caps_from_env()
-        return args.handler(args, caps)
+        return args.handler(args, atom_cap_from_env())
     except (CapExceededError, InternalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

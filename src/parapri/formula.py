@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from .config import DEFAULT_CAPS, check_atoms
+from .config import TAUTOLOGY_ATOMS, check_atoms
 from .errors import ParseError, UniverseError, ValidationError
 
 T = TypeVar("T")
@@ -437,21 +437,16 @@ def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, int] | None 
         raise UniverseError(f"atom {e.args[0]!r} not in universe") from None
 
 
-def is_tautology(f: Formula, universe: Iterable[str], max_atoms: int = DEFAULT_CAPS.tautology_atoms) -> bool:
+def is_tautology(f: Formula, universe: Iterable[str]) -> bool:
     names = tuple(universe)
-    check_atoms(names, max_atoms)
+    check_atoms(names, TAUTOLOGY_ATOMS)
     return truth_mask(f, names) == (1 << (1 << len(names))) - 1
 
 
-def entails(
-    premises: Iterable[Formula],
-    f: Formula,
-    universe: Iterable[str],
-    max_atoms: int = DEFAULT_CAPS.tautology_atoms,
-) -> bool:
+def entails(premises: Iterable[Formula], f: Formula, universe: Iterable[str]) -> bool:
     """Whether every interpretation satisfying all premises satisfies ``f``."""
     names = tuple(universe)
-    check_atoms(names, max_atoms)
+    check_atoms(names, TAUTOLOGY_ATOMS)
     full = (1 << (1 << len(names))) - 1
     premise_mask = full
     for p in premises:

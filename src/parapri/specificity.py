@@ -6,7 +6,7 @@ entailed by the base, inconsistent with the base, or base-equivalent to a
 combination built with conjunction and disjunction only from at most k of
 the other surviving formulas. All three conditions preserve the preferred
 models of the parallel circumscription; the pruner re-checks that claim
-after the fact when the universe is small enough.
+after the fact.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
+from . import config
 from .circumscription import circ_equivalent, truth_masks
-from .config import DEFAULT_CAPS
+from .config import MODEL_ATOMS
 from .errors import CapExceededError, InternalError, ValidationError
 from .formula import Atom, Formula, Implies, Not, atoms as formula_atoms, iter_bits, parse_formula
 from .theory import (
@@ -59,7 +60,7 @@ class PruneReport:
 def _positive_combinations(masks: Sequence[int]) -> set[int]:
     # Closure of the given truth tables under & and |; finite but can grow
     # quickly, so give up loudly rather than stall.
-    max_tables = DEFAULT_CAPS.combination_tables
+    max_tables = config.COMBINATION_TABLES
     vals = set(masks)
     while True:
         fresh = set()
@@ -80,11 +81,11 @@ def _scan_order(entries: list[tuple[str, Formula, tuple[int, int]]]) -> list[int
 
 
 def prune_redundant(
-    w: Union[TransformOutput, Sequence[LabeledFormula], Sequence[Formula]],
+    w: Union[TransformOutput, Sequence[LabeledFormula]],
     base: Sequence[Formula],
     universe: Sequence[str],
     k: int = 2,
-    max_atoms: int = DEFAULT_CAPS.model_atoms,
+    max_atoms: int = MODEL_ATOMS,
 ) -> PruneReport:
     """Iteratively drop redundant formulas from a parallel default set."""
     if k < 0:
@@ -98,13 +99,10 @@ def prune_redundant(
             for (label, f), p in zip(w.defaults, w.provenance)
         ]
     else:
-        entries = []
-        for pos, item in enumerate(w):
-            label, f = (f"w{pos}", item) if isinstance(item, Formula) else item
-            entries.append((label, f, (pos, 0)))
+        entries = [(label, f, (pos, 0)) for pos, (label, f) in enumerate(w)]
 
     names = tuple(universe)
-    base_mask, masks = truth_masks(base, [f for _, f, _ in entries], names)
+    base_mask, masks = truth_masks(base, [f for _, f, _ in entries], names, max_atoms)
     masks = list(masks)
 
     alive = set(range(len(entries)))
@@ -136,11 +134,10 @@ def prune_redundant(
 
     kept = tuple(LabeledFormula(label, f) for pos, (label, f, _) in enumerate(entries) if pos in alive)
     dropped = tuple(drops[pos] for pos in sorted(drops))
-    if len(names) <= max_atoms:
-        before = _parallel(names, base, [LabeledFormula(l, f) for l, f, _ in entries])
-        after = _parallel(names, base, kept)
-        if not circ_equivalent(before, after, max_atoms=max_atoms):
-            raise InternalError("pruning changed the preferred models")
+    before = _parallel(names, base, [LabeledFormula(l, f) for l, f, _ in entries])
+    after = _parallel(names, base, kept)
+    if not circ_equivalent(before, after, max_atoms=max_atoms):
+        raise InternalError("pruning changed the preferred models")
     return PruneReport(kept=kept, dropped=dropped)
 
 
@@ -236,12 +233,12 @@ def inheritance_rules(case: int) -> list[GuardedRule]:
     return out
 
 
-def verify_special_case(case: int, max_atoms: int = DEFAULT_CAPS.model_atoms) -> bool:
+def verify_special_case(case: int) -> bool:
     """Whether the prioritized scenario and its hand-listed parallel
     counterpart have the same preferred models."""
     if case not in INHERITANCE_CASES:
         raise ValidationError(f"unknown built-in case {case}; choose from {sorted(INHERITANCE_CASES)}")
-    return circ_equivalent(inheritance_theory(case), inheritance_parallel_theory(case), max_atoms=max_atoms)
+    return circ_equivalent(inheritance_theory(case), inheritance_parallel_theory(case))
 
 
 AB_VARIANTS = ("violation", "class", "class-positive")
@@ -306,7 +303,7 @@ def encode_abnormality(
     )
 
 
-def abnormality_variant_report(max_atoms: int = DEFAULT_CAPS.model_atoms) -> dict[str, dict[int, bool]]:
+def abnormality_variant_report() -> dict[str, dict[int, bool]]:
     """For each cancellation variant: which built-in cases it reproduces,
     judged by projection equivalence on the original vocabulary."""
     report: dict[str, dict[int, bool]] = {}
@@ -321,12 +318,12 @@ def abnormality_variant_report(max_atoms: int = DEFAULT_CAPS.model_atoms) -> dic
                 base=original.base,
                 universe=original.universe,
             )
-            per_case[case] = circ_equivalent(original, encoded, project=c.universe, max_atoms=max_atoms)
+            per_case[case] = circ_equivalent(original, encoded, project=c.universe)
         report[variant] = per_case
     return report
 
 
-def transformed_then_pruned(t: Theory, k: int = 2, max_atoms: int = DEFAULT_CAPS.model_atoms) -> PruneReport:
+def transformed_then_pruned(t: Theory, k: int = 2, max_atoms: int = MODEL_ATOMS) -> PruneReport:
     """Convenience pipeline used by the CLI: eliminate priorities, then prune."""
     out = transform_canonical(t.defaults, t.priority)
     return prune_redundant(out, t.base, t.universe, k=k, max_atoms=max_atoms)

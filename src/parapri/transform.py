@@ -20,12 +20,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .config import DEFAULT_CAPS
+from . import config
 from .errors import CapExceededError, ValidationError
 from .formula import And, Formula, Or, iter_bits
 from .theory import LabeledFormula, PriorityOrder, Theory, parallel_order
 
-DEFAULT_TOP_HEAVY_THRESHOLD = 10
+TOP_HEAVY_THRESHOLD = 10
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,11 @@ def build_wil(formulas: Mapping[str, Formula], index: str, sigma: Sequence[str],
     return acc
 
 
-def output_size(order: PriorityOrder, top_heavy_threshold: int = DEFAULT_TOP_HEAVY_THRESHOLD) -> SizeReport:
+def output_size(order: PriorityOrder) -> SizeReport:
     """Output size sum(2^m_i) without materializing anything."""
     m = tuple((i, a.bit_count()) for i, a in zip(order.indices, order.above))
     total = sum(1 << v for _, v in m)
-    return SizeReport(total=total, m=m, top_heavy=any(v > top_heavy_threshold for _, v in m))
+    return SizeReport(total=total, m=m, top_heavy=any(v > TOP_HEAVY_THRESHOLD for _, v in m))
 
 
 def _label_for(source: str, bits: str) -> str:
@@ -147,30 +147,21 @@ def _assemble(
     return TransformOutput(tuple(out), tuple(prov))
 
 
-def _guard_size(order: PriorityOrder, max_formulas: int) -> None:
-    total = output_size(order).total
-    if total > max_formulas:
-        raise CapExceededError(f"transform would emit {total} formulas, above the cap of {max_formulas}")
+def _guard_size(order: PriorityOrder) -> None:
+    total, cap = output_size(order).total, config.TRANSFORM_FORMULAS
+    if total > cap:
+        raise CapExceededError(f"transform would emit {total} formulas, above the cap of {cap}")
 
 
-def transform_canonical(
-    defaults: Sequence[LabeledFormula],
-    order: PriorityOrder,
-    max_formulas: int = DEFAULT_CAPS.transform_formulas,
-) -> TransformOutput:
+def transform_canonical(defaults: Sequence[LabeledFormula], order: PriorityOrder) -> TransformOutput:
     """The deterministic member: canonical topological ordering per default."""
     _check_alignment(defaults, order)
-    _guard_size(order, max_formulas)
+    _guard_size(order)
     sigmas = {label: next(_iter_descending(order, a)) for label, a in zip(order.indices, order.above)}
     return _assemble(defaults, sigmas)
 
 
-def transform_all(
-    defaults: Sequence[LabeledFormula],
-    order: PriorityOrder,
-    limit: int = DEFAULT_CAPS.members,
-    max_formulas: int = DEFAULT_CAPS.transform_formulas,
-) -> list[TransformOutput]:
+def transform_all(defaults: Sequence[LabeledFormula], order: PriorityOrder, limit: int) -> list[TransformOutput]:
     """Members generated by all combinations of descending orderings, up to ``limit``.
 
     The first member equals the canonical output.
@@ -178,7 +169,7 @@ def transform_all(
     if limit <= 0:
         raise ValidationError("limit must be positive")
     _check_alignment(defaults, order)
-    _guard_size(order, max_formulas)
+    _guard_size(order)
     members = _sigma_combinations(order)
     return [_assemble(defaults, sigmas) for sigmas in itertools.islice(members, limit)]
 
@@ -219,5 +210,5 @@ def parallel_theory(t: Theory, out: TransformOutput) -> Theory:
     )
 
 
-def transform_theory(t: Theory, max_formulas: int = DEFAULT_CAPS.transform_formulas) -> Theory:
-    return parallel_theory(t, transform_canonical(t.defaults, t.priority, max_formulas))
+def transform_theory(t: Theory) -> Theory:
+    return parallel_theory(t, transform_canonical(t.defaults, t.priority))

@@ -177,7 +177,7 @@ class TestPreorderEquivalent:
         t = tweety_theory()
         with pytest.raises(CapExceededError):
             preorder_equivalent(
-                PreorderSpec.of(t), PreorderSpec.of(t), tuple(f"x{k}" for k in range(13))
+                PreorderSpec.of(t), PreorderSpec.of(t), tuple(f"x{k}" for k in range(21))
             )
 
 

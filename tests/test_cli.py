@@ -139,6 +139,18 @@ class TestCheckEquiv:
         assert code == 0
         assert out == "equivalent\n"
 
+    def test_preorder_mode_past_twelve_atoms(self, capsys, tmp_path, monkeypatch):
+        # four chained defaults over 13 atoms, the last atom free
+        lines = ["atoms: " + " ".join(f"p{k}" for k in range(1, 14))]
+        lines += [f"default d{k}: p{3 * k - 2} -> (p{3 * k - 1} | ~p{3 * k})" for k in range(1, 5)]
+        lines += [f"prefer d{k} > d{k + 1}" for k in range(1, 4)]
+        f = tmp_path / "chain13.thy"
+        f.write_text("\n".join(lines) + "\n")
+        assert run(capsys, "check-equiv", f, "--preorder")[:2] == (0, "equivalent\n")
+        monkeypatch.setenv("PARAPRI_MAX_ATOMS", "12")
+        code, out, err = run(capsys, "check-equiv", f, "--preorder")
+        assert (code, out, err) == (3, "", "error: 13 atoms exceeds the enumeration cap of 12\n")
+
     def test_corrupted_self_test(self, capsys):
         code, out, _ = run(capsys, "check-equiv", DATA / "tweety.thy", "--self-test-corrupt")
         assert code == 1
@@ -180,6 +192,15 @@ class TestPrune:
         lines = out.strip().splitlines()
         assert lines[-1].startswith("kept ")
         assert all(l.startswith(("kept ", "dropped ")) for l in lines)
+
+    def test_cap_via_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARAPRI_MAX_ATOMS", "2")
+        code, out, err = run(capsys, "prune", DATA / "tweety.thy")
+        assert (code, out, err) == (3, "", "error: 3 atoms exceeds the enumeration cap of 2\n")
+
+    def test_negative_k_is_checked_before_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARAPRI_MAX_ATOMS", "2")
+        assert run(capsys, "prune", DATA / "tweety.thy", "--k", "-1")[0] == 2
 
 
 class TestEncodeAb:

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from helpers import ac_set
-from parapri import specificity
+from parapri import config
 from parapri.circumscription import circ_equivalent, preferred_models, skeptical_entails
-from parapri.config import DEFAULT_CAPS, Caps
 from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import Atom, parse_formula, to_text, truth_mask
 from parapri.generate import random_theory
@@ -42,10 +41,9 @@ class TestPruneRedundant:
         assert [d.label for d in report.dropped] == ["w1"]
         assert report.dropped[0].reason == TAUT_TRUE
 
-    def test_bare_formula_tuple_accepted(self):
-        report = prune_redundant((F("a | ~a"), F("a")), [], ("a",))
-        assert [str(f) for _, f in report.kept] == ["a"]
-        assert report.dropped[0].label == "w0"
+    def test_cap(self):
+        with pytest.raises(CapExceededError, match="^21 atoms exceeds the enumeration cap of 20$"):
+            prune_redundant(labeled(("w1", "x0")), [], tuple(f"x{k}" for k in range(21)))
 
     def test_contradiction_dropped(self):
         report = prune_redundant(labeled(("w1", "a & ~a"), ("w2", "a")), [], ("a",))
@@ -144,13 +142,13 @@ class TestPositiveCombinations:
         assert len(_positive_combinations(self.columns(3))) == 18
 
     def test_small_cap_refuses(self, monkeypatch):
-        monkeypatch.setattr(specificity, "DEFAULT_CAPS", Caps(combination_tables=8))
+        monkeypatch.setattr(config, "COMBINATION_TABLES", 8)
         with pytest.raises(CapExceededError, match="^positive-combination closure grew past 8 tables$"):
             _positive_combinations(self.columns(3))
 
     def test_default_cap(self):
         # five atoms have 7579 non-constant monotone functions
-        assert DEFAULT_CAPS.combination_tables == 4096
+        assert config.COMBINATION_TABLES == 4096
         with pytest.raises(CapExceededError, match="^positive-combination closure grew past 4096 tables$"):
             _positive_combinations(self.columns(5))
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ac_set, chain_theory, descending_naive
+from parapri import config
 from parapri.circumscription import preorder_equivalent
 from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import And, Atom, Or, parse_formula, truth_mask
@@ -203,10 +204,11 @@ class TestOutputSize:
         assert not output_size(chain_theory(5).priority).top_heavy
         assert output_size(chain_theory(12).priority).top_heavy
 
-    def test_materialization_guard(self):
+    def test_materialization_guard(self, monkeypatch):
         t = chain_theory(12)
+        monkeypatch.setattr(config, "TRANSFORM_FORMULAS", 1000)
         with pytest.raises(CapExceededError):
-            transform_canonical(t.defaults, t.priority, max_formulas=1000)
+            transform_canonical(t.defaults, t.priority)
         # size accounting itself never materializes
         assert output_size(t.priority).total == 2 ** 12 - 1
 
