@@ -19,7 +19,7 @@ from .circumscription import (
     preorder_equivalent,
     skeptical_entails,
 )
-from .config import atom_cap_from_env
+from .config import atom_cap_from_env, check_atoms
 from .errors import (
     CapExceededError,
     InternalError,
@@ -147,6 +147,7 @@ def cmd_models(args, max_atoms: int) -> int:
 
 def cmd_check_equiv(args, max_atoms: int) -> int:
     t = _load_theory(args.file)
+    check_atoms(t.universe, max_atoms)  # every route enumerates; refuse before the transform
     members = _members(t, args.all)
     if args.self_test_corrupt:
         members = [_corrupt(m) for m in members]

@@ -3,9 +3,8 @@
 Every enumeration in the package is capped; exceeding a cap raises
 CapExceededError instead of silently truncating. The atom cap of the 2^n
 interpretation enumerations is the one bound a user sets, through
-``PARAPRI_MAX_ATOMS``; the others are fixed. ``TRANSFORM_FORMULAS`` and
-``COMBINATION_TABLES`` are read as ``config.NAME`` at call time, so a test
-can lower them.
+``PARAPRI_MAX_ATOMS``; the others are fixed. ``TRANSFORM_FORMULAS`` is
+read as ``config.TRANSFORM_FORMULAS`` at call time, so a test can lower it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .errors import CapExceededError, ValidationError
 MODEL_ATOMS = 20  # 2^n interpretations enumerated for model sets and pre-orders
 TAUTOLOGY_ATOMS = 24  # 2^n rows for tautology / entailment checks
 TRANSFORM_FORMULAS = 1 << 20  # formulas the transform may emit
-COMBINATION_TABLES = 4096  # and/or closure of a pruning candidate's witnesses
 
 
 def check_atoms(universe: Sequence[str], max_atoms: int) -> None:

@@ -15,10 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
-from . import config
 from .circumscription import circ_equivalent, truth_masks
-from .config import MODEL_ATOMS
-from .errors import CapExceededError, InternalError, ValidationError
+from .config import MODEL_ATOMS, check_atoms
+from .errors import InternalError, ValidationError
 from .formula import Atom, Formula, Implies, Not, atoms as formula_atoms, iter_bits, parse_formula
 from .theory import (
     LabeledFormula,
@@ -52,32 +51,21 @@ class PruneReport:
     kept: tuple[LabeledFormula, ...]
     dropped: tuple[DropRecord, ...]
 
-    @property
-    def kept_formulas(self) -> tuple[Formula, ...]:
-        return tuple(f for _, f in self.kept)
 
-
-def _positive_combinations(masks: Sequence[int]) -> set[int]:
-    # Closure of the given truth tables under & and |; finite but can grow
-    # quickly, so give up loudly rather than stall.
-    max_tables = config.COMBINATION_TABLES
-    vals = set(masks)
-    while True:
-        fresh = set()
-        for a, b in itertools.combinations(vals, 2):
-            for c in (a & b, a | b):
-                if c not in vals:
-                    fresh.add(c)
-        if not fresh:
-            return vals
-        vals |= fresh
-        if len(vals) > max_tables:
-            raise CapExceededError(f"positive-combination closure grew past {max_tables} tables")
-
-
-def _scan_order(entries: list[tuple[str, Formula, tuple[int, int]]]) -> list[int]:
-    # Highest source block first, bit strings in descending value within it.
-    return sorted(range(len(entries)), key=lambda k: entries[k][2], reverse=True)
+def _positive_combination(fm: int, masks: Sequence[int], base_mask: int) -> bool:
+    # Whether some &/| combination c of the masks has c & base_mask == fm.
+    # Every such c contains the least combination true on fm's points: the
+    # union, over those points, of the masks' conjunction there. Exact
+    # unless fm is 0 or base_mask, where that least one may be a constant.
+    least, rest = 0, fm
+    while rest:
+        term = -1  # conjunction of the masks holding on rest's lowest point
+        for m in masks:
+            if m & rest & -rest:
+                term &= m
+        least |= term
+        rest &= ~term
+    return least & base_mask == fm
 
 
 def prune_redundant(
@@ -88,8 +76,7 @@ def prune_redundant(
     max_atoms: int = MODEL_ATOMS,
 ) -> PruneReport:
     """Iteratively drop redundant formulas from a parallel default set."""
-    if k < 0:
-        raise ValidationError(f"k must be non-negative, got {k}")
+    _check_k(k)
     if isinstance(w, TransformOutput):
         block_of: dict[str, int] = {}
         for p in w.provenance:
@@ -107,9 +94,12 @@ def prune_redundant(
 
     alive = set(range(len(entries)))
     drops: dict[int, DropRecord] = {}
-    for pos in _scan_order(entries):
+    # Highest source block first, bit strings in descending value within it.
+    for pos in sorted(range(len(entries)), key=lambda q: entries[q][2], reverse=True):
         label, f, _ = entries[pos]
         fm = masks[pos] & base_mask
+        # These two checks keep fm off 0 and base_mask, where
+        # _positive_combination is exact.
         if fm == base_mask:
             drops[pos] = DropRecord(label, f, TAUT_TRUE)
             alive.discard(pos)
@@ -122,8 +112,7 @@ def prune_redundant(
         found = None
         for subset_size in range(1, k + 1):
             for subset in itertools.combinations(others, subset_size):
-                combos = _positive_combinations([masks[q] for q in subset])
-                if any(c & base_mask == fm for c in combos):
+                if _positive_combination(fm, [masks[q] for q in subset], base_mask):
                     found = subset
                     break
             if found:
@@ -139,6 +128,11 @@ def prune_redundant(
     if not circ_equivalent(before, after, max_atoms=max_atoms):
         raise InternalError("pruning changed the preferred models")
     return PruneReport(kept=kept, dropped=dropped)
+
+
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise ValidationError(f"k must be non-negative, got {k}")
 
 
 def _parallel(universe: tuple[str, ...], base: Sequence[Formula], defaults: Sequence[LabeledFormula]) -> Theory:
@@ -325,5 +319,8 @@ def abnormality_variant_report() -> dict[str, dict[int, bool]]:
 
 def transformed_then_pruned(t: Theory, k: int = 2, max_atoms: int = MODEL_ATOMS) -> PruneReport:
     """Convenience pipeline used by the CLI: eliminate priorities, then prune."""
+    # Refuse before building a transform that pruning could not enumerate.
+    _check_k(k)
+    check_atoms(t.universe, max_atoms)
     out = transform_canonical(t.defaults, t.priority)
     return prune_redundant(out, t.base, t.universe, k=k, max_atoms=max_atoms)

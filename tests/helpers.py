@@ -206,6 +206,16 @@ def ac_set(formulas) -> frozenset[str]:
     return frozenset(ac_key(f) for f in formulas)
 
 
+def positive_closure_naive(masks: Iterable[int]) -> set[int]:
+    """Closure of truth masks under & and |: every &/| combination of them."""
+    vals = set(masks)
+    while True:
+        fresh = {c for a in vals for b in vals for c in (a & b, a | b)} - vals
+        if not fresh:
+            return vals
+        vals |= fresh
+
+
 def chain_theory(n: int) -> Theory:
     """n single-atom defaults totally ordered d1 > d2 > ... > dn."""
     defaults = [(f"d{k}", f"p{k}") for k in range(1, n + 1)]

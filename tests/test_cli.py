@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ac_set, run_python
+from parapri import config
 from parapri.cli import main
 from parapri.formula import parse_formula
 from parapri.theory import parse_theory
@@ -202,6 +203,13 @@ class TestPrune:
         monkeypatch.setenv("PARAPRI_MAX_ATOMS", "2")
         assert run(capsys, "prune", DATA / "tweety.thy", "--k", "-1")[0] == 2
 
+    def test_k5_on_six_parallel_atom_defaults(self, capsys, tmp_path):
+        # five atom witnesses have 7579 &/| combinations; none is listed
+        f = tmp_path / "six.thy"
+        f.write_text("".join(f"default d{k}: {a}\n" for k, a in enumerate("abcdef", start=1)))
+        code, out, err = run(capsys, "prune", f, "--k", "5")
+        assert (code, out.splitlines()[-1:], err) == (0, ["kept 6 of 6"], "")
+
 
 class TestEncodeAb:
     def test_emits_a_parseable_guarded_theory(self, capsys):
@@ -253,6 +261,13 @@ class TestErrorPaths:
         code, _, err = run(capsys, "models", DATA / "tweety.thy")
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize("command", ["prune", "check-equiv"])
+    def test_atom_cap_refuses_before_the_transform(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(config, "TRANSFORM_FORMULAS", 1)
+        monkeypatch.setenv("PARAPRI_MAX_ATOMS", "2")
+        code, out, err = run(capsys, command, DATA / "tweety.thy")
+        assert (code, out, err) == (3, "", "error: 3 atoms exceeds the enumeration cap of 2\n")
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("PARAPRI_MAX_ATOMS", "many")

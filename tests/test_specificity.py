@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import ac_set
-from parapri import config
+from helpers import ac_set, positive_closure_naive
 from parapri.circumscription import circ_equivalent, preferred_models, skeptical_entails
 from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import Atom, parse_formula, to_text, truth_mask
@@ -21,7 +22,7 @@ from parapri.specificity import (
     inheritance_parallel_theory,
     inheritance_rules,
     inheritance_theory,
-    _positive_combinations,
+    _positive_combination,
     prune_redundant,
     verify_special_case,
 )
@@ -139,18 +140,22 @@ class TestPositiveCombinations:
 
     def test_closure_of_three_atoms(self):
         # the monotone functions of three atoms, less the two constants
-        assert len(_positive_combinations(self.columns(3))) == 18
+        assert len(positive_closure_naive(self.columns(3))) == 18
 
-    def test_small_cap_refuses(self, monkeypatch):
-        monkeypatch.setattr(config, "COMBINATION_TABLES", 8)
-        with pytest.raises(CapExceededError, match="^positive-combination closure grew past 8 tables$"):
-            _positive_combinations(self.columns(3))
-
-    def test_default_cap(self):
-        # five atoms have 7579 non-constant monotone functions
-        assert config.COMBINATION_TABLES == 4096
-        with pytest.raises(CapExceededError, match="^positive-combination closure grew past 4096 tables$"):
-            _positive_combinations(self.columns(5))
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_the_closure(self, data):
+        full = (1 << (1 << data.draw(st.integers(1, 5), label="atoms"))) - 1
+        pool = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=4), label="pool")
+        masks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4), label="masks")
+        base = data.draw(st.integers(0, full), label="base")
+        closure = positive_closure_naive(masks)
+        if data.draw(st.booleans(), label="from closure"):
+            fm = data.draw(st.sampled_from(sorted(closure)), label="c") & base
+        else:
+            fm = data.draw(st.integers(0, full), label="fm") & base
+        assume(fm not in (0, base))
+        assert _positive_combination(fm, masks, base) == any(c & base == fm for c in closure)
 
 
 class TestInheritanceCases:
