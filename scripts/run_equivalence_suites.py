@@ -12,11 +12,15 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-from parapri.circumscription import circ_equivalent, preorder_equivalent
-from parapri.generate import random_theory
-from parapri.preorder import PreorderSpec
-from parapri.transform import parallel_theory, transform_all, transform_canonical
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # the package and its seeded generators
+
+from generate import random_theory  # noqa: E402
+from parapri.circumscription import circ_equivalent, preorder_equivalent  # noqa: E402
+from parapri.preorder import PreorderSpec  # noqa: E402
+from parapri.transform import parallel_theory, transform_all, transform_canonical  # noqa: E402
 
 
 def preorder_suite(count: int, seed: int) -> int:

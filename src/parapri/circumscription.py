@@ -11,11 +11,15 @@ only through its truth values on the defaults and fixtures, so domination
 is decided on a quotient: the models are split into cells, the non-empty
 sets of models that agree on every default and fixture (at most
 min(#models, 2^(defaults+fixtures)) of them), one streamed truth mask at a
-time. Packed pre-order rows compare the cells of a prioritized theory; a
-parallel one, such as the transform's output, needs only containment of
-cell profiles. The preferred models are the union of the undominated
-cells; ``preorder_equivalent`` compares both pre-orders on the joint cells
-of their defaults over the whole universe.
+time. Because the priority order is transitively closed, z <= z2 holds
+exactly when every maximal default on which the two differ holds at z2; so
+for two cells of one fixture class, which differ on some default, z <= z2
+already rules out z2 <= z. One loop therefore decides every order: a cell
+is preferred iff its packed pre-order row over the rest of its class is
+empty, and without priorities that row is the containment test of the
+parallel case. The preferred models are the union of the undominated
+cells; ``preorder_equivalent`` compares both pre-orders' rows on the joint
+cells of their defaults over the whole universe.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .config import MODEL_ATOMS, check_atoms
 from .errors import UniverseError
 from .formula import Formula, Interpretation, iter_bits, shared_nodes, truth_mask
 from .preorder import PreorderSpec
-from .theory import Theory
+from .theory import PriorityOrder, Theory
 
 
 @dataclass(frozen=True)
@@ -93,30 +97,32 @@ def models_of(base: Iterable[Formula], universe: Iterable[str]) -> list[Interpre
     return [Interpretation.from_index(names, z) for z in iter_bits(mask)]
 
 
-def _leq_row(
-    z: int,
-    default_masks: Sequence[int],
-    dom_positions: Sequence[Sequence[int]],
-    full: int,
-) -> int:
-    """Bitmask over z2 of: z is at most as preferred as z2 (indices of cells
-    or of interpretations alike, over the same packed default masks)."""
-    row = full
-    for i, ti in enumerate(default_masks):
-        if not (ti >> z) & 1:
-            continue
-        # z2 must satisfy default i unless some dominator changes truth value.
-        premise = full
-        for j in dom_positions[i]:
-            tj = default_masks[j]
-            premise &= tj if (tj >> z) & 1 else full ^ tj
-        row &= (full ^ premise) | ti
+def _leq_row(p: int, masks: Sequence[tuple[int, int]], doms: Sequence[Sequence[int]], row: int) -> int:
+    """The part of ``row`` at least as preferred as a point whose default
+    profile is ``p`` (bit i: default i holds there), where ``masks[i]`` is
+    the pair (~t, t) of default i's mask t over the same points.
+    Stops as soon as the row is empty."""
+    for i in iter_bits(p):
+        fails, holds = masks[i]
+        if not doms[i]:
+            row &= holds
+        else:
+            # Out go the points where i fails and every dominator of i keeps its
+            # value at p; narrowing them, not widening the rest, can stop early.
+            out = row & fails
+            for j in doms[i]:
+                if not out:
+                    break
+                out &= masks[j][p >> j & 1]
+            row ^= out
+        if not row:
+            break
     return row
 
 
-def _dominator_positions(spec: PreorderSpec) -> list[list[int]]:
-    # the spec's defaults are its priority labels, in the same order
-    return [list(iter_bits(a)) for a in spec.priority.above]
+def _dominator_positions(order: PriorityOrder) -> list[Sequence[int]]:
+    # the order's labels are the defaults, in the same order
+    return [list(iter_bits(a)) if a else () for a in order.above]
 
 
 def _quotient(base_mask: int, masks: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -148,53 +154,31 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return [int(table[width - 1 - i :: width] or "0", 2) for i in range(width)]
 
 
-def _parallel_preferred(cells: list[int], profiles: list[int], n: int) -> int:
-    """Union of the cells that no fixture-equivalent cell dominates by a
-    strictly larger set of the first ``n`` profile bits (the defaults). By
-    descending default count, each cell takes the cheaper of two equal tests:
-    its class's maximal profiles so far, or the AND of its defaults' columns."""
+def preferred_models(t: Theory, max_atoms: int = MODEL_ATOMS) -> PreferredModelSet:
+    """Base models not strictly dominated by any fixture-equivalent base model."""
+    n = len(t.defaults)
+    base_mask, masks = truth_masks(t.base, [f for _, f in t.defaults + t.fixtures], t.universe, max_atoms)
+    cells, profiles = _quotient(base_mask, masks)
     low = (1 << n) - 1
-    columns = _transpose([p & low for p in profiles], n)
+    columns = [(~m, m) for m in _transpose([p & low for p in profiles], n)]
     classes: defaultdict[int, int] = defaultdict(int)  # fixture profile -> mask of its cells
     for k, p in enumerate(profiles):
         classes[p >> n] |= 1 << k
-    tops: defaultdict[int, list[int]] = defaultdict(list)
+    doms = _dominator_positions(t.priority)
+    parallel = not any(t.priority.above)
+    tops: defaultdict[int, list[int]] = defaultdict(list)  # fixture profile -> preferred default profiles
     preferred = 0
+    # A cell is dominated iff its class holds another cell at least as
+    # preferred (module docstring). Without priorities, that is a superset of
+    # its defaults: the preferred ones come first, and a short list is cheaper.
     for k in sorted(range(len(cells)), key=lambda k: -(profiles[k] & low).bit_count()):
         d, maximal = profiles[k] & low, tops[profiles[k] >> n]
-        if len(maximal) <= d.bit_count():
+        if parallel and len(maximal) <= d.bit_count():
             dominated = any(m & d == d for m in maximal)
         else:
-            wider = classes[profiles[k] >> n] ^ 1 << k
-            for i in iter_bits(d):
-                wider &= columns[i]
-            dominated = wider != 0
+            dominated = _leq_row(d, columns, doms, classes[profiles[k] >> n] ^ 1 << k) != 0
         if not dominated:
             maximal.append(d)
-            preferred |= cells[k]
-    return preferred
-
-
-def preferred_models(t: Theory, max_atoms: int = MODEL_ATOMS) -> PreferredModelSet:
-    """Base models not strictly dominated by any fixture-equivalent base model."""
-    spec = PreorderSpec.of(t)
-    base_mask, masks = truth_masks(t.base, [f for _, f in spec.defaults + t.fixtures], t.universe, max_atoms)
-    cells, profiles = _quotient(base_mask, masks)
-    if not any(spec.priority.above):
-        return PreferredModelSet(t.universe, mask=_parallel_preferred(cells, profiles, len(spec.defaults)))
-    doms = _dominator_positions(spec)
-    quotient = _transpose(profiles, len(spec.defaults) + len(t.fixtures))
-    cell_masks, cell_fixtures = quotient[: len(spec.defaults)], quotient[len(spec.defaults):]
-    cells_full = (1 << len(cells)) - 1
-    rows = [_leq_row(k, cell_masks, doms, cells_full) for k in range(len(cells))]
-    below = _transpose(rows, len(cells))  # bit k2 of below[k]: k2 is at most as preferred as k
-    preferred = 0
-    for k, row in enumerate(rows):
-        # cells at least as preferred as k, fixture-equivalent to it, and not conversely
-        better = row & (cells_full ^ below[k])
-        for fm in cell_fixtures:
-            better &= fm if (fm >> k) & 1 else cells_full ^ fm
-        if not better:
             preferred |= cells[k]
     return PreferredModelSet(t.universe, mask=preferred)
 
@@ -237,16 +221,15 @@ def preorder_equivalent(
     max_atoms: int = MODEL_ATOMS,
 ) -> bool:
     """Whether two default pre-orders agree on every ordered interpretation pair."""
-    n1, n2 = len(s1.defaults), len(s2.defaults)
+    n1 = len(s1.defaults)
     masks = truth_masks((), [f for _, f in s1.defaults + s2.defaults], tuple(universe), max_atoms)
     cells, profiles = _quotient(*masks)
-    quotient = _transpose(profiles, n1 + n2)
-    cell_masks1, cell_masks2 = quotient[:n1], quotient[n1:]
-    doms1, doms2 = _dominator_positions(s1), _dominator_positions(s2)
-    cells_full = (1 << len(cells)) - 1
+    columns = [(~m, m) for m in _transpose(profiles, n1 + len(s2.defaults))]
+    masks1, masks2 = columns[:n1], columns[n1:]
+    doms1, doms2 = _dominator_positions(s1.priority), _dominator_positions(s2.priority)
+    low, full = (1 << n1) - 1, (1 << len(cells)) - 1
     return all(
-        _leq_row(k, cell_masks1, doms1, cells_full) == _leq_row(k, cell_masks2, doms2, cells_full)
-        for k in range(len(cells))
+        _leq_row(p & low, masks1, doms1, full) == _leq_row(p >> n1, masks2, doms2, full) for p in profiles
     )
 
 

@@ -35,18 +35,47 @@ T = TypeVar("T")
 
 
 class Formula:
-    """Immutable AST node; compared and hashed structurally."""
+    """Immutable AST node; compared and hashed structurally, with explicit
+    stacks, so depth is limited by memory as in every other walk."""
 
     def __str__(self) -> str:
         return to_text(self)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            f, g = todo.pop()
+            t = type(f)
+            if f is g:
+                continue
+            if t is not type(g):
+                return False
+            if t is Not:
+                todo.append((f.arg, g.arg))
+            elif t in _BINARY_OPS:
+                todo += ((f.right, g.right), (f.left, g.left))
+            elif t is Atom:
+                if f.name != g.name:
+                    return False
+            elif t is Const:
+                if f.value != g.value:
+                    return False
+            elif f != g:  # operands that are not formulas
+                return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(to_text(self))  # equal formulas print the same text
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Formula):
     value: bool
 
@@ -55,30 +84,30 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula

@@ -110,6 +110,9 @@ def prune_redundant(
             continue
         others = [q for q in sorted(alive) if q != pos]
         found = None
+        # The test is monotone in the masks: if all others fail, so does every subset.
+        if not _positive_combination(fm, [masks[q] for q in others], base_mask):
+            continue
         for subset_size in range(1, k + 1):
             for subset in itertools.combinations(others, subset_size):
                 if _positive_combination(fm, [masks[q] for q in subset], base_mask):

@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .formula import And, Atom, Formula, Iff, Implies, Not, Or
-from .lp import Clause, Program
-from .theory import LabeledFormula, PriorityOrder, Theory
+from parapri.formula import And, Atom, Formula, Iff, Implies, Not, Or
+from parapri.lp import Clause, Program
+from parapri.theory import LabeledFormula, PriorityOrder, Theory
 
 ATOM_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
 

@@ -223,9 +223,10 @@ def chain_theory(n: int) -> Theory:
     return build_theory(defaults=defaults, prefer=prefer)
 
 
-def run_python(*args, **env: str) -> subprocess.CompletedProcess:
+def run_python(*args, preexec_fn=None, **env: str) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a child process that imports parapri from this
-    checkout's ``src``; ``env`` entries are added to the environment."""
+    checkout's ``src``; ``env`` entries are added to the environment, and
+    ``preexec_fn`` runs in the child before it starts."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *map(str, args)],
@@ -233,4 +234,5 @@ def run_python(*args, **env: str) -> subprocess.CompletedProcess:
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
         timeout=300,
+        preexec_fn=preexec_fn,
     )

@@ -12,6 +12,7 @@ import random
 import time
 from pathlib import Path
 
+from generate import random_formula, random_theory, random_stratified_program
 from helpers import ac_set, chain_theory
 from parapri.circumscription import (
     circ_equivalent,
@@ -21,7 +22,6 @@ from parapri.circumscription import (
 )
 from parapri.cli import main
 from parapri.formula import is_tautology, parse_formula
-from parapri.generate import random_formula, random_theory, random_stratified_program
 from parapri.lp import encode_stratified, perfect_model
 from parapri.preorder import PreorderSpec
 from parapri.specificity import abnormality_variant_report, verify_special_case

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generate import random_theory
 from helpers import default_leq, evaluate, preferred_indices_naive
 from parapri.circumscription import (
     PreferredModelSet,
@@ -21,7 +22,6 @@ from parapri.circumscription import (
 )
 from parapri.errors import CapExceededError, UniverseError
 from parapri.formula import FALSE, TRUE, And, Atom, Iff, Implies, Interpretation, Not, Or, parse_formula
-from parapri.generate import random_theory
 from parapri.preorder import PreorderSpec
 from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory, parallel_order
 from parapri.transform import parallel_theory, transform_all, transform_canonical
@@ -102,7 +102,7 @@ class TestSkepticalEntails:
 
     def test_closed_under_conjunction(self):
         rng = random.Random(23)
-        from parapri.generate import random_formula
+        from generate import random_formula
 
         for _ in range(40):
             t = random_theory(rng)
@@ -203,7 +203,7 @@ class TestEquivalenceGuarantees:
 
     def test_equivalence_is_base_independent(self):
         rng = random.Random(107)
-        from parapri.generate import random_formula
+        from generate import random_formula
         from parapri.theory import Theory
 
         for _ in range(10):
@@ -319,10 +319,11 @@ def exactly(k, universe):
 
 @st.composite
 def parallel_theories(draw):
-    """Empty-priority theories with up to 12 defaults drawn from a small
-    pool, so formula objects repeat, as roots and as shared subtrees;
-    fixtures; now and then one default per atom and an "exactly k of n"
-    base, so that both tests of the containment kernel decide cells."""
+    """Theories with up to 12 defaults drawn from a small pool, so formula
+    objects repeat, as roots and as shared subtrees; fixtures; no priorities
+    half of the time, else a drawn order (chains, layered and general
+    orders); now and then one default per atom and an "exactly k of n" base,
+    so that both tests of the parallel case decide cells."""
     universe = ("a", "b", "c", "d", "e")[: draw(st.integers(1, 5))]
     fs = formulas_over(universe)
     pool = draw(st.lists(fs, min_size=1, max_size=4)) + [Atom(a) for a in universe]
@@ -338,19 +339,31 @@ def parallel_theories(draw):
         LabeledFormula(f"fx{k}", f) for k, f in enumerate(draw(st.lists(picks, max_size=2)))
     )
     labels = tuple(f"d{k}" for k in range(len(defaults)))
-    return Theory(
-        universe, tuple(base), tuple(map(LabeledFormula, labels, defaults)), parallel_order(labels), fixtures
-    )
+    order = draw(priorities(labels)) if draw(st.booleans()) else parallel_order(labels)
+    return Theory(universe, tuple(base), tuple(map(LabeledFormula, labels, defaults)), order, fixtures)
 
 
 class TestParallelKernel:
-    """The containment kernel, which decides theories without priorities,
-    against the per-interpretation naive oracle."""
+    """The domination loop against the per-interpretation naive oracle, on
+    many defaults under every kind of order, and the fact it rests on."""
 
     @given(parallel_theories())
     @settings(max_examples=200, deadline=None)
     def test_preferred_models(self, t):
         assert preferred_models(t).index_set == preferred_indices_naive(t)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_leq_between_distinct_profiles_is_strict(self, data):
+        # Two points that differ on some default are never equally
+        # preferred, so a cell is dominated iff another cell of its class
+        # is at least as preferred.
+        t = data.draw(theories())
+        spec = PreorderSpec.of(t)
+        zs = [Interpretation.from_index(t.universe, z) for z in range(2 ** len(t.universe))]
+        z, z2 = data.draw(st.sampled_from(zs)), data.draw(st.sampled_from(zs))
+        if any(evaluate(f, z) != evaluate(f, z2) for _, f in t.defaults):
+            assert not (default_leq(spec, z, z2) and default_leq(spec, z2, z))
 
     def test_fixture_classes_are_separate(self):
         # three incomparable cells where f holds, and where f fails one cell

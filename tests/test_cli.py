@@ -17,6 +17,11 @@ from parapri.cli import main
 from parapri.formula import parse_formula
 from parapri.theory import parse_theory
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -403,6 +408,25 @@ def test_large_order_is_classified_and_sized(capsys, contract_inputs):
     assert "classification: layered\n" in out
     assert f"size: {FORK_SIZE}\n" in out
     assert run(capsys, "transform", path, "--size-only")[:2] == (0, f"{FORK_SIZE}\n")
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_models_of_a_deep_chain_fits_in_400_mb(tmp_path):
+    # 16384 cells of 2 KB each; K x K bits of stored pre-order rows over
+    # them once peaked at 574 MB, and a 400 MB address space ended in exit 3.
+    f = tmp_path / "chain14.thy"
+    f.write_text(
+        "".join(f"default d{k}: p{k}\n" for k in range(1, 15))
+        + "".join(f"prefer d{k} > d{k + 1}\n" for k in range(1, 14))
+    )
+    limit = 400 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    r = run_python("-m", "parapri.cli", "models", f, preexec_fn=cap_address_space)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == " ".join(sorted(f"p{k}" for k in range(1, 15))) + "\n"
 
 
 THEORY_LINES = (

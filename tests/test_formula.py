@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import evaluate
 from parapri.errors import CapExceededError, ParseError, UniverseError
+from parapri.theory import LabeledFormula, Theory, parallel_order, parse_theory, print_theory
 from parapri.formula import (
     FALSE,
     TRUE,
@@ -260,6 +261,18 @@ class TestDeepFormulas:
         memo = shared_nodes(f, f)
         assert truth_mask(f, ("a", "b"), memo) == mask
         assert memo == {id(f): mask}
+
+    @pytest.mark.parametrize("name", DEEP_CASES)
+    def test_theory_round_trip_compares_and_hashes(self, name):
+        f = DEEP_CASES[name][0]()
+        t = Theory(("a", "b"), (), (LabeledFormula("d", f),), parallel_order(("d",)))
+        back = parse_theory(print_theory(t))
+        assert back == t
+        assert hash(back.defaults[0].formula) == hash(f)
+
+    def test_difference_at_the_bottom_is_found(self):
+        assert _nest(lambda f: And(f, B), A) != _nest(lambda f: And(f, B), B)
+        assert _nest(lambda f: Or(A, f), B) != _nest(lambda f: Or(A, f), A)
 
 
 @st.composite

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from generate import random_stratified_program
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.errors import NotStratifiedError, ParseError
-from parapri.generate import random_stratified_program
 from parapri.lp import Clause, Program, encode_stratified, parse_program, perfect_model, stratify
 from parapri.theory import classify_order
 from parapri.transform import parallel_theory, transform_canonical

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from generate import random_theory
 from helpers import default_leq, evaluate, fixture_equiv, strictly_better
 from parapri.circumscription import _dominator_positions, _leq_row, _quotient, _transpose
 from parapri.errors import UniverseError
 from parapri.formula import Interpretation, iter_bits, parse_formula, truth_mask
-from parapri.generate import random_theory
 from parapri.preorder import PreorderSpec
 from parapri.theory import build_theory
 
@@ -22,13 +22,13 @@ def quotient_rows(spec, universe):
     full = (1 << (1 << len(universe))) - 1
     masks = [truth_mask(f, universe) for _, f in spec.defaults]
     cells, profiles = _quotient(full, masks)
-    cell_masks = _transpose(profiles, len(masks))
+    cell_masks = [(~m, m) for m in _transpose(profiles, len(masks))]
     cells_full = (1 << len(cells)) - 1
-    doms = _dominator_positions(spec)
+    doms = _dominator_positions(spec.priority)
     rows = [0] * (1 << len(universe))
-    for k, cell in enumerate(cells):
+    for cell, p in zip(cells, profiles):
         lifted = 0
-        for k2 in iter_bits(_leq_row(k, cell_masks, doms, cells_full)):
+        for k2 in iter_bits(_leq_row(p, cell_masks, doms, cells_full)):
             lifted |= cells[k2]
         for z in iter_bits(cell):
             rows[z] = lifted

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from generate import random_theory
 from helpers import ac_set, positive_closure_naive
 from parapri.circumscription import circ_equivalent, preferred_models, skeptical_entails
 from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import Atom, parse_formula, to_text, truth_mask
-from parapri.generate import random_theory
 from parapri.specificity import (
     COMBINATION,
     TAUT_FALSE,

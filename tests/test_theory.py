@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generate import random_theory
 from helpers import classify_order_naive, preferred_indices_naive, transitive_closure_naive
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.errors import CycleError, ParseError, ValidationError
 from parapri.formula import Atom
-from parapri.generate import random_theory
 from parapri.theory import (
     LabeledFormula,
     PriorityOrder,

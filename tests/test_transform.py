@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generate import random_theory
 from helpers import ac_set, chain_theory, descending_naive
 from parapri import config
 from parapri.circumscription import preorder_equivalent
 from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import And, Atom, Or, parse_formula, truth_mask
-from parapri.generate import random_theory
 from parapri.preorder import PreorderSpec
 from parapri.theory import LabeledFormula, PriorityOrder, build_theory, parallel_order, print_theory, theory_to_json
 from parapri.transform import (
