@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -102,7 +103,9 @@ class PriorityOrder:
     them for cycles and keeps the order as ``above``: one int per label, in
     ``indices`` order, whose bit k is set when ``indices[k]`` is strictly
     higher. ``closure`` (the pairs) and ``dominators_map`` are label views
-    of it, built on first use.
+    of it, built on first use; ``dominators_map`` builds one immutable
+    frozenset per distinct mask and shares it among the labels with that
+    mask, such as all instances of one schema.
     """
 
     indices: tuple[str, ...]
@@ -116,12 +119,11 @@ class PriorityOrder:
         # Without edges (the parallel order of every transform) nothing is
         # higher, so no label positions are kept until ``position`` is read.
         position = dict(zip(self.indices, range(len(self.indices)))) if self.edges else {}
-        for a, b in self.edges:
-            for x in (a, b):
-                if x not in position:
-                    raise ValidationError(f"undeclared index {x!r} in priority order")
         pairs = ((position[a], position[b]) for a, b in self.edges)
-        object.__setattr__(self, "above", tuple(_order_masks(self.indices, pairs)))
+        try:  # _order_masks reads every pair before it looks for a cycle
+            object.__setattr__(self, "above", tuple(_order_masks(self.indices, pairs)))
+        except KeyError as e:
+            raise ValidationError(f"undeclared index {e.args[0]!r} in priority order") from None
         object.__setattr__(self, "_position", position)
 
     @cached_property
@@ -136,7 +138,8 @@ class PriorityOrder:
     @cached_property
     def dominators_map(self) -> dict[str, frozenset[str]]:
         names = self.indices
-        return {i: frozenset(names[j] for j in iter_bits(a)) for i, a in zip(names, self.above)}
+        sets = {a: frozenset(names[j] for j in iter_bits(a)) for a in set(self.above)}
+        return {i: sets[a] for i, a in zip(names, self.above)}
 
     def higher(self, j: str, i: str) -> bool:
         try:
@@ -207,9 +210,11 @@ class SchemaTheory:
             raise ValidationError("schemas present but the domain is empty")
         PriorityOrder(tuple(labels), self.edges)  # reject undeclared labels and cycles before grounding
         for s in self.schemas:
-            for p in s.params:
+            for k, p in enumerate(s.params):
                 if not VARIABLE_RE.fullmatch(p):
                     raise ValidationError(f"schema parameter {p!r} is not an uppercase identifier")
+                if p in s.params[:k]:
+                    raise ValidationError(f"schema {s.label!r} repeats parameter {p!r}")
             free = _schema_variables(s.formula) - set(s.params)
             if free:
                 raise ValidationError(f"schema {s.label!r} uses undeclared variables {sorted(free)}")
@@ -218,46 +223,48 @@ class SchemaTheory:
 _GROUND_ATOM_RE = re.compile(rf"({IDENT})\((.*)\)")
 
 
-def _schema_variables(f: Formula) -> set[str]:
-    out: set[str] = set()
-    for name in formula_atoms(f):
-        m = _GROUND_ATOM_RE.fullmatch(name)
-        parts = m.group(2).split(",") if m else [name]
-        out.update(p for p in parts if VARIABLE_RE.fullmatch(p))
-    return out
-
-
-def _substitute_atom(name: str, binding: dict[str, str]) -> str:
+def _atom_parts(name: str) -> tuple[str | None, list[str]]:
+    # An atom name's predicate and arguments; a bare name is its own argument.
     m = _GROUND_ATOM_RE.fullmatch(name)
-    if m:
-        args = [binding.get(p, p) for p in m.group(2).split(",")]
-        return f"{m.group(1)}({','.join(args)})"
-    return binding.get(name, name)
+    return (m.group(1), m.group(2).split(",")) if m else (None, [name])
 
 
-def _substitute(f: Formula, binding: dict[str, str]) -> Formula:
-    def leaf(g: Formula) -> Formula:
-        return Atom(_substitute_atom(g.name, binding)) if type(g) is Atom else g
+def _schema_variables(f: Formula) -> set[str]:
+    return {p for name in formula_atoms(f) for p in _atom_parts(name)[1] if VARIABLE_RE.fullmatch(p)}
 
-    return fold(f, leaf, lambda g, *args: type(g)(*args))
+
+def _template(name: str, params: tuple[str, ...]) -> str:
+    # ``str.format`` template of an atom name: parameter k becomes ``{k}``.
+    head, args = _atom_parts(name)
+    text = ",".join(f"{{{params.index(a)}}}" if a in params else a for a in args)
+    return f"{head}({text})" if head else text
 
 
 def ground(s: SchemaTheory) -> Theory:
     """Replace every schema by the collection of its instances.
 
     Instances of one schema are mutually unordered; a priority edge between
-    schema labels induces edges between all pairs of their instances.
+    schema labels induces edges between all pairs of their instances. Each
+    schema's atom names are parsed into templates once.
     """
     if s.schemas and not s.domain:
         raise ValidationError("cannot ground: empty domain with schemas present")
     instances: dict[str, list[str]] = {d.label: [d.label] for d in s.defaults}
     grounded: list[LabeledFormula] = list(s.defaults)
+    # Atom names in first-mention order; the instances share one Atom per name.
+    universe: dict[str, Atom | None] = dict.fromkeys(formula_atoms(*s.base, *(f for _, f in s.defaults)))
     for schema in s.schemas:
+        templates = {n: _template(n, schema.params) for n in formula_atoms(schema.formula)}
         labels: list[str] = []
         for combo in itertools.product(s.domain, repeat=len(schema.params)):
-            label = schema.label if not schema.params else f"{schema.label}[{','.join(combo)}]"
+            leaves: dict[str, Atom] = {}
+            for n, t in templates.items():
+                name = t.format(*combo)
+                leaves[n] = universe[name] = universe.get(name) or Atom(name)
+            label = f"{schema.label}[{','.join(combo)}]" if schema.params else schema.label
             labels.append(label)
-            grounded.append(LabeledFormula(label, _substitute(schema.formula, dict(zip(schema.params, combo)))))
+            f = fold(schema.formula, lambda g: leaves[g.name] if type(g) is Atom else g, lambda g, *a: type(g)(*a))
+            grounded.append(LabeledFormula(label, f))
         instances[schema.label] = labels
     lifted = frozenset(
         (ga, gb)
@@ -265,9 +272,8 @@ def ground(s: SchemaTheory) -> Theory:
         for ga in instances[a]
         for gb in instances[b]
     )
-    universe = formula_atoms(*s.base, *(f for _, f in (*grounded, *s.fixtures)))
     return Theory(
-        universe=universe,
+        universe=tuple(dict.fromkeys((*universe, *formula_atoms(*(f for _, f in s.fixtures))))),
         base=s.base,
         defaults=tuple(grounded),
         priority=PriorityOrder(tuple(lf.label for lf in grounded), lifted),
@@ -328,6 +334,9 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
                 for c in consts:
                     if not re.fullmatch(IDENT, c):
                         fail(f"bad domain constant {c!r}", lineno)
+                for c, n in Counter(consts).items():
+                    if n > 1:
+                        fail(f"duplicate domain constant {c!r}", lineno)
                 domain = tuple(consts)
             elif line.startswith("default "):
                 head, _, body = line[len("default "):].partition(":")
@@ -439,31 +448,37 @@ def theory_to_json(t: Theory) -> str:
 
 
 def classify_order(order: PriorityOrder) -> str:
-    """Shape of the priority order: parallel, chain/columnar, layered, general."""
+    """Shape of the priority order: parallel, chain/columnar, layered, general.
+
+    Labels with the same ``above`` mask (every instance of one schema) have
+    the same cover parents and level, so both are computed once per
+    distinct mask; only the level masks are built label by label.
+    """
     if order.is_empty:
         return "parallel"
     above = order.above
-    # The cover parents of i: labels above i that are above no other label above i.
-    covers = []
-    for a in above:
+    # The cover parents of a mask: labels in it that are above no other label in it.
+    covers = {}
+    for a in set(above):
         through = 0
         for j in iter_bits(a):
             through |= above[j]
-        covers.append(a & ~through)
+        covers[a] = a & ~through
     seen = shared = 0  # shared: labels that are a cover parent twice
-    for c in covers:
-        shared |= seen & c
+    for a, n in Counter(above).items():
+        c = covers[a]
+        shared |= c if n > 1 else seen & c
         seen |= c
-    if not shared and all(c & (c - 1) == 0 for c in covers):
+    if not shared and all(c & (c - 1) == 0 for c in covers.values()):
         return "chain/columnar"
-    # A label has fewer labels above it than any label below it, so
-    # levels are final when taken in that order.
-    level = [0] * len(above)
-    for i in sorted(range(len(above)), key=lambda k: above[k].bit_count()):
-        level[i] = max((level[j] + 1 for j in iter_bits(covers[i])), default=0)
-    lower = [0] * (max(level) + 2)  # lower[v]: the labels below level v
-    for i, v in enumerate(level):
-        lower[v + 1] |= 1 << i
+    # A mask has fewer bits than the mask of any label below it, so levels
+    # are final when taken in that order.
+    level: dict[int, int] = {}
+    for a in sorted(covers, key=int.bit_count):
+        level[a] = max((level[above[j]] + 1 for j in iter_bits(covers[a])), default=0)
+    lower = [0] * (max(level.values()) + 2)  # lower[v]: the labels below level v
+    for i, a in enumerate(above):
+        lower[level[a] + 1] |= 1 << i
     for v in range(1, len(lower)):
         lower[v] |= lower[v - 1]
-    return "layered" if all(a == lower[v] for a, v in zip(above, level)) else "general"
+    return "layered" if all(a == lower[v] for a, v in level.items()) else "general"

@@ -8,7 +8,9 @@ No library code calls them.
 
 from __future__ import annotations
 
+import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from typing import Iterable, Iterator
 from parapri.errors import CycleError, UniverseError
 from parapri.formula import And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
 from parapri.preorder import PreorderSpec
-from parapri.theory import PriorityOrder, Theory, build_theory
+from parapri.theory import PriorityOrder, SchemaTheory, Theory, build_theory
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -159,6 +161,57 @@ def classify_order_naive(order: PriorityOrder) -> str:
         if j != i
     )
     return "layered" if layered else "general"
+
+
+def _substitute_naive(f: Formula, binding: dict[str, str]) -> Formula:
+    """``f`` with every bound name replaced: an argument of ``p(...)``, or
+    a whole bare atom name."""
+    match f:
+        case Atom(name):
+            m = re.fullmatch(r"(\w+)\((.*)\)", name)
+            if m:
+                return Atom(f"{m.group(1)}({','.join(binding.get(p, p) for p in m.group(2).split(','))})")
+            return Atom(binding.get(name, name))
+        case Const():
+            return f
+        case Not(arg):
+            return Not(_substitute_naive(arg, binding))
+        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            return type(f)(_substitute_naive(l, binding), _substitute_naive(r, binding))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _mentions_naive(f: Formula) -> Iterator[str]:
+    match f:
+        case Atom(name):
+            yield name
+        case Not(arg):
+            yield from _mentions_naive(arg)
+        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            yield from _mentions_naive(l)
+            yield from _mentions_naive(r)
+
+
+def ground_naive(s: SchemaTheory) -> Theory:
+    """Grounding by recursive substitution of each instance's binding, with
+    edges lifted to every instance pair and the universe in first-mention
+    order by recursion."""
+    defaults = list(s.defaults)
+    instances = {d.label: [d.label] for d in s.defaults}
+    for schema in s.schemas:
+        instances[schema.label] = []
+        for combo in itertools.product(s.domain, repeat=len(schema.params)):
+            label = f"{schema.label}[{','.join(combo)}]" if schema.params else schema.label
+            instances[schema.label].append(label)
+            defaults.append((label, _substitute_naive(schema.formula, dict(zip(schema.params, combo)))))
+    formulas = [*s.base, *(f for _, f in defaults), *(f for _, f in s.fixtures)]
+    return build_theory(
+        atoms=tuple(dict.fromkeys(n for f in formulas for n in _mentions_naive(f))),
+        base=s.base,
+        defaults=defaults,
+        prefer=[(x, y) for a, b in s.edges for x in instances[a] for y in instances[b]],
+        fixtures=s.fixtures,
+    )
 
 
 def models_naive(base, universe) -> list[Interpretation]:

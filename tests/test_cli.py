@@ -183,6 +183,26 @@ class TestStats:
         assert code == 0
         assert "classification: layered" in out
 
+    def test_schema_levels(self, capsys):
+        code, out, _ = run(capsys, "stats", DATA / "schema_levels.thy")
+        assert code == 0
+        assert out == (
+            "defaults: 9\n"
+            "m[calm]: 0\n"
+            "m[near[a,a]]: 0\n"
+            "m[near[a,b]]: 0\n"
+            "m[near[b,a]]: 0\n"
+            "m[near[b,b]]: 0\n"
+            "m[pen[a]]: 4\n"
+            "m[pen[b]]: 4\n"
+            "m[fly[a]]: 7\n"
+            "m[fly[b]]: 7\n"
+            "max_m: 7\n"
+            "size: 293\n"
+            "top_heavy: no\n"
+            "classification: general\n"
+        )
+
     def test_parallel(self, capsys, tmp_path):
         f = tmp_path / "flat.thy"
         f.write_text("default a: p\n")
@@ -251,6 +271,18 @@ class TestErrorPaths:
         code, _, err = run(capsys, "models", DATA / "cyclic.thy")
         assert code == 2
         assert "cycle" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("domain: a b\nschema s[X,X]: p(X)\n", "error: schema 's' repeats parameter 'X'\n"),
+            ("domain: a b a\nschema s[X]: p(X)\n", "error: duplicate domain constant 'a' (line 1)\n"),
+        ],
+    )
+    def test_repeated_schema_names_are_exit_2(self, capsys, tmp_path, text, message):
+        f = tmp_path / "s.thy"
+        f.write_text(text)
+        assert run(capsys, "stats", f) == (2, "", message)
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "models", "no_such_file.thy")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generate import random_theory
-from helpers import classify_order_naive, preferred_indices_naive, transitive_closure_naive
+from helpers import classify_order_naive, ground_naive, preferred_indices_naive, transitive_closure_naive
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.errors import CycleError, ParseError, ValidationError
 from parapri.formula import Atom
@@ -84,6 +84,11 @@ class TestParseTheory:
     def test_explicit_universe_may_add_unmentioned_atoms(self):
         t = parse_theory("atoms: p q\ndefault a: p\n")
         assert t.universe == ("p", "q")
+
+    def test_duplicate_domain_constant_carries_line(self):
+        with pytest.raises(ParseError, match="duplicate domain constant 'a'") as e:
+            parse_theory("# constants\ndomain: a b a\n")
+        assert e.value.line == 2
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(ParseError) as e:
@@ -175,6 +180,10 @@ class TestGround:
         t = ground(parse_theory("domain: a\ndefault d0: s\nschema d[X]: p(X)\nprefer d0 > d\n"))
         assert t.default_labels == ("d0", "d[a]")
         assert t.priority.edges == {("d0", "d[a]")}
+
+    def test_repeated_parameter_rejected(self):
+        with pytest.raises(ValidationError, match="schema 's' repeats parameter 'X'"):
+            parse_theory("domain: a b\nschema s[X,X]: p(X)\n")
 
     def test_empty_domain_with_schema_rejected(self):
         with pytest.raises(ValidationError):
@@ -371,3 +380,72 @@ class TestOrderDifferential:
         for build in (lambda: transitive_closure(edges), lambda: PriorityOrder(("q", "z", "y", "a"), frozenset(edges))):
             with pytest.raises(CycleError, match="priority cycle through 'y'"):
                 build()
+
+
+def schema_formula_texts(params, domain):
+    """Formula text over atoms with constant arguments (``p(X,k0)``),
+    repeated variables (``q(X,X)``), bare variables and a propositional
+    atom, drawn from a small pool so that one atom often occurs twice,
+    under ``~``, ``->``, ``<->``, ``&`` and ``|``."""
+    terms = [*params, *domain[:2]]
+    atom = st.one_of(
+        st.tuples(st.sampled_from("pq"), st.lists(st.sampled_from(terms), min_size=1, max_size=3)).map(
+            lambda t: f"{t[0]}{len(t[1])}({','.join(t[1])})"
+        ),
+        st.sampled_from([*params, "r"]),
+    )
+    return st.lists(atom, min_size=1, max_size=3).flatmap(
+        lambda pool: st.recursive(
+            st.sampled_from(pool),
+            lambda sub: st.one_of(
+                sub.map(lambda f: f"~{f}"),
+                st.tuples(sub, st.sampled_from(["->", "<->", "&", "|"]), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            ),
+            max_leaves=6,
+        )
+    )
+
+
+@st.composite
+def grounding_texts(draw):
+    """Schema theories of up to three schemas of arity 0-2 over 1-3
+    constants, with a plain default, a base, a fixture and edges that
+    follow the order of the labels."""
+    domain = [f"k{j}" for j in range(draw(st.integers(1, 3)))]
+    lines = [f"domain: {' '.join(domain)}", "base: r | p1(k0)", "default d: ~r", "fix f: q1(k0)"]
+    labels = ["d"]
+    for k in range(draw(st.integers(1, 3))):
+        params = ["X", "Y"][: draw(st.integers(0, 2))]
+        lines.append(f"schema s{k}[{','.join(params)}]: {draw(schema_formula_texts(params, domain))}")
+        labels.append(f"s{k}")
+    pairs = st.tuples(st.integers(0, len(labels) - 1), st.integers(0, len(labels) - 1))
+    for a, b in draw(st.lists(pairs.filter(lambda p: p[0] < p[1]), max_size=4)):
+        lines.append(f"prefer {labels[a]} > {labels[b]}")
+    return "\n".join(lines) + "\n"
+
+
+class TestGroundDifferential:
+    """``ground`` against recursive substitution under ``match``."""
+
+    @given(grounding_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_defaults_universe_and_text(self, text):
+        s = parse_theory(text)
+        t, want = ground(s), ground_naive(s)
+        assert t.defaults == want.defaults
+        assert t.universe == want.universe
+        assert print_theory(t) == print_theory(want)
+        doms = t.priority.dominators_map
+        for schema in s.schemas:
+            first, *rest = [l for l in t.default_labels if l.split("[")[0] == schema.label]
+            assert all(doms[l] is doms[first] for l in rest)
+
+    def test_constant_and_repeated_arguments(self):
+        s = parse_theory("domain: a b\nschema s[X]: p(X,a) -> ~(q(X,X) <-> X)\n")
+        t = ground(s)
+        assert print_theory(t) == print_theory(ground_naive(s))
+        assert [str(f) for _, f in t.defaults] == [
+            "(p(a,a) -> ~(q(a,a) <-> a))",
+            "(p(b,a) -> ~(q(b,b) <-> b))",
+        ]
+        assert t.universe == ("p(a,a)", "q(a,a)", "a", "p(b,a)", "q(b,b)", "b")
