@@ -11,7 +11,8 @@ Theory file format (line oriented, ``#`` comments)::
     schema <label>[X,Y]: <formula>    variables are uppercase identifiers
 
 Priority is entered as covering edges; the transitive closure is computed
-and validated for acyclicity at load time.
+and validated for acyclicity at load time. A grounded order takes its
+closure from the schema-level one, one block of instances per schema.
 """
 
 from __future__ import annotations
@@ -102,10 +103,12 @@ class PriorityOrder:
     ``edges`` holds (higher, lower) pairs as entered. Construction checks
     them for cycles and keeps the order as ``above``: one int per label, in
     ``indices`` order, whose bit k is set when ``indices[k]`` is strictly
-    higher. ``closure`` (the pairs) and ``dominators_map`` are label views
-    of it, built on first use; ``dominators_map`` builds one immutable
-    frozenset per distinct mask and shares it among the labels with that
-    mask, such as all instances of one schema.
+    higher. ``ground`` builds its order with ``_closed`` instead, from
+    ``above`` masks it reads off the schema-level order, so the lifted
+    edges are not walked. ``closure`` (the pairs) and ``dominators_map``
+    are label views of ``above``, built on first use; ``dominators_map``
+    builds one immutable frozenset per distinct mask and shares it among
+    the labels with that mask, such as all instances of one schema.
     """
 
     indices: tuple[str, ...]
@@ -119,12 +122,23 @@ class PriorityOrder:
         # Without edges (the parallel order of every transform) nothing is
         # higher, so no label positions are kept until ``position`` is read.
         position = dict(zip(self.indices, range(len(self.indices)))) if self.edges else {}
+        object.__setattr__(self, "_position", position)
+        if hasattr(self, "above"):  # given by _closed
+            return
         pairs = ((position[a], position[b]) for a, b in self.edges)
         try:  # _order_masks reads every pair before it looks for a cycle
             object.__setattr__(self, "above", tuple(_order_masks(self.indices, pairs)))
         except KeyError as e:
             raise ValidationError(f"undeclared index {e.args[0]!r} in priority order") from None
-        object.__setattr__(self, "_position", position)
+
+    @classmethod
+    def _closed(cls, indices: tuple[str, ...], edges: frozenset[tuple[str, str]], above: tuple[int, ...]) -> PriorityOrder:
+        """The order whose closure the caller already holds as ``above``:
+        the labels are checked as by the constructor, the edges are not."""
+        order = cls.__new__(cls)
+        object.__setattr__(order, "above", above)
+        order.__init__(indices, edges)
+        return order
 
     @cached_property
     def position(self) -> dict[str, int]:
@@ -201,6 +215,8 @@ class SchemaTheory:
     schemas: tuple[Schema, ...]
     edges: frozenset[tuple[str, str]]
     fixtures: tuple[LabeledFormula, ...] = ()
+    # Over the default, then the schema labels: rejects undeclared labels and cycles before grounding.
+    order: PriorityOrder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = [d.label for d in self.defaults] + [s.label for s in self.schemas]
@@ -208,7 +224,7 @@ class SchemaTheory:
             raise ValidationError("duplicate default/schema label")
         if self.schemas and not self.domain:
             raise ValidationError("schemas present but the domain is empty")
-        PriorityOrder(tuple(labels), self.edges)  # reject undeclared labels and cycles before grounding
+        object.__setattr__(self, "order", PriorityOrder(tuple(labels), self.edges))
         for s in self.schemas:
             for k, p in enumerate(s.params):
                 if not VARIABLE_RE.fullmatch(p):
@@ -243,17 +259,20 @@ def _template(name: str, params: tuple[str, ...]) -> str:
 def ground(s: SchemaTheory) -> Theory:
     """Replace every schema by the collection of its instances.
 
-    Instances of one schema are mutually unordered; a priority edge between
-    schema labels induces edges between all pairs of their instances. Each
-    schema's atom names are parsed into templates once.
+    Each schema's atom names are parsed into templates once. Its instances
+    are mutually unordered and form one block of labels. A schema edge lifts
+    to all pairs of instances, so the closure of the lifted ``edges`` is
+    ``s.order``'s with each label widened to its block: one ``above`` mask
+    per schema, shared by its instances. A lifted cycle would project onto a
+    schema-level one, which ``s.order`` has rejected.
     """
-    if s.schemas and not s.domain:
-        raise ValidationError("cannot ground: empty domain with schemas present")
     instances: dict[str, list[str]] = {d.label: [d.label] for d in s.defaults}
     grounded: list[LabeledFormula] = list(s.defaults)
     # Atom names in first-mention order; the instances share one Atom per name.
     universe: dict[str, Atom | None] = dict.fromkeys(formula_atoms(*s.base, *(f for _, f in s.defaults)))
+    blocks = [1 << k for k in range(len(s.defaults))]  # blocks[k]: the grounded labels of s.order's label k
     for schema in s.schemas:
+        start = len(grounded)
         templates = {n: _template(n, schema.params) for n in formula_atoms(schema.formula)}
         labels: list[str] = []
         for combo in itertools.product(s.domain, repeat=len(schema.params)):
@@ -266,6 +285,10 @@ def ground(s: SchemaTheory) -> Theory:
             f = fold(schema.formula, lambda g: leaves[g.name] if type(g) is Atom else g, lambda g, *a: type(g)(*a))
             grounded.append(LabeledFormula(label, f))
         instances[schema.label] = labels
+        blocks.append((1 << len(grounded)) - (1 << start))
+    above: list[int] = []
+    for a, block in zip(s.order.above, blocks):  # the blocks are disjoint: their sum is their union
+        above += [sum(blocks[j] for j in iter_bits(a))] * block.bit_count()
     lifted = frozenset(
         (ga, gb)
         for a, b in s.edges
@@ -276,7 +299,7 @@ def ground(s: SchemaTheory) -> Theory:
         universe=tuple(dict.fromkeys((*universe, *formula_atoms(*(f for _, f in s.fixtures))))),
         base=s.base,
         defaults=tuple(grounded),
-        priority=PriorityOrder(tuple(lf.label for lf in grounded), lifted),
+        priority=PriorityOrder._closed(tuple(lf.label for lf in grounded), lifted, tuple(above)),
         fixtures=s.fixtures,
     )
 

@@ -15,7 +15,7 @@ from helpers import ac_set, run_python
 from parapri import config
 from parapri.cli import main
 from parapri.formula import parse_formula
-from parapri.theory import parse_theory
+from parapri.theory import ground, parse_theory, print_theory
 
 try:
     import resource
@@ -210,6 +210,31 @@ class TestStats:
         assert code == 0
         assert "classification: parallel" in out
 
+    @pytest.mark.parametrize(
+        "name, domain, shape",
+        [
+            ("schema_birds.thy", None, "layered"),
+            ("schema_levels.thy", None, "general"),
+            ("schema_levels.thy", "a b c2 c3 c4 c5 c6 c7", "general"),
+        ],
+    )
+    def test_grounded_order_matches_its_printed_form(self, capsys, tmp_path, name, domain, shape):
+        # ground takes its order from the schema-level closure; the printed
+        # form's prefer lines go through the ordinary pass over the edges.
+        text = (DATA / name).read_text()
+        if domain:
+            text = text.replace("domain: a b\n", f"domain: {domain}\n")
+        schema_file, printed = tmp_path / "schema.thy", tmp_path / "printed.thy"
+        schema_file.write_text(text)
+        grounded = ground(parse_theory(text))
+        printed.write_text(print_theory(grounded))
+        reparsed = parse_theory(printed.read_text())
+        assert reparsed == grounded
+        assert reparsed.priority.above == grounded.priority.above
+        code, out, err = run(capsys, "stats", schema_file)
+        assert (code, err) == (0, "") and out.endswith(f"classification: {shape}\n")
+        assert run(capsys, "stats", printed) == (code, out, err)
+
 
 class TestPrune:
     def test_report_lines(self, capsys):
@@ -277,6 +302,13 @@ class TestErrorPaths:
         [
             ("domain: a b\nschema s[X,X]: p(X)\n", "error: schema 's' repeats parameter 'X'\n"),
             ("domain: a b a\nschema s[X]: p(X)\n", "error: duplicate domain constant 'a' (line 1)\n"),
+            # the grounded labels collide: s[a] is both a default and an instance
+            ("domain: a b\ndefault s[a]: p(a)\nschema s[X]: q(X)\n", "error: duplicate label in priority order\n"),
+            (
+                "domain: a b\nschema s[X]: p(X)\nschema u[X]: q(X)\nprefer s > u\nprefer u > s\n",
+                "error: priority cycle through 's'\n",
+            ),
+            ("domain: a b\nschema s[X]: p(X)\nprefer s > u\n", "error: undeclared index 'u' in priority order\n"),
         ],
     )
     def test_repeated_schema_names_are_exit_2(self, capsys, tmp_path, text, message):

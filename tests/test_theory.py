@@ -326,7 +326,9 @@ def schema_texts(draw):
     return "\n".join(lines) + "\n", edges
 
 
-def check_order_against_oracles(labels, edges):
+def check_order_against_oracles(labels, edges, order=None):
+    """The order built from ``labels`` and ``edges`` (or ``order``, when
+    given, which must have them) against the fixpoint closure of ``edges``."""
     try:
         want = transitive_closure_naive(edges)
     except CycleError as e:
@@ -338,9 +340,13 @@ def check_order_against_oracles(labels, edges):
         assert str(got.value) == str(e)
         return
     assert transitive_closure(edges) == want
-    order = PriorityOrder(labels, frozenset(edges))
+    if order is None:
+        order = PriorityOrder(labels, frozenset(edges))
+    assert order.indices == tuple(labels) and order.edges == frozenset(edges)
+    assert order.position == {x: k for k, x in enumerate(labels)}
     assert order.closure == want
     doms = {i: frozenset(j for j, k in want if k == i) for i in labels}
+    assert order.above == tuple(sum(1 << order.position[j] for j in doms[i]) for i in labels)
     assert order.dominators_map == doms
     for j in labels:
         assert not order.higher(j, "unknown") and not order.higher("unknown", j)
@@ -372,7 +378,7 @@ class TestOrderDifferential:
             assert str(got.value) == str(e)
             return
         order = ground(parse_theory(text)).priority
-        check_order_against_oracles(order.indices, sorted(order.edges))
+        check_order_against_oracles(order.indices, sorted(order.edges), order)
 
     def test_cycle_names_the_least_label_on_a_cycle(self):
         # "a" sits below the cycle, not on it
@@ -435,6 +441,7 @@ class TestGroundDifferential:
         assert t.defaults == want.defaults
         assert t.universe == want.universe
         assert print_theory(t) == print_theory(want)
+        assert t.priority.above == want.priority.above
         doms = t.priority.dominators_map
         for schema in s.schemas:
             first, *rest = [l for l in t.default_labels if l.split("[")[0] == schema.label]
