@@ -7,16 +7,19 @@ which guarded-rule cancellation variants reproduce the original semantics.
 """
 
 import sys
+from pathlib import Path
 
-from parapri.formula import to_text
-from parapri.specificity import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from parapri.formula import to_text  # noqa: E402
+from parapri.specificity import (  # noqa: E402
     INHERITANCE_CASES,
     abnormality_variant_report,
     inheritance_theory,
     prune_redundant,
     verify_special_case,
 )
-from parapri.transform import transform_canonical
+from parapri.transform import transform_canonical  # noqa: E402
 
 
 def main() -> int:

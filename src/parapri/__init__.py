@@ -49,7 +49,6 @@ from .formula import (
 from .lp import Clause, Program, Stratification, encode_stratified, parse_program, perfect_model, stratify
 from .preorder import PreorderSpec
 from .specificity import (
-    GuardedRule,
     PruneReport,
     abnormality_variant_report,
     encode_abnormality,

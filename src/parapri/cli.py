@@ -26,12 +26,11 @@ from .errors import (
     ParapriError,
     ParseError,
     UniverseError,
-    ValidationError,
 )
-from .formula import Implies, Not, atoms as formula_atoms, iter_bits, parse_formula, shared_nodes, to_text
+from .formula import Not, atoms as formula_atoms, iter_bits, parse_formula, shared_nodes, to_text
 from .lp import encode_stratified, parse_program
 from .preorder import PreorderSpec
-from .specificity import GuardedRule, encode_abnormality, transformed_then_pruned
+from .specificity import AB_VARIANTS, encode_abnormality, transformed_then_pruned
 from .theory import SchemaTheory, Theory, classify_order, ground, parse_theory, print_theory
 from .transform import (
     TransformOutput,
@@ -195,14 +194,7 @@ def cmd_prune(args, max_atoms: int) -> int:
 
 
 def cmd_encode_ab(args, max_atoms: int) -> int:
-    t = _load_theory(args.file)
-    rules = []
-    for label, f in t.defaults:
-        if not isinstance(f, Implies):
-            raise ValidationError(f"default {label!r} is not an implication rule")
-        rules.append(GuardedRule(label, f.left, f.right))
-    encoded = encode_abnormality(rules, t.priority, variant=args.variant, base=t.base, universe=t.universe)
-    print(print_theory(encoded), end="")
+    print(print_theory(encode_abnormality(_load_theory(args.file), args.variant)), end="")
     return 0
 
 
@@ -256,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode-ab", help="guarded-rule parallel encoding of an implication-rule theory")
     p.add_argument("file")
-    p.add_argument("--variant", choices=("violation", "class", "class-positive"), default="violation")
+    p.add_argument("--variant", choices=AB_VARIANTS, default="violation")
     p.set_defaults(handler=cmd_encode_ab)
 
     p = sub.add_parser("encode-lp", help="encode a stratified logic program as a default theory")

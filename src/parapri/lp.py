@@ -88,11 +88,10 @@ def parse_program(text: str) -> Program:
 
 
 def _negative_cycle_witness(p: Program) -> tuple[str, ...]:
-    # dependency edge head -> body atom, flagged when through negation
-    deps: dict[str, set[str]] = {a: set() for a in p.atoms}
+    # dependency edges head -> body atom, kept in first-mention order
+    deps: dict[str, dict[str, None]] = {a: {} for a in p.atoms}
     for c in p.clauses:
-        deps[c.head].update(c.pos)
-        deps[c.head].update(c.neg)
+        deps[c.head].update(dict.fromkeys(c.pos + c.neg))
     for c in p.clauses:
         for target in c.neg:
             # path target ~> c.head closes a cycle through this negation
@@ -102,7 +101,7 @@ def _negative_cycle_witness(p: Program) -> tuple[str, ...]:
     return ()
 
 
-def _find_path(deps: dict[str, set[str]], start: str, goal: str) -> list[str] | None:
+def _find_path(deps: dict[str, dict[str, None]], start: str, goal: str) -> list[str] | None:
     parent: dict[str, str | None] = {start: None}
     queue = [start]
     while queue:

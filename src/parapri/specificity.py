@@ -1,5 +1,5 @@
-"""Inheritance-style specificity: pruning transformed default sets and the
-guarded-rule ("abnormality") parallel encoding.
+"""Inheritance-style specificity: pruning a transform's output and the
+guarded-rule ("abnormality") parallel encoding of a prioritized theory.
 
 A transformed formula can be dropped, relative to the base, when it is
 entailed by the base, inconsistent with the base, or base-equivalent to a
@@ -7,25 +7,23 @@ combination built with conjunction and disjunction only from at most k of
 the other surviving formulas. All three conditions preserve the preferred
 models of the parallel circumscription; the pruner re-checks that claim
 after the fact.
+
+The guarded encoding is the other front end: it takes the prioritized
+theory itself, fixtures included, and replaces its priorities by one
+abnormality atom per default and cancellation axioms in the base.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .circumscription import circ_equivalent, truth_masks
 from .config import MODEL_ATOMS, check_atoms
 from .errors import InternalError, ValidationError
-from .formula import Atom, Formula, Implies, Not, atoms as formula_atoms, iter_bits, parse_formula
-from .theory import (
-    LabeledFormula,
-    PriorityOrder,
-    Theory,
-    build_theory,
-    parallel_order,
-)
+from .formula import Atom, Formula, Implies, Not, iter_bits
+from .theory import LabeledFormula, Theory, build_theory, parallel_order
 from .transform import TransformOutput, transform_canonical
 
 TAUT_TRUE = "tautologically-true"
@@ -69,34 +67,26 @@ def _positive_combination(fm: int, masks: Sequence[int], base_mask: int) -> bool
 
 
 def prune_redundant(
-    w: Union[TransformOutput, Sequence[LabeledFormula]],
+    w: TransformOutput,
     base: Sequence[Formula],
     universe: Sequence[str],
     k: int = 2,
     max_atoms: int = MODEL_ATOMS,
 ) -> PruneReport:
-    """Iteratively drop redundant formulas from a parallel default set."""
+    """Iteratively drop redundant formulas from a transform's output."""
     _check_k(k)
-    if isinstance(w, TransformOutput):
-        block_of: dict[str, int] = {}
-        for p in w.provenance:
-            block_of.setdefault(p.source, len(block_of))
-        entries = [
-            (label, f, (block_of[p.source], int(p.bits, 2) if p.bits else 0))
-            for (label, f), p in zip(w.defaults, w.provenance)
-        ]
-    else:
-        entries = [(label, f, (pos, 0)) for pos, (label, f) in enumerate(w)]
+    block_of: dict[str, int] = {}
+    keys = [(block_of.setdefault(p.source, len(block_of)), int(p.bits or "0", 2)) for p in w.provenance]
 
     names = tuple(universe)
-    base_mask, masks = truth_masks(base, [f for _, f, _ in entries], names, max_atoms)
+    base_mask, masks = truth_masks(base, w.formulas, names, max_atoms)
     masks = list(masks)
 
-    alive = set(range(len(entries)))
+    alive = set(range(len(keys)))
     drops: dict[int, DropRecord] = {}
     # Highest source block first, bit strings in descending value within it.
-    for pos in sorted(range(len(entries)), key=lambda q: entries[q][2], reverse=True):
-        label, f, _ = entries[pos]
+    for pos in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+        label, f = w.defaults[pos]
         fm = masks[pos] & base_mask
         # These two checks keep fm off 0 and base_mask, where
         # _positive_combination is exact.
@@ -121,12 +111,12 @@ def prune_redundant(
             if found:
                 break
         if found:
-            drops[pos] = DropRecord(label, f, COMBINATION, tuple(entries[q][0] for q in found))
+            drops[pos] = DropRecord(label, f, COMBINATION, tuple(w.defaults[q].label for q in found))
             alive.discard(pos)
 
-    kept = tuple(LabeledFormula(label, f) for pos, (label, f, _) in enumerate(entries) if pos in alive)
+    kept = tuple(w.defaults[pos] for pos in sorted(alive))
     dropped = tuple(drops[pos] for pos in sorted(drops))
-    before = _parallel(names, base, [LabeledFormula(l, f) for l, f, _ in entries])
+    before = _parallel(names, base, w.defaults)
     after = _parallel(names, base, kept)
     if not circ_equivalent(before, after, max_atoms=max_atoms):
         raise InternalError("pruning changed the preferred models")
@@ -146,12 +136,6 @@ def _parallel(universe: tuple[str, ...], base: Sequence[Formula], defaults: Sequ
         priority=parallel_order(l for l, _ in defaults),
         fixtures=(),
     )
-
-
-class GuardedRule(NamedTuple):
-    label: str
-    condition: Formula
-    consequent: Formula
 
 
 class InheritanceCase(NamedTuple):
@@ -221,15 +205,6 @@ def inheritance_parallel_theory(case: int) -> Theory:
     return build_theory(atoms=c.universe, base=c.base, defaults=c.parallel_defaults)
 
 
-def inheritance_rules(case: int) -> list[GuardedRule]:
-    out = []
-    for label, text in INHERITANCE_CASES[case].defaults:
-        f = parse_formula(text)
-        assert isinstance(f, Implies)
-        out.append(GuardedRule(label, f.left, f.right))
-    return out
-
-
 def verify_special_case(case: int) -> bool:
     """Whether the prioritized scenario and its hand-listed parallel
     counterpart have the same preferred models."""
@@ -241,83 +216,60 @@ def verify_special_case(case: int) -> bool:
 AB_VARIANTS = ("violation", "class", "class-positive")
 
 
-def encode_abnormality(
-    rules: Sequence[GuardedRule],
-    priority: PriorityOrder,
-    variant: str = "violation",
-    base: Sequence[Formula] = (),
-    universe: Sequence[str] | None = None,
-) -> Theory:
-    """Guarded-rule parallel encoding of prioritized implication rules.
+def encode_abnormality(t: Theory, variant: str = "violation") -> Theory:
+    """Guarded-rule parallel encoding of a theory of prioritized implication rules.
 
-    Each rule c -> q gains a fresh atom ab_<label> and the for-sure guard
-    ~ab -> (c -> q). Every strict priority pair (j, i) contributes one
-    cancellation axiom; its shape depends on the variant:
+    Each default f = c -> q gains a fresh atom ab_<label>, the label's
+    brackets turned into parentheses (ab_e1(tweety) for e1[tweety]), and
+    the for-sure guard ~ab -> f. Every strict priority pair (j, i)
+    contributes one cancellation axiom; its shape depends on the variant:
 
-      violation       ~(c_j -> q_j) -> ab_i
+      violation       ~f_j -> ab_i
       class           ~c_j -> ab_i
       class-positive  c_j -> ab_i
 
-    The only defaults of the result are the ~ab atoms, in parallel.
+    The only defaults of the result are the ~ab atoms, in parallel, labeled
+    ab_<label>; the base and the fixtures of ``t`` carry over unchanged.
     """
     if variant not in AB_VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; choose from {AB_VARIANTS}")
-    if tuple(r.label for r in rules) != priority.indices:
-        raise ValidationError("rules and priority order disagree on labels")
+    for label, f in t.defaults:
+        if not isinstance(f, Implies):
+            raise ValidationError(f"default {label!r} is not an implication rule")
+    ab = [Atom("ab_" + label.replace("[", "(").replace("]", ")")) for label in t.default_labels]
+    declared = set(t.universe)
+    for a in ab:
+        if a.name in declared:
+            raise ValidationError(f"abnormality atom {a.name!r} clashes with an existing atom")
 
-    if universe is None:
-        universe = formula_atoms(*base, *(g for r in rules for g in (r.condition, r.consequent)))
-    names = tuple(universe)
+    base = [*t.base, *(Implies(Not(a), f) for a, (_, f) in zip(ab, t.defaults))]
+    for a, above in zip(ab, t.priority.above):
+        for j in iter_bits(above):
+            f = t.defaults[j].formula
+            trigger = Not(f) if variant == "violation" else Not(f.left) if variant == "class" else f.left
+            base.append(Implies(trigger, a))
 
-    ab_atoms = {}
-    for r in rules:
-        ab = f"ab_{r.label}"
-        if ab in names:
-            raise ValidationError(f"abnormality atom {ab!r} clashes with an existing atom")
-        ab_atoms[r.label] = ab
-
-    new_base = list(base)
-    for r in rules:
-        new_base.append(Implies(Not(Atom(ab_atoms[r.label])), Implies(r.condition, r.consequent)))
-    for i, above in zip(priority.indices, priority.above):
-        for k in iter_bits(above):
-            rj = rules[k]
-            if variant == "violation":
-                trigger: Formula = Not(Implies(rj.condition, rj.consequent))
-            elif variant == "class":
-                trigger = Not(rj.condition)
-            else:
-                trigger = rj.condition
-            new_base.append(Implies(trigger, Atom(ab_atoms[i])))
-
-    defaults = tuple(LabeledFormula(ab_atoms[r.label], Not(Atom(ab_atoms[r.label]))) for r in rules)
+    defaults = tuple(LabeledFormula(f"ab_{label}", Not(a)) for label, a in zip(t.default_labels, ab))
     return Theory(
-        universe=names + tuple(ab_atoms[r.label] for r in rules),
-        base=tuple(new_base),
+        universe=t.universe + tuple(a.name for a in ab),
+        base=tuple(base),
         defaults=defaults,
-        priority=parallel_order(d.label for d in defaults),
-        fixtures=(),
+        priority=parallel_order(l for l, _ in defaults),
+        fixtures=t.fixtures,
     )
 
 
 def abnormality_variant_report() -> dict[str, dict[int, bool]]:
     """For each cancellation variant: which built-in cases it reproduces,
     judged by projection equivalence on the original vocabulary."""
-    report: dict[str, dict[int, bool]] = {}
-    for variant in AB_VARIANTS:
-        per_case = {}
-        for case, c in INHERITANCE_CASES.items():
-            original = inheritance_theory(case)
-            encoded = encode_abnormality(
-                inheritance_rules(case),
-                original.priority,
-                variant=variant,
-                base=original.base,
-                universe=original.universe,
-            )
-            per_case[case] = circ_equivalent(original, encoded, project=c.universe)
-        report[variant] = per_case
-    return report
+    theories = {case: inheritance_theory(case) for case in INHERITANCE_CASES}
+    return {
+        variant: {
+            case: circ_equivalent(t, encode_abnormality(t, variant), project=t.universe)
+            for case, t in theories.items()
+        }
+        for variant in AB_VARIANTS
+    }
 
 
 def transformed_then_pruned(t: Theory, k: int = 2, max_atoms: int = MODEL_ATOMS) -> PruneReport:

@@ -114,22 +114,23 @@ class PriorityOrder:
     indices: tuple[str, ...]
     edges: frozenset[tuple[str, str]] = frozenset()
     above: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
             raise ValidationError("duplicate label in priority order")
-        # Without edges (the parallel order of every transform) nothing is
-        # higher, so no label positions are kept until ``position`` is read.
-        position = dict(zip(self.indices, range(len(self.indices)))) if self.edges else {}
-        object.__setattr__(self, "_position", position)
         if hasattr(self, "above"):  # given by _closed
             return
+        # Without edges (the parallel order of every transform) nothing is
+        # higher, so no label positions are built until ``position`` is read.
+        position = dict(zip(self.indices, range(len(self.indices)))) if self.edges else {}
+        if position:
+            object.__setattr__(self, "position", position)  # the cached property's value
         pairs = ((position[a], position[b]) for a, b in self.edges)
         try:  # _order_masks reads every pair before it looks for a cycle
             object.__setattr__(self, "above", tuple(_order_masks(self.indices, pairs)))
-        except KeyError as e:
-            raise ValidationError(f"undeclared index {e.args[0]!r} in priority order") from None
+        except KeyError:
+            undeclared = {x for e in self.edges for x in e}.difference(position)
+            raise ValidationError(f"undeclared index {min(undeclared)!r} in priority order") from None
 
     @classmethod
     def _closed(cls, indices: tuple[str, ...], edges: frozenset[tuple[str, str]], above: tuple[int, ...]) -> PriorityOrder:
@@ -143,7 +144,7 @@ class PriorityOrder:
     @cached_property
     def position(self) -> dict[str, int]:
         """Label -> its index in ``indices``."""
-        return self._position or dict(zip(self.indices, range(len(self.indices))))
+        return dict(zip(self.indices, range(len(self.indices))))
 
     @cached_property
     def closure(self) -> frozenset[tuple[str, str]]:
@@ -156,8 +157,9 @@ class PriorityOrder:
         return {i: sets[a] for i, a in zip(names, self.above)}
 
     def higher(self, j: str, i: str) -> bool:
+        position = self.position
         try:
-            return self.above[self._position[i]] >> self._position[j] & 1 == 1
+            return self.above[position[i]] >> position[j] & 1 == 1
         except KeyError:
             return False
 
@@ -474,34 +476,29 @@ def classify_order(order: PriorityOrder) -> str:
     """Shape of the priority order: parallel, chain/columnar, layered, general.
 
     Labels with the same ``above`` mask (every instance of one schema) have
-    the same cover parents and level, so both are computed once per
-    distinct mask; only the level masks are built label by label.
+    the same cover parents, so the work is done once per distinct mask. The
+    order is layered when its distinct masks form a chain, each one the
+    previous one together with the labels that have it.
     """
     if order.is_empty:
         return "parallel"
     above = order.above
+    members: dict[int, int] = {}  # mask -> the labels that have it
+    for i, a in enumerate(above):
+        members[a] = members.get(a, 0) | 1 << i
     # The cover parents of a mask: labels in it that are above no other label in it.
     covers = {}
-    for a in set(above):
+    for a in members:
         through = 0
         for j in iter_bits(a):
             through |= above[j]
         covers[a] = a & ~through
     seen = shared = 0  # shared: labels that are a cover parent twice
-    for a, n in Counter(above).items():
+    for a, m in members.items():
         c = covers[a]
-        shared |= c if n > 1 else seen & c
+        shared |= c if m & (m - 1) else seen & c
         seen |= c
     if not shared and all(c & (c - 1) == 0 for c in covers.values()):
         return "chain/columnar"
-    # A mask has fewer bits than the mask of any label below it, so levels
-    # are final when taken in that order.
-    level: dict[int, int] = {}
-    for a in sorted(covers, key=int.bit_count):
-        level[a] = max((level[above[j]] + 1 for j in iter_bits(covers[a])), default=0)
-    lower = [0] * (max(level.values()) + 2)  # lower[v]: the labels below level v
-    for i, a in enumerate(above):
-        lower[level[a] + 1] |= 1 << i
-    for v in range(1, len(lower)):
-        lower[v] |= lower[v - 1]
-    return "layered" if all(a == lower[v] for a, v in level.items()) else "general"
+    masks = sorted(members, key=int.bit_count)
+    return "layered" if all(b == a | members[a] for a, b in zip(masks, masks[1:])) else "general"

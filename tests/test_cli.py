@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import ac_set, run_python
 from parapri import config
+from parapri.circumscription import circ_equivalent
 from parapri.cli import main
 from parapri.formula import parse_formula
 from parapri.theory import ground, parse_theory, print_theory
@@ -270,6 +271,13 @@ class TestEncodeAb:
         assert t.priority.is_empty
         assert "ab_e1" in t.universe
 
+    def test_fixtures_carry_over(self, capsys):
+        t = parse_theory((DATA / "fixed_bird.thy").read_text())
+        code, out, _ = run(capsys, "encode-ab", DATA / "fixed_bird.thy")
+        assert code == 0
+        assert out.splitlines()[-1] == "fix f1: ostrich"
+        assert circ_equivalent(t, parse_theory(out), project=t.universe)
+
     def test_non_rule_default_rejected(self, capsys, tmp_path):
         f = tmp_path / "bad.thy"
         f.write_text("default d: p & q\n")
@@ -343,17 +351,35 @@ class TestErrorPaths:
         code, _, err = run(capsys, "models", DATA / "tweety.thy")
         assert code == 2
 
-    def test_cycle_error_is_independent_of_hash_seed(self):
-        # the cycle's nodes reach the closure through a frozenset of edges
-        runs = {
-            seed: run_python("-m", "parapri.cli", "stats", DATA / "cyclic.thy", PYTHONHASHSEED=seed)
-            for seed in ("0", "1", "2", "3")
-        }
-        first = runs["0"]
-        assert first.returncode == 2
-        assert first.stderr == "error: priority cycle through 'a'\n"
-        for r in runs.values():
-            assert (r.returncode, r.stdout, r.stderr) == (first.returncode, first.stdout, first.stderr)
+    @pytest.mark.parametrize(
+        "argv, text, stderr",
+        [
+            pytest.param(("stats",), None, "error: priority cycle through 'a'\n", id="cyclic"),
+            # the least undeclared label, not the first one of a frozenset
+            pytest.param(
+                ("stats",),
+                "default a: p\ndefault b: q\nprefer x > a\nprefer y > b\nprefer z > a\n",
+                "error: undeclared index 'x' in priority order\n",
+                id="undeclared",
+            ),
+            # the dependencies are searched in first-mention order
+            pytest.param(
+                ("encode-lp",),
+                "a :- not b.\nb :- c.\nb :- d.\nc :- a.\nd :- a.\n",
+                "error: program is not stratified (cycle through negation: b -> c -> a)\n",
+                id="negation",
+            ),
+        ],
+    )
+    def test_cycle_error_is_independent_of_hash_seed(self, tmp_path, argv, text, stderr):
+        # the labels and atoms reach these checks through sets and frozensets
+        f = DATA / "cyclic.thy"
+        if text is not None:
+            f = tmp_path / "input"
+            f.write_text(text)
+        for seed in ("0", "1", "2", "3"):
+            r = run_python("-m", "parapri.cli", *argv, f, PYTHONHASHSEED=seed)
+            assert (r.returncode, r.stdout, r.stderr) == (2, "", stderr), seed
 
 
 class TestDeterminism:

@@ -15,6 +15,18 @@ def test_equivalence_suites_pass():
         assert re.search(r"\b500 instances, .*\b0 failures,", line), line
 
 
+def test_specificity_report():
+    r = run_python(ROOT / "scripts" / "specificity_report.py")
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert lines.count("  equivalent to the listed parallel set: True") == 3
+    assert lines[-3:] == [
+        "  violation: passes [11, 12, 13]",
+        "  class: passes none",
+        "  class-positive: passes [11, 12, 13]",
+    ]
+
+
 def test_perfbench_smoke():
     # Tiny sizes of all four workloads; every answer is checked against the
     # benchmark's own semantics, and every checker must reject a corrupted one.

@@ -1,12 +1,13 @@
 """Redundancy pruning, the built-in inheritance cases, and the guarded encoding."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from generate import random_theory
+from generate import random_formula, random_theory
 from helpers import ac_set, positive_closure_naive
 from parapri.circumscription import circ_equivalent, preferred_models, skeptical_entails
 from parapri.errors import CapExceededError, ValidationError
@@ -15,25 +16,29 @@ from parapri.specificity import (
     COMBINATION,
     TAUT_FALSE,
     TAUT_TRUE,
-    GuardedRule,
+    AB_VARIANTS,
     INHERITANCE_CASES,
     abnormality_variant_report,
     encode_abnormality,
     inheritance_parallel_theory,
-    inheritance_rules,
     inheritance_theory,
     _positive_combination,
     prune_redundant,
     verify_special_case,
 )
-from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory, parallel_order
-from parapri.transform import transform_canonical
+from parapri.theory import LabeledFormula, Theory, build_theory, ground, parallel_order, parse_theory, print_theory
+from parapri.transform import Provenance, TransformOutput, transform_canonical
 
 F = parse_formula
+DATA = Path(__file__).parent / "data"
 
 
 def labeled(*pairs):
-    return tuple(LabeledFormula(l, F(f)) for l, f in pairs)
+    # Each pair is its own source block, so the pruner scans them last to first.
+    return TransformOutput(
+        tuple(LabeledFormula(l, F(f)) for l, f in pairs),
+        tuple(Provenance(l, (), "") for l, _ in pairs),
+    )
 
 
 class TestPruneRedundant:
@@ -195,10 +200,7 @@ class TestInheritanceCases:
 class TestEncodeAbnormality:
     def test_structure_of_the_violation_encoding(self):
         t = inheritance_theory(11)
-        enc = encode_abnormality(
-            inheritance_rules(11), t.priority, variant="violation",
-            base=t.base, universe=t.universe,
-        )
+        enc = encode_abnormality(t, variant="violation")
         base_texts = {to_text(f) for f in enc.base}
         assert "(~ab_e1 -> (bird -> flies))" in base_texts
         assert "(~ab_e2 -> (ostrich -> ~flies))" in base_texts
@@ -210,32 +212,28 @@ class TestEncodeAbnormality:
     def test_cancellation_axioms_follow_declaration_order(self):
         # one axiom per strict pair (j, i): lower rule i in declaration
         # order, then its higher rules j in declaration order
-        rules = [GuardedRule(f"r{k}", F(f"c{k}"), F(f"q{k}")) for k in range(5)]
-        order = PriorityOrder(
-            tuple(r.label for r in rules),
-            frozenset({("r3", "r1"), ("r1", "r0"), ("r4", "r0"), ("r2", "r4"), ("r3", "r2")}),
+        t = build_theory(
+            defaults=[(f"r{k}", f"c{k} -> q{k}") for k in range(5)],
+            prefer=[("r3", "r1"), ("r1", "r0"), ("r4", "r0"), ("r2", "r4"), ("r3", "r2")],
         )
-        enc = encode_abnormality(rules, order, variant="class-positive")
+        order = t.priority
+        enc = encode_abnormality(t, variant="class-positive")
         want = [
             f"({j.replace('r', 'c')} -> ab_{i})"
             for i in order.indices
             for j in order.indices
             if (j, i) in order.closure
         ]
-        assert [to_text(f) for f in enc.base[len(rules):]] == want
+        assert [to_text(f) for f in enc.base[len(t.defaults):]] == want
 
     def test_empty_priority_adds_no_cancellation(self):
-        rules = [GuardedRule("r1", F("p"), F("q"))]
-        enc = encode_abnormality(rules, parallel_order(("r1",)))
+        enc = encode_abnormality(build_theory(defaults=[("r1", "p -> q")]))
         assert len(enc.base) == 1
 
     def test_violation_variant_projects_onto_the_original(self):
         for case in (11, 12, 13):
             t = inheritance_theory(case)
-            enc = encode_abnormality(
-                inheritance_rules(case), t.priority, variant="violation",
-                base=t.base, universe=t.universe,
-            )
+            enc = encode_abnormality(t, variant="violation")
             assert circ_equivalent(t, enc, project=t.universe)
 
     def test_variant_report_shape(self):
@@ -247,11 +245,40 @@ class TestEncodeAbnormality:
         assert not any(report["class"].values())
 
     def test_ab_atom_clash_rejected(self):
-        rules = [GuardedRule("r1", F("p"), F("q"))]
+        t = build_theory(atoms=("p", "q", "ab_r1"), defaults=[("r1", "p -> q")])
         with pytest.raises(ValidationError):
-            encode_abnormality(rules, parallel_order(("r1",)), universe=("p", "q", "ab_r1"))
+            encode_abnormality(t)
 
     def test_unknown_variant_rejected(self):
-        rules = [GuardedRule("r1", F("p"), F("q"))]
         with pytest.raises(ValidationError):
-            encode_abnormality(rules, parallel_order(("r1",)), variant="bogus")
+            encode_abnormality(build_theory(defaults=[("r1", "p -> q")]), variant="bogus")
+
+    def test_non_rule_default_rejected(self):
+        t = build_theory(atoms=("p", "q", "ab_d"), defaults=[("d", "p & q")])
+        with pytest.raises(ValidationError, match="^default 'd' is not an implication rule$"):
+            encode_abnormality(t)
+
+    def test_schema_encoding_prints_loadable_atoms(self):
+        t = ground(parse_theory((DATA / "schema_birds.thy").read_text()))
+        enc = encode_abnormality(t)
+        assert "ab_e1(tweety)" in enc.universe
+        assert "ab_e1[tweety]" in enc.default_labels
+        parsed = parse_theory(print_theory(enc))
+        assert parsed == enc
+        assert circ_equivalent(t, parsed, project=t.universe)
+
+    def test_drawn_fixtures_keep_the_projected_models(self):
+        # Each variant that reproduces a case without fixtures also does
+        # under every fixture set.
+        report = abnormality_variant_report()
+        rng = random.Random(401)
+        for case in INHERITANCE_CASES:
+            t = inheritance_theory(case)
+            for _ in range(15):
+                count = rng.randint(1, 2)
+                fixtures = tuple(LabeledFormula(f"f{k}", random_formula(rng, t.universe)) for k in range(count))
+                fixed = Theory(t.universe, t.base, t.defaults, t.priority, fixtures)
+                for variant in AB_VARIANTS:
+                    if report[variant][case]:
+                        enc = encode_abnormality(fixed, variant)
+                        assert circ_equivalent(fixed, enc, project=t.universe), (case, variant, fixtures)
