@@ -14,11 +14,11 @@ Ground atoms such as ``flies(tweety)`` are opaque names; no term structure
 is modelled.
 
 The parser is one operator-precedence loop. A walk over a formula is
-``fold``, an explicit-stack post-order traversal (printing, substitution),
-``_walk_once`` over the distinct nodes (atoms, shared nodes), or the
-evaluation loop of ``truth_mask``, the hot path of the transform route,
-which keeps its own explicit stack. So nesting depth is limited by memory,
-not by the recursion limit.
+``fold``, an explicit-stack post-order traversal (substitution),
+``_walk_once`` over the distinct nodes (atoms, shared nodes), or one of
+the two hot loops of the transform route, printing in ``to_text`` and
+evaluation in ``truth_mask``, each with its own explicit stack. So nesting
+depth is limited by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,27 @@ T = TypeVar("T")
 
 class Formula:
     """Immutable AST node; compared and hashed structurally, with explicit
-    stacks, so depth is limited by memory as in every other walk."""
+    stacks, so depth is limited by memory as in every other walk.
+
+    Each node type keeps its fields in ``__slots__``; ``__init__`` fills them
+    through the slot descriptors, and assignment raises AttributeError.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -70,47 +90,57 @@ class Formula:
         return hash(to_text(self))  # equal formulas print the same text
 
 
-@dataclass(frozen=True, eq=False)
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
 
 
-@dataclass(frozen=True, eq=False)
 class Const(Formula):
-    value: bool
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: bool):
+        _set_value(self, value)
+
+
+class Not(Formula):
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Formula):
+        _set_arg(self, arg)
+
+
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+_set_name, _set_value, _set_arg = Atom.name.__set__, Const.value.__set__, Not.arg.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 TRUE = Const(True)
 FALSE = Const(False)
-
-
-@dataclass(frozen=True, eq=False)
-class Not(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True, eq=False)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, eq=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, eq=False)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, eq=False)
-class Iff(Formula):
-    left: Formula
-    right: Formula
 
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -225,18 +255,12 @@ _COMBINE = object()
 _PENDING = object()
 
 
-def fold(f: Formula, leaf: Callable[[Formula], T], node: Callable[..., T], memo: dict[int, T] | None = None) -> T:
+def fold(f: Formula, leaf: Callable[[Formula], T], node: Callable[..., T]) -> T:
     """Post-order fold over ``f`` with an explicit stack.
 
     ``leaf(g)`` gives the value of an Atom or Const; ``node(g, *values)``
     combines the values of the children of a Not or binary node, left
     before right. Leaves are visited left to right.
-
-    ``memo`` (from ``shared_nodes``) keeps the value of a node under its
-    ``id()``; a node whose value it holds is not walked again, so the folds
-    of several roots given one memo fold each shared subtree once. Ids are
-    valid only while their objects live: keep every root referenced while
-    the memo is in use.
     """
     values: list[T] = []
     todo: list = [f]
@@ -250,12 +274,8 @@ def fold(f: Formula, leaf: Callable[[Formula], T], node: Callable[..., T], memo:
             else:
                 right = values.pop()
                 values[-1] = node(g, values[-1], right)
-            if memo is not None and id(g) in memo:
-                memo[id(g)] = values[-1]
         elif t is Atom or t is Const:
             values.append(leaf(g))
-        elif memo is not None and memo.get(id(g), _PENDING) is not _PENDING:
-            values.append(memo[id(g)])
         elif t is Not:
             todo += (g, _COMBINE, g.arg)
         elif t in _BINARY_OPS:
@@ -265,21 +285,64 @@ def fold(f: Formula, leaf: Callable[[Formula], T], node: Callable[..., T], memo:
     return values[0]
 
 
-def _text_leaf(g: Formula) -> str:
-    if type(g) is Atom:
-        return g.name
-    return "true" if g.value else "false"
-
-
-def _text_node(g: Formula, left: str, right: str = "") -> str:
-    if type(g) is Not:
-        return "~" + left
-    return f"({left} {_BINARY_OPS[type(g)]} {right})"
-
-
 def to_text(f: Formula, memo: dict[int, str] | None = None) -> str:
-    """Fully parenthesized text form; ``parse_formula`` round-trips it."""
-    return fold(f, _text_leaf, _text_node, memo)
+    """Fully parenthesized text form; ``parse_formula`` round-trips it.
+
+    ``memo`` works as in ``truth_mask``, and so does the loop: a frame holds
+    the text of its left operand, and a literal left operand is printed on
+    the way down.
+    """
+    stack: list[tuple[Formula, str | object]] = []
+    g = f
+    while True:
+        # Down: print ``g``, pushing one frame per connective left to combine.
+        while True:
+            t = type(g)
+            if t is And or t is Or or t is Implies or t is Iff:
+                if memo and id(g) in memo and (v := memo[id(g)]) is not _PENDING:
+                    break
+                a = g.left
+                u = type(a)
+                if u is Atom:
+                    stack.append((g, a.name))
+                elif u is Not and type(a.arg) is Atom:
+                    stack.append((g, "~" + a.arg.name))
+                elif u is Const:
+                    stack.append((g, "true" if a.value else "false"))
+                else:
+                    stack.append((g, _PENDING))
+                    g = a
+                    continue
+                g = g.right
+            elif t is Atom:
+                v = g.name
+                break
+            elif t is Not:
+                if memo and id(g) in memo and (v := memo[id(g)]) is not _PENDING:
+                    break
+                stack.append((g, _PENDING))
+                g = g.arg
+            elif t is Const:
+                v = "true" if g.value else "false"
+                break
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+        # Up: ``v`` is the last operand of the top frame; combine it.
+        while stack:
+            g, left = stack.pop()
+            t = type(g)
+            if t is Not:
+                v = "~" + v
+            elif left is _PENDING:  # ``v`` is the left operand; go right
+                stack.append((g, v))
+                g = g.right
+                break
+            else:
+                v = f"({left} {_BINARY_OPS[t]} {v})"
+            if memo and id(g) in memo:
+                memo[id(g)] = v
+        else:
+            return v
 
 
 def _walk_once(roots: tuple[Formula, ...]) -> tuple[tuple[str, ...], dict[int, object]]:
@@ -310,8 +373,8 @@ def atoms(*formulas: Formula) -> tuple[str, ...]:
 
 
 def shared_nodes(*roots: Formula) -> dict[int, object]:
-    """An empty ``fold`` memo for ``roots`` that keeps the values of the
-    nodes they reach more than once, and of no other node."""
+    """An empty ``to_text`` or ``truth_mask`` memo for ``roots`` that keeps
+    the values of the nodes they reach more than once, and of no other node."""
     return _walk_once(roots)[1]
 
 
@@ -392,8 +455,10 @@ def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], int]:
 def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, int] | None = None) -> int:
     """Truth table of ``f`` packed into an int: bit i = value under index i.
 
-    ``memo`` (from ``shared_nodes``) works as in ``fold``: the masks of
-    several formulas given one memo evaluate each shared subtree once.
+    ``memo`` (from ``shared_nodes``) keeps the value of a node under its
+    ``id()``, so the masks of several formulas given one memo evaluate each
+    shared subtree once. Ids are valid only while their objects live: keep
+    every root referenced while the memo is in use.
 
     Its own explicit-stack loop rather than ``fold``: a frame is a
     connective with the value of its left operand, or ``_PENDING`` while

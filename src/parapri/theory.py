@@ -174,6 +174,12 @@ def parallel_order(labels: Iterable[str]) -> PriorityOrder:
 
 @dataclass(frozen=True)
 class Theory:
+    """Construction checks the labels, the universe for duplicates, and
+    every formula's atoms against the universe. ``_known_atoms`` skips that
+    atom walk where the universe holds them by construction: in
+    ``parallel_theory``, ``ground``, and ``parse_theory`` and
+    ``build_theory`` when no universe is given."""
+
     universe: tuple[str, ...]
     base: tuple[Formula, ...]
     defaults: tuple[LabeledFormula, ...]
@@ -191,10 +197,20 @@ class Theory:
             raise ValidationError("priority indices do not match default labels")
         if len(set(self.universe)) != len(self.universe):
             raise ValidationError("duplicate atom in universe")
+        if self.__dict__.pop("_atoms_known", False):  # set by _known_atoms
+            return
         declared = set(self.universe)
         for a in formula_atoms(*self.base, *(f for _, f in (*self.defaults, *self.fixtures))):
             if a not in declared:
                 raise ValidationError(f"atom {a!r} not in declared universe")
+
+    @classmethod
+    def _known_atoms(cls, universe, base, defaults, priority, fixtures=()) -> Theory:
+        """Checked as by the constructor, but without the atom walk."""
+        theory = cls.__new__(cls)
+        theory.__dict__["_atoms_known"] = True
+        theory.__init__(universe, base, defaults, priority, fixtures)
+        return theory
 
     @property
     def default_labels(self) -> tuple[str, ...]:
@@ -297,7 +313,7 @@ def ground(s: SchemaTheory) -> Theory:
         for ga in instances[a]
         for gb in instances[b]
     )
-    return Theory(
+    return Theory._known_atoms(
         universe=tuple(dict.fromkeys((*universe, *formula_atoms(*(f for _, f in s.fixtures))))),
         base=s.base,
         defaults=tuple(grounded),
@@ -405,10 +421,10 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
             edges=frozenset(edges),
             fixtures=tuple(fixtures),
         )
-    universe = explicit_atoms
+    universe, make = explicit_atoms, Theory
     if universe is None:
-        universe = formula_atoms(*base, *(f for _, f in (*defaults, *fixtures)))
-    return Theory(
+        universe, make = formula_atoms(*base, *(f for _, f in (*defaults, *fixtures))), Theory._known_atoms
+    return make(
         universe=universe,
         base=tuple(base),
         defaults=tuple(defaults),
@@ -433,9 +449,10 @@ def build_theory(
     base_f = tuple(conv(f) for f in base)
     defaults_f = tuple(LabeledFormula(l, conv(f)) for l, f in defaults)
     fixtures_f = tuple(LabeledFormula(l, conv(f)) for l, f in fixtures)
+    make = Theory
     if atoms is None:
-        atoms = formula_atoms(*base_f, *(f for _, f in (*defaults_f, *fixtures_f)))
-    return Theory(
+        atoms, make = formula_atoms(*base_f, *(f for _, f in (*defaults_f, *fixtures_f))), Theory._known_atoms
+    return make(
         universe=tuple(atoms),
         base=base_f,
         defaults=defaults_f,

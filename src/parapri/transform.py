@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import config
 from .errors import CapExceededError, ValidationError
@@ -28,8 +28,7 @@ from .theory import LabeledFormula, PriorityOrder, Theory, parallel_order
 TOP_HEAVY_THRESHOLD = 10
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     source: str
     sigma: tuple[str, ...]
     bits: str
@@ -200,14 +199,11 @@ def _check_alignment(defaults: Sequence[LabeledFormula], order: PriorityOrder) -
 
 
 def parallel_theory(t: Theory, out: TransformOutput) -> Theory:
-    """The input theory with its defaults replaced by the parallel output."""
-    return Theory(
-        universe=t.universe,
-        base=t.base,
-        defaults=out.defaults,
-        priority=parallel_order(l for l, _ in out.defaults),
-        fixtures=t.fixtures,
-    )
+    """The input theory with its defaults replaced by the parallel output.
+
+    ``out`` must be a transform of ``t``'s own defaults: its atoms are then
+    ``t``'s, and are not checked again."""
+    return Theory._known_atoms(t.universe, t.base, out.defaults, parallel_order(l for l, _ in out.defaults), t.fixtures)
 
 
 def transform_theory(t: Theory) -> Theory:

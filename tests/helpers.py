@@ -44,6 +44,23 @@ def evaluate(f: Formula, z: Interpretation) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+
+
+def text_naive(f: Formula) -> str:
+    """Fully parenthesized text of ``f``, by recursion; for formulas of
+    hypothesis size, not for deep ones."""
+    match f:
+        case Atom(name):
+            return name
+        case Const(value):
+            return "true" if value else "false"
+        case Not(arg):
+            return "~" + text_naive(arg)
+        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            return f"({text_naive(l)} {_OPS[type(f)]} {text_naive(r)})"
+    raise TypeError(f"not a formula: {f!r}")
+
 
 def _check_universes(z: Interpretation, z2: Interpretation) -> None:
     if z.universe != z2.universe:

@@ -1,10 +1,12 @@
 """Formula parsing, printing, evaluation, and the brute-force checks."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import evaluate
+from helpers import ac_key, evaluate, text_naive
 from parapri.errors import CapExceededError, ParseError, UniverseError
 from parapri.theory import LabeledFormula, Theory, parallel_order, parse_theory, print_theory
 from parapri.formula import (
@@ -12,6 +14,7 @@ from parapri.formula import (
     TRUE,
     And,
     Atom,
+    Const,
     Iff,
     Implies,
     Interpretation,
@@ -28,6 +31,7 @@ from parapri.formula import (
 )
 
 F = parse_formula
+A, B = Atom("a"), Atom("b")
 
 
 def formulas(atom_names=("a", "b", "c")):
@@ -43,6 +47,43 @@ def formulas(atom_names=("a", "b", "c")):
         ),
         max_leaves=16,
     )
+
+
+class TestNodes:
+    NODES = [Atom("a"), Const(False), Not(Atom("a")), And(A, B), Or(A, B), Implies(A, B), Iff(A, B)]
+
+    @pytest.mark.parametrize("g", NODES, ids=lambda g: type(g).__name__)
+    def test_slots_only_and_read_only(self, g):
+        assert not hasattr(g, "__dict__")
+        before = repr(g)
+        for name in g.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(g, name, TRUE)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        with pytest.raises(AttributeError):
+            g.extra = 1
+        assert repr(g) == before
+
+    def test_match_binds_positional_subpatterns(self):
+        match Implies(And(Not(Atom("p")), TRUE), Iff(B, FALSE)):
+            case Implies(And(Not(Atom(name)), Const(value)), Iff(Atom(other), right)):
+                assert (name, value, other, right) == ("p", True, "b", FALSE)
+            case _:
+                pytest.fail("no match")
+        assert ac_key(F("(b | a) & ~(c <-> d)")) == ac_key(F("~(d <-> c) & (a | b)"))
+
+    def test_repr_keyword_form(self):
+        assert repr(Implies(Atom("a"), Not(Const(False)))) == (
+            "Implies(left=Atom(name='a'), right=Not(arg=Const(value=False)))"
+        )
+
+    @given(formulas())
+    @settings(max_examples=150)
+    def test_equal_nodes_hash_equal(self, f):
+        for g in (parse_formula(to_text(f)), pickle.loads(pickle.dumps(f))):
+            assert g == f and hash(g) == hash(f)
+            assert {f: 1}[g] == 1
 
 
 class TestParser:
@@ -125,7 +166,7 @@ class TestSharedWalks:
         # Every node below the top is reached twice, so the memo keeps all 200.
         memo = shared_nodes(g)
         assert len(memo) == 200
-        assert fold(g, lambda leaf: 1, lambda node, *sizes: sum(sizes), memo) == 2 ** 201
+        assert truth_mask(g, ("a", "b"), memo) == 0b1011  # a | ~b, from 2^201 leaf occurrences
 
 
 class TestEvaluate:
@@ -215,7 +256,6 @@ class TestInterpretation:
 
 
 DEEP = 10_000
-A, B = Atom("a"), Atom("b")
 
 
 def _nest(step, start):
@@ -317,5 +357,33 @@ class TestTruthMask:
 
     @pytest.mark.parametrize("f", [And(A, 3), And(3, A), Not(None), Iff(Not(A), Not("a"))])
     def test_not_a_formula(self, f):
-        with pytest.raises(TypeError, match="^not a formula: "):
-            truth_mask(f, ("a", "b"))
+        for walk in (lambda g: truth_mask(g, ("a", "b")), to_text):
+            with pytest.raises(TypeError, match="^not a formula: "):
+                walk(f)
+
+
+LITERALS = [A, B, TRUE, FALSE, Not(A), Not(TRUE), Not(FALSE)]
+
+
+@st.composite
+def spines(draw):
+    """Right-nested chains of every connective over drawn tails, with
+    literal (atom, constant, negated atom or constant) or compound left
+    operands: the shape of transform outputs and of ``->`` chains."""
+    f = draw(formulas())
+    ops = st.sampled_from([And, Or, Implies, Iff])
+    for op, left in draw(st.lists(st.tuples(ops, st.one_of(st.sampled_from(LITERALS), formulas())), max_size=8)):
+        f = op(left, f)
+    return f
+
+
+class TestToText:
+    @given(st.one_of(shared_roots(), st.lists(spines(), min_size=1, max_size=4)))
+    @settings(max_examples=300)
+    def test_matches_recursive_printer(self, fs):
+        roots = fs + [Implies(f, Iff(g, f)) for f, g in zip(fs, reversed(fs))]
+        want = [text_naive(f) for f in roots]
+        assert [to_text(f) for f in roots] == want
+        memo = shared_nodes(*roots)
+        assert [to_text(f, memo) for f in roots] == want
+        assert [to_text(f, memo) for f in roots] == want  # now read from the memo

@@ -1,6 +1,7 @@
 """Theory files, priority orders, grounding, and the fixture reduction."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from parapri.theory import (
     theory_to_json,
     transitive_closure,
 )
-from parapri.transform import output_size
+from parapri.transform import output_size, transform_theory
 
 TWEETY = """\
 # two defaults, the specific one wins
@@ -456,3 +457,56 @@ class TestGroundDifferential:
             "(p(b,a) -> ~(q(b,b) <-> b))",
         ]
         assert t.universe == ("p(a,a)", "q(a,a)", "a", "p(b,a)", "q(b,b)", "b")
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def assert_checked_constructor_agrees(x: Theory) -> None:
+    """``x`` and its transform, rebuilt by the constructor that walks every
+    formula's atoms, are accepted and equal."""
+    for t in (x, transform_theory(x)):
+        assert Theory(t.universe, t.base, t.defaults, t.priority, t.fixtures) == t
+
+
+class TestKnownAtoms:
+    """``parallel_theory``, ``ground``, and ``parse_theory`` and
+    ``build_theory`` without a universe skip the atom walk: they must build
+    only what the checked constructor accepts."""
+
+    # cyclic.thy is rejected before any Theory is built.
+    @pytest.mark.parametrize("path", sorted(set(DATA.glob("*.thy")) - {DATA / "cyclic.thy"}), ids=lambda p: p.name)
+    def test_data_files(self, path):
+        x = parse_theory(path.read_text())
+        assert_checked_constructor_agrees(ground(x) if isinstance(x, SchemaTheory) else x)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_theories_without_a_universe(self, rng):
+        t = random_theory(rng, fixture_prob=0.5)
+        text = print_theory(t).split("\n", 1)[1]  # no atoms: line
+        built = build_theory(base=t.base, defaults=t.defaults, prefer=t.priority.edges, fixtures=t.fixtures)
+        assert parse_theory(text) == built
+        assert_checked_constructor_agrees(built)
+
+    @given(grounding_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_grounded_theories(self, text):
+        assert_checked_constructor_agrees(ground(parse_theory(text)))
+
+    def test_empty_atoms_line_is_still_checked(self):
+        with pytest.raises(ValidationError, match="^atom 'q' not in declared universe$"):
+            parse_theory("atoms:\ndefault a: q\n")
+        with pytest.raises(ValidationError, match="^atom 'q' not in declared universe$"):
+            build_theory(atoms=(), defaults=[("a", "q")])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["default d: p\nfix f: p\nfix f: q\n", "domain: a\nschema s[X]: p(X)\nfix f: p(a)\nfix f: q\n"],
+        ids=["plain", "schema"],
+    )
+    def test_duplicate_fixture_label(self, text):
+        with pytest.raises(ValidationError, match="^duplicate fixture label$"):
+            x = parse_theory(text)
+            if isinstance(x, SchemaTheory):
+                ground(x)
