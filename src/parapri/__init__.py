@@ -68,7 +68,6 @@ from .theory import (
     parallel_order,
     parse_theory,
     print_theory,
-    theory_to_json,
     transitive_closure,
 )
 from .transform import (

@@ -11,19 +11,20 @@ Theory file format (line oriented, ``#`` comments)::
     schema <label>[X,Y]: <formula>    variables are uppercase identifiers
 
 Priority is entered as covering edges; the transitive closure is computed
-and validated for acyclicity at load time. A grounded order takes its
-closure from the schema-level one, one block of instances per schema.
+and validated for acyclicity at load time, and only the closure is kept:
+``print_theory`` writes one ``prefer`` line per closure pair. A grounded
+order takes its closure from the schema-level one, one block of instances
+per schema.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Collection, Iterable, NamedTuple, Sequence, Union
 
 from .errors import CycleError, ParseError, ValidationError
 from .formula import (
@@ -83,63 +84,55 @@ def _order_masks(names: Sequence[str], edges: Iterable[tuple[int, int]]) -> list
     return above
 
 
-def _pairs(names: Sequence[str], above: Sequence[int]) -> frozenset[tuple[str, str]]:
-    return frozenset((names[j], names[i]) for i, a in enumerate(above) for j in iter_bits(a))
-
-
 def transitive_closure(edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     """Smallest transitive superset of ``edges``; raises CycleError if it
     would contain a reflexive pair, naming the least label on a cycle."""
     edges = list(edges)
-    names = list(dict.fromkeys(x for e in edges for x in e))
-    position = {x: k for k, x in enumerate(names)}
-    return _pairs(names, _order_masks(names, ((position[a], position[b]) for a, b in edges)))
+    return PriorityOrder(tuple(dict.fromkeys(x for e in edges for x in e)), edges).closure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PriorityOrder:
-    """Finite strict partial order over default labels.
-
-    ``edges`` holds (higher, lower) pairs as entered. Construction checks
-    them for cycles and keeps the order as ``above``: one int per label, in
-    ``indices`` order, whose bit k is set when ``indices[k]`` is strictly
-    higher. ``ground`` builds its order with ``_closed`` instead, from
-    ``above`` masks it reads off the schema-level order, so the lifted
-    edges are not walked. ``closure`` (the pairs) and ``dominators_map``
-    are label views of ``above``, built on first use; ``dominators_map``
-    builds one immutable frozenset per distinct mask and shares it among
-    the labels with that mask, such as all instances of one schema.
+    """Finite strict partial order over default labels, held as its closure:
+    ``above`` has one int per label, in ``indices`` order, whose bit k is set
+    when ``indices[k]`` is strictly higher. The constructor closes (higher,
+    lower) pairs and rejects undeclared labels and cycles; pairs with the
+    same closure give equal orders. ``ground`` passes ``_closed`` the masks
+    it reads off the schema-level order. ``position``, ``closure`` and
+    ``dominators_map`` are views built on first use; ``dominators_map``
+    shares one frozenset among the labels with one mask, such as the
+    instances of a schema.
     """
 
     indices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]] = frozenset()
-    above: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    above: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(set(self.indices)) != len(self.indices):
-            raise ValidationError("duplicate label in priority order")
-        if hasattr(self, "above"):  # given by _closed
-            return
+    def __init__(self, indices: tuple[str, ...], edges: Collection[tuple[str, str]] = ()):
         # Without edges (the parallel order of every transform) nothing is
-        # higher, so no label positions are built until ``position`` is read.
-        position = dict(zip(self.indices, range(len(self.indices)))) if self.edges else {}
-        if position:
-            object.__setattr__(self, "position", position)  # the cached property's value
-        pairs = ((position[a], position[b]) for a, b in self.edges)
+        # higher, and no label positions are built until ``position`` is read.
+        self._fill(indices, (0,) * len(indices))
+        if not edges:
+            return
+        position = self.position
         try:  # _order_masks reads every pair before it looks for a cycle
-            object.__setattr__(self, "above", tuple(_order_masks(self.indices, pairs)))
+            above = _order_masks(indices, [(position[a], position[b]) for a, b in edges])
         except KeyError:
-            undeclared = {x for e in self.edges for x in e}.difference(position)
+            undeclared = {x for e in edges for x in e}.difference(position)
             raise ValidationError(f"undeclared index {min(undeclared)!r} in priority order") from None
+        object.__setattr__(self, "above", tuple(above))
 
     @classmethod
-    def _closed(cls, indices: tuple[str, ...], edges: frozenset[tuple[str, str]], above: tuple[int, ...]) -> PriorityOrder:
-        """The order whose closure the caller already holds as ``above``:
-        the labels are checked as by the constructor, the edges are not."""
+    def _closed(cls, indices: tuple[str, ...], above: tuple[int, ...]) -> PriorityOrder:
+        """The order whose closure is ``above``, labels checked as by the constructor."""
         order = cls.__new__(cls)
-        object.__setattr__(order, "above", above)
-        order.__init__(indices, edges)
+        order._fill(indices, above)
         return order
+
+    def _fill(self, indices: tuple[str, ...], above: tuple[int, ...]) -> None:
+        if len(set(indices)) != len(indices):
+            raise ValidationError("duplicate label in priority order")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "above", above)
 
     @cached_property
     def position(self) -> dict[str, int]:
@@ -148,7 +141,8 @@ class PriorityOrder:
 
     @cached_property
     def closure(self) -> frozenset[tuple[str, str]]:
-        return _pairs(self.indices, self.above)
+        names = self.indices
+        return frozenset((names[j], names[i]) for i, a in enumerate(self.above) for j in iter_bits(a))
 
     @cached_property
     def dominators_map(self) -> dict[str, frozenset[str]]:
@@ -165,11 +159,11 @@ class PriorityOrder:
 
     @property
     def is_empty(self) -> bool:
-        return not self.edges
+        return not any(self.above)
 
 
 def parallel_order(labels: Iterable[str]) -> PriorityOrder:
-    return PriorityOrder(tuple(labels), frozenset())
+    return PriorityOrder(tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -278,13 +272,13 @@ def ground(s: SchemaTheory) -> Theory:
     """Replace every schema by the collection of its instances.
 
     Each schema's atom names are parsed into templates once. Its instances
-    are mutually unordered and form one block of labels. A schema edge lifts
-    to all pairs of instances, so the closure of the lifted ``edges`` is
-    ``s.order``'s with each label widened to its block: one ``above`` mask
-    per schema, shared by its instances. A lifted cycle would project onto a
-    schema-level one, which ``s.order`` has rejected.
+    are mutually unordered and form one block of labels. A schema edge
+    stands for all pairs of instances, whose closure is ``s.order``'s with
+    each label widened to its block: one ``above`` mask per schema, shared
+    by its instances; the pairs themselves are never built. A cycle among
+    instances would project onto a schema-level one, which ``s.order`` has
+    rejected.
     """
-    instances: dict[str, list[str]] = {d.label: [d.label] for d in s.defaults}
     grounded: list[LabeledFormula] = list(s.defaults)
     # Atom names in first-mention order; the instances share one Atom per name.
     universe: dict[str, Atom | None] = dict.fromkeys(formula_atoms(*s.base, *(f for _, f in s.defaults)))
@@ -292,32 +286,23 @@ def ground(s: SchemaTheory) -> Theory:
     for schema in s.schemas:
         start = len(grounded)
         templates = {n: _template(n, schema.params) for n in formula_atoms(schema.formula)}
-        labels: list[str] = []
         for combo in itertools.product(s.domain, repeat=len(schema.params)):
             leaves: dict[str, Atom] = {}
             for n, t in templates.items():
                 name = t.format(*combo)
                 leaves[n] = universe[name] = universe.get(name) or Atom(name)
             label = f"{schema.label}[{','.join(combo)}]" if schema.params else schema.label
-            labels.append(label)
             f = fold(schema.formula, lambda g: leaves[g.name] if type(g) is Atom else g, lambda g, *a: type(g)(*a))
             grounded.append(LabeledFormula(label, f))
-        instances[schema.label] = labels
         blocks.append((1 << len(grounded)) - (1 << start))
     above: list[int] = []
     for a, block in zip(s.order.above, blocks):  # the blocks are disjoint: their sum is their union
         above += [sum(blocks[j] for j in iter_bits(a))] * block.bit_count()
-    lifted = frozenset(
-        (ga, gb)
-        for a, b in s.edges
-        for ga in instances[a]
-        for gb in instances[b]
-    )
     return Theory._known_atoms(
         universe=tuple(dict.fromkeys((*universe, *formula_atoms(*(f for _, f in s.fixtures))))),
         base=s.base,
         defaults=tuple(grounded),
-        priority=PriorityOrder._closed(tuple(lf.label for lf in grounded), lifted, tuple(above)),
+        priority=PriorityOrder._closed(tuple(lf.label for lf in grounded), tuple(above)),
         fixtures=s.fixtures,
     )
 
@@ -332,10 +317,11 @@ def fixtures_to_defaults(t: Theory) -> Theory:
                 raise ValidationError(f"generated label {new_label!r} clashes with an existing default")
             existing.add(new_label)
             new_defaults.append(LabeledFormula(new_label, g))
+    above = t.priority.above + (0,) * (2 * len(t.fixtures))  # the new labels are unordered
     return replace(
         t,
         defaults=tuple(new_defaults),
-        priority=PriorityOrder(tuple(d.label for d in new_defaults), t.priority.edges),
+        priority=PriorityOrder._closed(tuple(d.label for d in new_defaults), above),
         fixtures=(),
     )
 
@@ -428,7 +414,7 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
         universe=universe,
         base=tuple(base),
         defaults=tuple(defaults),
-        priority=PriorityOrder(tuple(d.label for d in defaults), frozenset(edges)),
+        priority=PriorityOrder(tuple(d.label for d in defaults), edges),
         fixtures=tuple(fixtures),
     )
 
@@ -461,32 +447,19 @@ def build_theory(
     )
 
 
-def _sorted_edges(t: Theory) -> list[tuple[str, str]]:
-    pos = {l: k for k, l in enumerate(t.priority.indices)}
-    return sorted(t.priority.edges, key=lambda e: (pos[e[0]], pos[e[1]]))
-
-
 def print_theory(t: Theory) -> str:
-    """Theory file text that parses back to an equal Theory."""
+    """Theory file text that parses back to an equal Theory: the order is
+    printed as its closure pairs, by position of the higher label, then of
+    the lower one."""
     memo = shared_nodes(*t.base, *(f for _, f in (*t.defaults, *t.fixtures)))
+    names, above = t.priority.indices, t.priority.above
+    pairs = sorted((j, i) for i, a in enumerate(above) if a for j in iter_bits(a))
     lines = [f"atoms: {' '.join(t.universe)}"] if t.universe else ["atoms:"]
     lines += [f"base: {to_text(f, memo)}" for f in t.base]
     lines += [f"default {l}: {to_text(f, memo)}" for l, f in t.defaults]
-    lines += [f"prefer {a} > {b}" for a, b in _sorted_edges(t)]
+    lines += [f"prefer {names[j]} > {names[i]}" for j, i in pairs]
     lines += [f"fix {l}: {to_text(f, memo)}" for l, f in t.fixtures]
     return "\n".join(lines) + "\n"
-
-
-def theory_to_json(t: Theory) -> str:
-    memo = shared_nodes(*t.base, *(f for _, f in (*t.defaults, *t.fixtures)))
-    doc = {
-        "universe": list(t.universe),
-        "base": [to_text(f, memo) for f in t.base],
-        "defaults": [{"label": l, "formula": to_text(f, memo)} for l, f in t.defaults],
-        "edges": [list(e) for e in _sorted_edges(t)],
-        "fixtures": [{"label": l, "formula": to_text(f, memo)} for l, f in t.fixtures],
-    }
-    return json.dumps(doc, indent=2)
 
 
 def classify_order(order: PriorityOrder) -> str:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 from parapri.errors import CycleError, UniverseError
 from parapri.formula import And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
 from parapri.preorder import PreorderSpec
-from parapri.theory import PriorityOrder, SchemaTheory, Theory, build_theory
+from parapri.theory import SchemaTheory, Theory, build_theory
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,18 +122,20 @@ def transitive_closure_naive(edges: Iterable[tuple[str, str]]) -> frozenset[tupl
     return frozenset((x, y) for x in nodes for y in reach[x])
 
 
-def descending_naive(order: PriorityOrder, label: str) -> Iterator[tuple[str, ...]]:
+def descending_naive(
+    indices: tuple[str, ...], edges: Iterable[tuple[str, str]], label: str
+) -> Iterator[tuple[str, ...]]:
     """The descending topological orderings of ``label``'s dominators, by
     recursion: a remaining label that no remaining label is above comes
     next, candidates in declaration order. The dominators come from the
-    fixpoint closure of the order's edges."""
-    closure = transitive_closure_naive(order.edges)
+    fixpoint closure of the entered ``edges``."""
+    closure = transitive_closure_naive(edges)
 
     def walk(rest: frozenset[str]) -> Iterator[tuple[str, ...]]:
         if not rest:
             yield ()
             return
-        for x in order.indices:
+        for x in indices:
             if x in rest and not any((y, x) in closure for y in rest):
                 for tail in walk(rest - {x}):
                     yield (x,) + tail
@@ -141,27 +143,28 @@ def descending_naive(order: PriorityOrder, label: str) -> Iterator[tuple[str, ..
     return walk(frozenset(j for j, i in closure if i == label))
 
 
-def classify_order_naive(order: PriorityOrder) -> str:
+def classify_order_naive(indices: tuple[str, ...], edges: Iterable[tuple[str, str]]) -> str:
     """Shape of the priority order: parallel, chain/columnar, layered, general.
 
     Cover relation by the cubic scan over closure pairs and levels by
-    recursion; the closure and dominators come from the fixpoint oracle."""
-    if order.is_empty:
+    recursion; the closure and dominators come from the fixpoint oracle
+    over the entered ``edges``."""
+    closure = transitive_closure_naive(edges)
+    if not closure:
         return "parallel"
-    closure = transitive_closure_naive(order.edges)
     cover = {
         (j, i)
         for (j, i) in closure
-        if not any((j, k) in closure and (k, i) in closure for k in order.indices)
+        if not any((j, k) in closure and (k, i) in closure for k in indices)
     }
-    parents: dict[str, int] = {i: 0 for i in order.indices}
-    children: dict[str, int] = {i: 0 for i in order.indices}
+    parents: dict[str, int] = {i: 0 for i in indices}
+    children: dict[str, int] = {i: 0 for i in indices}
     for j, i in cover:
         children[j] += 1
         parents[i] += 1
-    if all(parents[x] <= 1 and children[x] <= 1 for x in order.indices):
+    if all(parents[x] <= 1 and children[x] <= 1 for x in indices):
         return "chain/columnar"
-    doms = {i: {j for j, k in closure if k == i} for i in order.indices}
+    doms = {i: {j for j, k in closure if k == i} for i in indices}
     level: dict[str, int] = {}
 
     def rank(x: str) -> int:
@@ -169,12 +172,12 @@ def classify_order_naive(order: PriorityOrder) -> str:
             level[x] = 0 if not doms[x] else 1 + max(rank(j) for j in doms[x])
         return level[x]
 
-    for x in order.indices:
+    for x in indices:
         rank(x)
     layered = all(
         ((j, i) in closure) == (level[j] < level[i])
-        for j in order.indices
-        for i in order.indices
+        for j in indices
+        for i in indices
         if j != i
     )
     return "layered" if layered else "general"
@@ -209,24 +212,35 @@ def _mentions_naive(f: Formula) -> Iterator[str]:
             yield from _mentions_naive(r)
 
 
+def _instance_label_naive(schema, combo: tuple[str, ...]) -> str:
+    return f"{schema.label}[{','.join(combo)}]" if schema.params else schema.label
+
+
+def lifted_edges_naive(s: SchemaTheory) -> list[tuple[str, str]]:
+    """``s``'s priority edges lifted to every pair of instances: a plain
+    default is its own single instance."""
+    instances = {d.label: [d.label] for d in s.defaults}
+    for schema in s.schemas:
+        combos = itertools.product(s.domain, repeat=len(schema.params))
+        instances[schema.label] = [_instance_label_naive(schema, combo) for combo in combos]
+    return [(x, y) for a, b in s.edges for x in instances[a] for y in instances[b]]
+
+
 def ground_naive(s: SchemaTheory) -> Theory:
     """Grounding by recursive substitution of each instance's binding, with
     edges lifted to every instance pair and the universe in first-mention
     order by recursion."""
     defaults = list(s.defaults)
-    instances = {d.label: [d.label] for d in s.defaults}
     for schema in s.schemas:
-        instances[schema.label] = []
         for combo in itertools.product(s.domain, repeat=len(schema.params)):
-            label = f"{schema.label}[{','.join(combo)}]" if schema.params else schema.label
-            instances[schema.label].append(label)
-            defaults.append((label, _substitute_naive(schema.formula, dict(zip(schema.params, combo)))))
+            binding = dict(zip(schema.params, combo))
+            defaults.append((_instance_label_naive(schema, combo), _substitute_naive(schema.formula, binding)))
     formulas = [*s.base, *(f for _, f in defaults), *(f for _, f in s.fixtures)]
     return build_theory(
         atoms=tuple(dict.fromkeys(n for f in formulas for n in _mentions_naive(f))),
         base=s.base,
         defaults=defaults,
-        prefer=[(x, y) for a, b in s.edges for x in instances[a] for y in instances[b]],
+        prefer=lifted_edges_naive(s),
         fixtures=s.fixtures,
     )
 

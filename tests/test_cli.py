@@ -291,7 +291,7 @@ class TestEncodeLp:
         code, out, _ = run(capsys, "encode-lp", DATA / "two_strata.lp")
         assert code == 0
         t = parse_theory(out)
-        assert t.priority.edges == {("min_q", "min_p")}
+        assert t.priority.closure == {("min_q", "min_p")}
 
     def test_non_stratified_is_exit_2(self, capsys):
         code, _, err = run(capsys, "encode-lp", DATA / "nonstrat.lp")

@@ -75,7 +75,7 @@ class TestEncodeStratified:
         t = encode_stratified(parse_program(TWO_STRATA))
         assert [str(f) for f in t.base] == ["q", "(~q -> p)"]
         assert [str(f) for _, f in t.defaults] == ["~q", "~p"]
-        assert t.priority.edges == {("min_q", "min_p")}
+        assert t.priority.closure == {("min_q", "min_p")}
         pm = preferred_models(t)
         assert len(pm) == 1
         assert pm.models[0].as_dict() == {"q": True, "p": False}
