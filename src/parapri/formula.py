@@ -13,12 +13,14 @@ Grammar (whitespace insensitive, ``#`` starts a line comment)::
 Ground atoms such as ``flies(tweety)`` are opaque names; no term structure
 is modelled.
 
-The parser is one operator-precedence loop. A walk over a formula is
-``fold``, an explicit-stack post-order traversal (substitution),
-``_walk_once`` over the distinct nodes (atoms, shared nodes), or one of
-the two hot loops of the transform route, printing in ``to_text`` and
-evaluation in ``truth_mask``, each with its own explicit stack. So nesting
-depth is limited by memory, not by the recursion limit.
+The parser checks a text with one regex scan, splits it into token
+strings with one ``findall`` and builds the tree in one operator-precedence
+loop; a shared name -> Atom dict gives one Atom per name and the names in
+first-mention order. A walk over a formula is ``_walk_once`` over the
+distinct nodes (atoms, shared nodes), or one of the two hot loops of the
+transform route, printing in ``to_text`` and evaluation in ``truth_mask``,
+each with its own explicit stack. So nesting depth is limited by memory,
+not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Iterable, Iterator, Mapping
 
 from .config import TAUTOLOGY_ATOMS, check_atoms
 from .errors import ParseError, UniverseError, ValidationError
-
-T = TypeVar("T")
 
 
 class Formula:
@@ -149,140 +149,104 @@ ATOM_RE = re.compile(rf"{IDENT}(?:\({IDENT}(?:,{IDENT})*\))?")
 LABEL_RE = re.compile(rf"{IDENT}(?:\[{IDENT}(?:,{IDENT})*\])?")
 VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 
-_TOKEN_RE = re.compile(r"\s+|#[^\n]*|(?P<op><->|->|[~&|(),])|(?P<ident>" + IDENT + ")")
+# Operator tokens; every other token is an IDENT. The lookaheads split a text
+# into tokens one way only, so a failed scan does not backtrack.
+_OPERATORS = dict.fromkeys(("<->", "->", "~", "&", "|", "(", ")", ","))
+_SKIP = r"\s|#[^\n]*(?![^\n])"
+_TOKEN = "|".join(map(re.escape, _OPERATORS)) + f"|{IDENT}(?![A-Za-z0-9_])"
+# One token after any whitespace and comments; the end of the text reads as "".
+_TOKEN_RE = re.compile(rf"(?:{_SKIP})*(?:({_TOKEN})|\Z)")
+# The longest prefix made of whitespace, comments and tokens only.
+_TOKENS_RE = re.compile(rf"(?:{_SKIP}|{_TOKEN})*")
+
+# Pending operators: binding strength, the strength from which the operators
+# before it are applied ("->" is right associative), node type. "(", "~" and
+# the bottom of the stack sit below every binary operator.
+_BINARY = {"<->": (1, 1, Iff), "->": (2, 3, Implies), "|": (3, 3, Or), "&": (4, 4, And)}
+_OPEN, _NOT, _BOTTOM = (-1, -1, "("), (-1, -1, Not), (-1, -1, None)
+_PREFIX = {"(": _OPEN, "~": _NOT}
+_CONSTANTS = {"true": TRUE, "false": FALSE}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unknown token {text[pos]!r}", offset=pos)
-        if m.group("op"):
-            tokens.append(("op", m.group("op"), pos))
-        elif m.group("ident"):
-            tokens.append(("ident", m.group("ident"), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _syntax_error(text: str, k: int, expected: str | None) -> ParseError:
+    # Error path only: token ``k`` is not ``expected`` (None: not expected at all).
+    m = list(_TOKEN_RE.finditer(text))[k]
+    tok, offset = m.group(1), m.start(1) if m.group(1) else len(text)
+    if expected is None:
+        return ParseError(f"unexpected {tok!r} after formula", offset=offset)
+    return ParseError(f"expected {expected}, found {tok or 'end of input'!r}", offset=offset)
 
 
-# Binding strength and node type of each binary operator.
-_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
-
-
-def _found(text: str) -> str:
-    return repr(text or "end of input")
-
-
-def parse_formula(text: str) -> Formula:
+def parse_formula(text: str, names: dict[str, Atom] | None = None) -> Formula:
     """Parse ``text`` into a Formula; raises ParseError with a byte offset.
 
-    One operator-precedence loop over an operand stack and an operator stack.
+    An atom name found in ``names`` is read as its Atom, and a new one is
+    added, so formulas parsed with one dict share one Atom per name and
+    its keys come out in first-mention order.
     """
-    tokens = _tokenize(text)
+    if (pos := _TOKENS_RE.match(text).end()) < len(text):  # an unknown character wins over any syntax error
+        raise ParseError(f"unknown token {text[pos]!r}", offset=pos)
+    tokens = _TOKEN_RE.findall(text)
+    names = {} if names is None else names
     operands: list[Formula] = []
-    pending: list[str] = []  # unapplied "~", "(" and binary operators
-    depth = 0  # open parentheses
-    k = 0
-
-    def reduce(strength: int) -> None:
-        while pending and pending[-1] in _BINARY and _BINARY[pending[-1]][0] >= strength:
-            right = operands.pop()
-            operands[-1] = _BINARY[pending.pop()][1](operands[-1], right)
-
-    def close_unary() -> None:
-        while pending and pending[-1] == "~":
-            pending.pop()
-            operands[-1] = Not(operands[-1])
-
+    pending = [_BOTTOM]
+    k = 0  # the next token
     while True:
         # Operand position: prefix operators, then one atom or constant.
-        kind, tok, pos = tokens[k]
+        tok = tokens[k]
         k += 1
-        if kind == "op" and tok in ("~", "("):
-            pending.append(tok)
-            depth += tok == "("
+        if p := _PREFIX.get(tok):
+            pending.append(p)
             continue
-        if kind != "ident":
-            raise ParseError(f"expected a formula, found {_found(tok)}", offset=pos)
-        if tok in ("true", "false"):
-            operands.append(TRUE if tok == "true" else FALSE)
-        elif tokens[k][:2] == ("op", "("):
-            args = []
-            while True:
-                kind, arg, pos = tokens[k + 1]
-                if kind != "ident":
-                    raise ParseError(f"expected an identifier, found {_found(arg)}", offset=pos)
-                args.append(arg)
-                k += 2
-                if tokens[k][:2] != ("op", ","):
-                    break
-            kind, close, pos = tokens[k]
-            if (kind, close) != ("op", ")"):
-                raise ParseError(f"expected ')', found {_found(close)}", offset=pos)
-            k += 1
-            operands.append(Atom(f"{tok}({','.join(args)})"))
-        else:
-            operands.append(Atom(tok))
-        close_unary()
+        if not tok or tok in _OPERATORS:
+            raise _syntax_error(text, k - 1, "a formula")
+        g = _CONSTANTS.get(tok)
+        if g is None:
+            if tokens[k] == "(":
+                args = []
+                while True:
+                    arg = tokens[k + 1]
+                    if not arg or arg in _OPERATORS:
+                        raise _syntax_error(text, k + 1, "an identifier")
+                    args.append(arg)
+                    k += 2
+                    if tokens[k] != ",":
+                        break
+                if tokens[k] != ")":
+                    raise _syntax_error(text, k, "')'")
+                k += 1
+                tok = f"{tok}({','.join(args)})"
+            g = names.get(tok)
+            if g is None:
+                g = names[tok] = Atom(tok)
+        operands.append(g)
         # Operator position: closing parentheses, then a binary operator or the end.
         while True:
-            kind, tok, pos = tokens[k]
-            k += 1
-            if kind == "op" and tok == ")" and depth:
-                reduce(0)
+            while pending[-1] is _NOT:
                 pending.pop()
-                depth -= 1
-                close_unary()
-                continue
-            if kind == "op" and tok in _BINARY:
-                strength = _BINARY[tok][0]
-                reduce(strength + 1 if tok == "->" else strength)  # "->" is right associative
-                pending.append(tok)
+                operands[-1] = Not(operands[-1])
+            tok = tokens[k]
+            k += 1
+            op = _BINARY.get(tok)
+            strength = op[1] if op else 0
+            while pending[-1][0] >= strength:
+                right = operands.pop()
+                operands[-1] = pending.pop()[2](operands[-1], right)
+            if op:
+                pending.append(op)
                 break
-            if depth:
-                raise ParseError(f"expected ')', found {_found(tok)}", offset=pos)
-            if kind != "end":
-                raise ParseError(f"unexpected {tok!r} after formula", offset=pos)
-            reduce(0)
-            return operands[0]
+            if pending[-1] is _OPEN:
+                if tok != ")":
+                    raise _syntax_error(text, k - 1, "')'")
+                pending.pop()
+            elif tok:
+                raise _syntax_error(text, k - 1, None)
+            else:
+                return operands[0]
 
 
 _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
-_COMBINE = object()
 _PENDING = object()
-
-
-def fold(f: Formula, leaf: Callable[[Formula], T], node: Callable[..., T]) -> T:
-    """Post-order fold over ``f`` with an explicit stack.
-
-    ``leaf(g)`` gives the value of an Atom or Const; ``node(g, *values)``
-    combines the values of the children of a Not or binary node, left
-    before right. Leaves are visited left to right.
-    """
-    values: list[T] = []
-    todo: list = [f]
-    while todo:
-        g = todo.pop()
-        t = type(g)
-        if g is _COMBINE:  # the node below it has all its children's values
-            g = todo.pop()
-            if type(g) is Not:
-                values[-1] = node(g, values[-1])
-            else:
-                right = values.pop()
-                values[-1] = node(g, values[-1], right)
-        elif t is Atom or t is Const:
-            values.append(leaf(g))
-        elif t is Not:
-            todo += (g, _COMBINE, g.arg)
-        elif t in _BINARY_OPS:
-            todo += (g, _COMBINE, g.right, g.left)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-    return values[0]
 
 
 def to_text(f: Formula, memo: dict[int, str] | None = None) -> str:
@@ -460,12 +424,11 @@ def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, int] | None 
     shared subtree once. Ids are valid only while their objects live: keep
     every root referenced while the memo is in use.
 
-    Its own explicit-stack loop rather than ``fold``: a frame is a
-    connective with the value of its left operand, or ``_PENDING`` while
-    that is still being computed, and a literal left operand (an atom, a
-    negated atom or a constant) is valued on the way down. A right-nested
-    spine such as a transform output costs one push and one pop per
-    connective, with no callbacks.
+    One explicit-stack loop with no callbacks: a frame is a connective
+    with the value of its left operand, or ``_PENDING`` while that is still
+    being computed, and a literal left operand (an atom, a negated atom or
+    a constant) is valued on the way down. A right-nested spine such as a
+    transform output costs one push and one pop per connective.
     """
     cols, size = _columns(tuple(universe))
     full = (1 << size) - 1

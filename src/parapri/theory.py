@@ -33,10 +33,10 @@ from .formula import (
     LABEL_RE,
     VARIABLE_RE,
     Atom,
+    Const,
     Formula,
     Not,
     atoms as formula_atoms,
-    fold,
     iter_bits,
     parse_formula,
     shared_nodes,
@@ -171,8 +171,8 @@ class Theory:
     """Construction checks the labels, the universe for duplicates, and
     every formula's atoms against the universe. ``_known_atoms`` skips that
     atom walk where the universe holds them by construction: in
-    ``parallel_theory``, ``ground``, and ``parse_theory`` and
-    ``build_theory`` when no universe is given."""
+    ``parallel_theory``, ``ground``, ``build_theory`` when no universe is
+    given, and ``parse_theory``, whose parse has collected the atoms."""
 
     universe: tuple[str, ...]
     base: tuple[Formula, ...]
@@ -249,6 +249,9 @@ class SchemaTheory:
 
 
 _GROUND_ATOM_RE = re.compile(rf"({IDENT})\((.*)\)")
+_IDENT_RE = re.compile(IDENT)
+_SCHEMA_HEAD_RE = re.compile(rf"({IDENT})\[([^\]]*)\]")
+_PREFER_RE = re.compile(r"prefer\s+(\S+)\s*>\s*(\S+)")
 
 
 def _atom_parts(name: str) -> tuple[str | None, list[str]]:
@@ -268,16 +271,32 @@ def _template(name: str, params: tuple[str, ...]) -> str:
     return f"{head}({text})" if head else text
 
 
+def _program(f: Formula) -> list:
+    """``f`` in post order: an atom name or a Const pushes a leaf, ``Not``
+    negates the top value, a binary node type combines the top two."""
+    program, todo = [], [f]
+    while todo:  # pre order with the right operand first: reversed, it is the post order
+        g = todo.pop()
+        t = type(g)
+        if t is Atom or t is Const:
+            program.append(g.name if t is Atom else g)
+        else:
+            program.append(t)
+            todo += (g.arg,) if t is Not else (g.left, g.right)
+    program.reverse()
+    return program
+
+
 def ground(s: SchemaTheory) -> Theory:
     """Replace every schema by the collection of its instances.
 
-    Each schema's atom names are parsed into templates once. Its instances
-    are mutually unordered and form one block of labels. A schema edge
+    Each schema's formula becomes a ``_program`` and its atom names
+    templates, once; each instance runs the program on its own Atoms. The
+    instances form one block of mutually unordered labels. A schema edge
     stands for all pairs of instances, whose closure is ``s.order``'s with
     each label widened to its block: one ``above`` mask per schema, shared
-    by its instances; the pairs themselves are never built. A cycle among
-    instances would project onto a schema-level one, which ``s.order`` has
-    rejected.
+    by its instances; the pairs are never built. A cycle among instances
+    would project onto a schema-level one, which ``s.order`` has rejected.
     """
     grounded: list[LabeledFormula] = list(s.defaults)
     # Atom names in first-mention order; the instances share one Atom per name.
@@ -285,15 +304,24 @@ def ground(s: SchemaTheory) -> Theory:
     blocks = [1 << k for k in range(len(s.defaults))]  # blocks[k]: the grounded labels of s.order's label k
     for schema in s.schemas:
         start = len(grounded)
-        templates = {n: _template(n, schema.params) for n in formula_atoms(schema.formula)}
+        program = _program(schema.formula)
+        templates = {n: _template(n, schema.params) for n in program if type(n) is str}
         for combo in itertools.product(s.domain, repeat=len(schema.params)):
             leaves: dict[str, Atom] = {}
             for n, t in templates.items():
                 name = t.format(*combo)
                 leaves[n] = universe[name] = universe.get(name) or Atom(name)
+            stack: list[Formula] = []
+            for op in program:
+                if op is Not:
+                    stack[-1] = Not(stack[-1])
+                elif type(op) is type:  # a binary node type
+                    right = stack.pop()
+                    stack[-1] = op(stack[-1], right)
+                else:  # an atom name, or a Const that stands for itself
+                    stack.append(leaves.get(op, op))
             label = f"{schema.label}[{','.join(combo)}]" if schema.params else schema.label
-            f = fold(schema.formula, lambda g: leaves[g.name] if type(g) is Atom else g, lambda g, *a: type(g)(*a))
-            grounded.append(LabeledFormula(label, f))
+            grounded.append(LabeledFormula(label, stack[0]))
         blocks.append((1 << len(grounded)) - (1 << start))
     above: list[int] = []
     for a, block in zip(s.order.above, blocks):  # the blocks are disjoint: their sum is their union
@@ -327,7 +355,11 @@ def fixtures_to_defaults(t: Theory) -> Theory:
 
 
 def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
-    """Parse a theory file; returns a SchemaTheory when ``domain:`` occurs."""
+    """Parse a theory file; returns a SchemaTheory when ``domain:`` occurs.
+
+    One name -> Atom dict serves every formula: when the base, default and
+    fix lines come in that order, its keys are the atoms in mention order.
+    """
     explicit_atoms: tuple[str, ...] | None = None
     domain: tuple[str, ...] | None = None
     base: list[Formula] = []
@@ -335,6 +367,8 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
     schemas: list[Schema] = []
     fixtures: list[LabeledFormula] = []
     edges: list[tuple[str, str]] = []
+    names: dict[str, Atom] = {}
+    in_order = True  # no base line after a default or fix line, nor a default line after a fix line
 
     def fail(msg: str, lineno: int):
         raise ParseError(msg, line=lineno)
@@ -347,19 +381,20 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
             if line.startswith("atoms:"):
                 if explicit_atoms is not None:
                     fail("duplicate atoms: line", lineno)
-                names = line[len("atoms:"):].split()
-                for n in names:
+                atom_names = line[len("atoms:"):].split()
+                for n in atom_names:
                     if not ATOM_RE.fullmatch(n):
                         fail(f"bad atom name {n!r}", lineno)
-                explicit_atoms = tuple(names)
+                explicit_atoms = tuple(atom_names)
             elif line.startswith("base:"):
-                base.append(parse_formula(line[len("base:"):]))
+                in_order = in_order and not defaults and not fixtures
+                base.append(parse_formula(line[len("base:"):], names))
             elif line.startswith("domain:"):
                 if domain is not None:
                     fail("duplicate domain: line", lineno)
                 consts = line[len("domain:"):].split()
                 for c in consts:
-                    if not re.fullmatch(IDENT, c):
+                    if not _IDENT_RE.fullmatch(c):
                         fail(f"bad domain constant {c!r}", lineno)
                 for c, n in Counter(consts).items():
                     if n > 1:
@@ -370,16 +405,17 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
                 label = head.strip()
                 if not LABEL_RE.fullmatch(label):
                     fail(f"bad default label {label!r}", lineno)
-                defaults.append(LabeledFormula(label, parse_formula(body)))
+                in_order = in_order and not fixtures
+                defaults.append(LabeledFormula(label, parse_formula(body, names)))
             elif line.startswith("schema "):
                 head, _, body = line[len("schema "):].partition(":")
-                m = re.fullmatch(rf"({IDENT})\[([^\]]*)\]", head.strip())
+                m = _SCHEMA_HEAD_RE.fullmatch(head.strip())
                 if not m:
                     fail(f"bad schema head {head.strip()!r}", lineno)
                 params = tuple(p.strip() for p in m.group(2).split(",")) if m.group(2).strip() else ()
-                schemas.append(Schema(m.group(1), params, parse_formula(body)))
+                schemas.append(Schema(m.group(1), params, parse_formula(body, names)))
             elif line.startswith("prefer "):
-                m = re.fullmatch(r"prefer\s+(\S+)\s*>\s*(\S+)", line)
+                m = _PREFER_RE.fullmatch(line)
                 if not m:
                     fail("bad prefer line", lineno)
                 edges.append((m.group(1), m.group(2)))
@@ -388,7 +424,7 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
                 label = head.strip()
                 if not LABEL_RE.fullmatch(label):
                     fail(f"bad fixture label {label!r}", lineno)
-                fixtures.append(LabeledFormula(label, parse_formula(body)))
+                fixtures.append(LabeledFormula(label, parse_formula(body, names)))
             else:
                 fail(f"unrecognized directive {line.split()[0]!r}", lineno)
         except ParseError as e:
@@ -407,16 +443,17 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
             edges=frozenset(edges),
             fixtures=tuple(fixtures),
         )
-    universe, make = explicit_atoms, Theory
-    if universe is None:
-        universe, make = formula_atoms(*base, *(f for _, f in (*defaults, *fixtures))), Theory._known_atoms
-    return make(
-        universe=universe,
+    mentioned = tuple(names) if in_order else formula_atoms(*base, *(f for _, f in (*defaults, *fixtures)))
+    theory = Theory._known_atoms(
+        universe=mentioned if explicit_atoms is None else explicit_atoms,
         base=tuple(base),
         defaults=tuple(defaults),
         priority=PriorityOrder(tuple(d.label for d in defaults), edges),
         fixtures=tuple(fixtures),
     )
+    if undeclared := names.keys() - theory.universe:
+        raise ValidationError(f"atom {next(a for a in mentioned if a in undeclared)!r} not in declared universe")
+    return theory
 
 
 def build_theory(

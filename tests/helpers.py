@@ -1,9 +1,11 @@
 """Shared test utilities: independent oracles and comparison helpers.
 
 The oracles here deliberately avoid the package's packed-truth-table
-machinery and its formula fold: they recurse over the AST per
+machinery and its explicit-stack walks: they recurse over the AST per
 interpretation, so agreement with the engine is a genuine cross-check.
-No library code calls them.
+``parse_formula_reference`` matches one token at a time into
+(kind, text, offset) tuples before it parses. No library code calls
+them.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from parapri.errors import CycleError, UniverseError
-from parapri.formula import And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
+from parapri.errors import CycleError, ParseError, UniverseError
+from parapri.formula import FALSE, IDENT, TRUE, And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
 from parapri.preorder import PreorderSpec
 from parapri.theory import SchemaTheory, Theory, build_theory
 
@@ -42,6 +44,103 @@ def evaluate(f: Formula, z: Interpretation) -> bool:
         case Iff(l, r):
             return evaluate(l, z) == evaluate(r, z)
     raise TypeError(f"not a formula: {f!r}")
+
+
+_TOKEN_RE = re.compile(r"\s+|#[^\n]*|(?P<op><->|->|[~&|(),])|(?P<ident>" + IDENT + ")")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unknown token {text[pos]!r}", offset=pos)
+        if m.group("op"):
+            tokens.append(("op", m.group("op"), pos))
+        elif m.group("ident"):
+            tokens.append(("ident", m.group("ident"), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+
+
+def _found(text: str) -> str:
+    return repr(text or "end of input")
+
+
+def parse_formula_reference(text: str) -> Formula:
+    """The whole text tokenized first, one (kind, text, offset) tuple per
+    token, then one operator-precedence loop; the reference for
+    ``parse_formula``'s results and error messages."""
+    tokens = _tokenize(text)
+    operands: list[Formula] = []
+    pending: list[str] = []  # unapplied "~", "(" and binary operators
+    depth = 0  # open parentheses
+    k = 0
+
+    def reduce(strength: int) -> None:
+        while pending and pending[-1] in _BINARY and _BINARY[pending[-1]][0] >= strength:
+            right = operands.pop()
+            operands[-1] = _BINARY[pending.pop()][1](operands[-1], right)
+
+    def close_unary() -> None:
+        while pending and pending[-1] == "~":
+            pending.pop()
+            operands[-1] = Not(operands[-1])
+
+    while True:
+        kind, tok, pos = tokens[k]
+        k += 1
+        if kind == "op" and tok in ("~", "("):
+            pending.append(tok)
+            depth += tok == "("
+            continue
+        if kind != "ident":
+            raise ParseError(f"expected a formula, found {_found(tok)}", offset=pos)
+        if tok in ("true", "false"):
+            operands.append(TRUE if tok == "true" else FALSE)
+        elif tokens[k][:2] == ("op", "("):
+            args = []
+            while True:
+                kind, arg, pos = tokens[k + 1]
+                if kind != "ident":
+                    raise ParseError(f"expected an identifier, found {_found(arg)}", offset=pos)
+                args.append(arg)
+                k += 2
+                if tokens[k][:2] != ("op", ","):
+                    break
+            kind, close, pos = tokens[k]
+            if (kind, close) != ("op", ")"):
+                raise ParseError(f"expected ')', found {_found(close)}", offset=pos)
+            k += 1
+            operands.append(Atom(f"{tok}({','.join(args)})"))
+        else:
+            operands.append(Atom(tok))
+        close_unary()
+        while True:
+            kind, tok, pos = tokens[k]
+            k += 1
+            if kind == "op" and tok == ")" and depth:
+                reduce(0)
+                pending.pop()
+                depth -= 1
+                close_unary()
+                continue
+            if kind == "op" and tok in _BINARY:
+                strength = _BINARY[tok][0]
+                reduce(strength + 1 if tok == "->" else strength)  # "->" is right associative
+                pending.append(tok)
+                break
+            if depth:
+                raise ParseError(f"expected ')', found {_found(tok)}", offset=pos)
+            if kind != "end":
+                raise ParseError(f"unexpected {tok!r} after formula", offset=pos)
+            reduce(0)
+            return operands[0]
 
 
 _OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}

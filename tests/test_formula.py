@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ac_key, evaluate, text_naive
+from helpers import ac_key, evaluate, parse_formula_reference, text_naive
 from parapri.errors import CapExceededError, ParseError, UniverseError
 from parapri.theory import LabeledFormula, Theory, parallel_order, parse_theory, print_theory
 from parapri.formula import (
@@ -22,7 +22,6 @@ from parapri.formula import (
     Or,
     atoms,
     entails,
-    fold,
     is_tautology,
     parse_formula,
     shared_nodes,
@@ -86,6 +85,20 @@ class TestNodes:
             assert {f: 1}[g] == 1
 
 
+# Tokens, whitespace, comments and junk for the differential parser test.
+TOKEN_FRAGMENTS = [
+    "<->", "->", "~", "&", "|", "(", ")", ",", "a", "b1", "_x", "f(a,b)", "true", "false",
+    " ", "\n", "\t", "# c\n", "#", "$", "9", "é", "<", "-", "((", "))",
+]
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.offset, e.line
+
+
 class TestParser:
     def test_implication_right_associative(self):
         assert F("a -> b -> c") == Implies(Atom("a"), Implies(Atom("b"), Atom("c")))
@@ -114,21 +127,55 @@ class TestParser:
         assert F("a &  # trailing comment\n b") == And(Atom("a"), Atom("b"))
 
     def test_unknown_token_reports_offset(self):
-        with pytest.raises(ParseError) as e:
+        with pytest.raises(ParseError, match=r"^unknown token '\$' \(at byte offset 2\)$") as e:
             F("a $ b")
         assert e.value.offset == 2
 
     def test_dangling_operator(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^expected a formula, found 'end of input' \(at byte offset 3\)$"):
             F("a &")
 
     def test_unbalanced_parens(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^expected '\)', found 'end of input' \(at byte offset 6\)$"):
             F("(a & b")
 
     def test_bad_atom_args(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^expected '\)', found '&' \(at byte offset 8\)$"):
             F("flies(a & b)")
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("flies()", "expected an identifier, found ')'", 6),
+            ("a b", "unexpected 'b' after formula", 2),
+            ("", "expected a formula, found 'end of input'", 0),
+            ("# only a comment", "expected a formula, found 'end of input'", 16),
+            (") $", "unknown token '$'", 2),  # an unknown character wins over a syntax error
+            ("a é", "unknown token 'é'", 2),  # alphabetic, but not an identifier
+            ("a <- b", "unknown token '<'", 2),
+        ],
+    )
+    def test_error_messages(self, text, message, offset):
+        with pytest.raises(ParseError) as e:
+            F(text)
+        assert (str(e.value), e.value.offset, e.value.line) == (f"{message} (at byte offset {offset})", offset, None)
+
+    @pytest.mark.parametrize("prefix", ["ab " * 3000, "# ab cd\n" * 1000 + "~", "(" * 3000])
+    def test_late_unknown_token_in_a_long_text(self, prefix):
+        # Tokens split one way only, so a failed scan is linear in the text.
+        with pytest.raises(ParseError, match=rf"^unknown token '\$' \(at byte offset {len(prefix)}\)$"):
+            F(prefix + "$")
+
+    def test_names_dict_shares_atoms_in_first_mention_order(self):
+        names = {"c": Atom("c")}
+        f, g = F("b & f(a,b) | c", names), F("~b -> a", names)
+        assert list(names) == ["c", "b", "f(a,b)", "a"]
+        assert f.left.left is g.left.arg is names["b"] and f.right is names["c"]
+
+    @given(st.lists(st.sampled_from(TOKEN_FRAGMENTS), max_size=14).map("".join))
+    @settings(max_examples=2000)
+    def test_agrees_with_reference_parser(self, text):
+        assert parse_outcome(F, text) == parse_outcome(parse_formula_reference, text)
 
     @given(formulas())
     @settings(max_examples=150)
@@ -137,10 +184,18 @@ class TestParser:
 
 
 def unshared_atoms(*roots):
-    """Atom names in first-mention order from plain folds, with no memo."""
+    """Atom names in first-mention order from a plain walk of every
+    occurrence of every node, with no memo."""
     names = []
-    for f in roots:
-        fold(f, lambda g: names.append(g.name) if type(g) is Atom else None, lambda g, *values: None)
+    todo = list(reversed(roots))
+    while todo:
+        g = todo.pop()
+        if type(g) is Atom:
+            names.append(g.name)
+        elif type(g) is Not:
+            todo.append(g.arg)
+        elif type(g) is not Const:
+            todo += (g.right, g.left)
     return tuple(dict.fromkeys(names))
 
 

@@ -17,7 +17,7 @@ from helpers import (
 )
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.errors import CycleError, ParseError, ValidationError
-from parapri.formula import Atom
+from parapri.formula import Atom, atoms
 from parapri.theory import (
     LabeledFormula,
     PriorityOrder,
@@ -105,6 +105,33 @@ class TestParseTheory:
         with pytest.raises(ParseError) as e:
             parse_theory("base: p &\n")
         assert e.value.line == 1
+
+    def test_bad_token_file(self):
+        with pytest.raises(ParseError, match=r"^unknown token '\?' \(at byte offset 12\) \(line 3\)$") as e:
+            parse_theory((DATA / "bad_token.thy").read_text())
+        assert (e.value.offset, e.value.line) == (None, 3)
+
+    def test_atoms_are_shared_and_in_first_mention_order(self):
+        t = parse_theory("base: b -> a\ndefault d1: a & c\ndefault d2: ~c\nfix f: d | b\n")
+        assert t.universe == ("b", "a", "c", "d")
+        leaves = [t.base[0].left, t.base[0].right, t.defaults[0].formula.left, t.fixtures[0].formula.right]
+        assert [g.name for g in leaves] == ["b", "a", "a", "b"]
+        assert leaves[0] is leaves[3] and leaves[1] is leaves[2]
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["default d: x & y", "base: y & z"],
+            ["fix f: w", "default d: x", "base: y"],
+            ["base: y", "fix f: w", "default d: x & w"],
+        ],
+        ids=["base-after-default", "reversed", "default-after-fix"],
+    )
+    def test_universe_follows_base_defaults_fixtures_whatever_the_line_order(self, lines):
+        t = parse_theory("\n".join(lines) + "\n")
+        assert t.universe == atoms(*t.base, *(f for _, f in (*t.defaults, *t.fixtures)))
+        with pytest.raises(ValidationError, match=f"^atom {t.universe[1]!r} not in declared universe$"):
+            parse_theory("\n".join([f"atoms: {t.universe[0]}", *lines]) + "\n")
 
     def test_round_trip(self):
         t = parse_theory(TWEETY)
@@ -485,8 +512,8 @@ class TestGroundDifferential:
 
 
 DATA = Path(__file__).parent / "data"
-# cyclic.thy is rejected before any Theory is built.
-THEORY_FILES = sorted(set(DATA.glob("*.thy")) - {DATA / "cyclic.thy"})
+# cyclic.thy and bad_token.thy are rejected before any Theory is built.
+THEORY_FILES = sorted(set(DATA.glob("*.thy")) - {DATA / "cyclic.thy", DATA / "bad_token.thy"})
 
 
 class TestPrintedForm:
