@@ -16,11 +16,12 @@ is modelled.
 The parser checks a text with one regex scan, splits it into token
 strings with one ``findall`` and builds the tree in one operator-precedence
 loop; a shared name -> Atom dict gives one Atom per name and the names in
-first-mention order. A walk over a formula is ``_walk_once`` over the
-distinct nodes (atoms, shared nodes), or one of the two hot loops of the
-transform route, printing in ``to_text`` and evaluation in ``truth_mask``,
-each with its own explicit stack. So nesting depth is limited by memory,
-not by the recursion limit.
+first-mention order. Four walks visit a formula, each with one job and its
+own explicit stack, so nesting depth is limited by memory, not by the
+recursion limit: ``postorder`` lists the tree for ``==``, ``hash`` and
+``theory.ground``; ``_walk_once`` visits each distinct node once, for
+``atoms`` and ``shared_nodes``; the two hot loops of the transform route
+print in ``to_text`` and evaluate in ``truth_mask``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .errors import ParseError, UniverseError, ValidationError
 
 
 class Formula:
-    """Immutable AST node; compared and hashed structurally, with explicit
-    stacks, so depth is limited by memory as in every other walk.
+    """Immutable AST node, compared and hashed by its ``postorder`` list.
 
     Each node type keeps its fields in ``__slots__``; ``__init__`` fills them
     through the slot descriptors, and assignment raises AttributeError.
@@ -64,30 +64,10 @@ class Formula:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            f, g = todo.pop()
-            t = type(f)
-            if f is g:
-                continue
-            if t is not type(g):
-                return False
-            if t is Not:
-                todo.append((f.arg, g.arg))
-            elif t in _BINARY_OPS:
-                todo += ((f.right, g.right), (f.left, g.left))
-            elif t is Atom:
-                if f.name != g.name:
-                    return False
-            elif t is Const:
-                if f.value != g.value:
-                    return False
-            elif f != g:  # operands that are not formulas
-                return False
-        return True
+        return self is other or postorder(self) == postorder(other)
 
     def __hash__(self) -> int:
-        return hash(to_text(self))  # equal formulas print the same text
+        return hash(tuple(postorder(self)))
 
 
 class Atom(Formula):
@@ -307,6 +287,25 @@ def to_text(f: Formula, memo: dict[int, str] | None = None) -> str:
                 memo[id(g)] = v
         else:
             return v
+
+
+def postorder(f: Formula) -> list:
+    """``f`` in post order: an atom name or a constant's bool is a leaf,
+    ``Not`` negates the value on top, a binary node type combines the top
+    two. Two formulas are equal exactly when their lists are."""
+    program, todo = [], [f]
+    while todo:  # pre order with the right operand first: reversed, it is the post order
+        g = todo.pop()
+        t = type(g)
+        if t is Atom or t is Const:
+            program.append(g.name if t is Atom else g.value)
+        elif t is Not or t in _BINARY_OPS:
+            program.append(t)
+            todo += (g.arg,) if t is Not else (g.left, g.right)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    program.reverse()
+    return program
 
 
 def _walk_once(roots: tuple[Formula, ...]) -> tuple[tuple[str, ...], dict[int, object]]:

@@ -1,10 +1,12 @@
 """Propositional normal logic programs: stratification, the layered-priority
 encoding into a default theory, and the perfect-model oracle.
 
-Program file format: one clause per line, terminated by a period::
+Program file format: one clause per line, terminated by a period; atoms
+may take arguments, as in formulas::
 
     q.
     p :- a, b, not c.
+    r(x,y) :- q, not s(x).
 
 Stratification assigns each atom the least level such that positive body
 atoms sit no higher than the head and negated body atoms sit strictly
@@ -13,6 +15,7 @@ lower. A cycle through negation makes that impossible.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,6 +64,9 @@ def _parse_atom(token: str, lineno: int) -> str:
     return token
 
 
+_ARGS_RE = re.compile(r"(\([^()]*\))")  # ``split`` keeps these closed groups at odd positions
+
+
 def parse_program(text: str) -> Program:
     clauses = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -77,7 +83,12 @@ def parse_program(text: str) -> Program:
         if sep:
             if not body_text.strip():
                 raise ParseError("empty clause body after ':-'", line=lineno)
-            for lit in body_text.split(","):
+            literals = [""]  # the body split on its commas outside parentheses
+            for k, piece in enumerate(_ARGS_RE.split(body_text)):
+                first, *rest = (piece,) if k % 2 else piece.split(",")
+                literals[-1] += first
+                literals += rest
+            for lit in literals:
                 lit = lit.strip()
                 if lit.startswith("not "):
                     neg.append(_parse_atom(lit[4:], lineno))
@@ -163,18 +174,16 @@ def encode_stratified(p: Program) -> Theory:
     if len(set(labels)) != len(labels):
         raise ValidationError("atom names collide after label sanitization")
     defaults = tuple(LabeledFormula(l, Not(Atom(a))) for l, a in zip(labels, p.atoms))
-    edges = frozenset(
-        (la, lb)
-        for la, a in zip(labels, p.atoms)
-        for lb, b in zip(labels, p.atoms)
-        if strata.of(a) < strata.of(b)
-    )
-    return Theory(
+    # The labels above an atom's are those of every lower stratum: already closed and acyclic.
+    strata_masks = [0] * (strata.max_level + 1)
+    for k, a in enumerate(p.atoms):
+        strata_masks[strata.of(a)] |= 1 << k
+    below = list(itertools.accumulate(strata_masks, initial=0))  # the strata are disjoint: sums are unions
+    return Theory._known_atoms(
         universe=p.atoms,
         base=tuple(_clause_formula(c) for c in p.clauses),
         defaults=defaults,
-        priority=PriorityOrder(tuple(labels), edges),
-        fixtures=(),
+        priority=PriorityOrder._closed(tuple(labels), tuple(below[strata.of(a)] for a in p.atoms)),
     )
 
 

@@ -29,16 +29,18 @@ from typing import Collection, Iterable, NamedTuple, Sequence, Union
 from .errors import CycleError, ParseError, ValidationError
 from .formula import (
     ATOM_RE,
+    FALSE,
     IDENT,
     LABEL_RE,
+    TRUE,
     VARIABLE_RE,
     Atom,
-    Const,
     Formula,
     Not,
     atoms as formula_atoms,
     iter_bits,
     parse_formula,
+    postorder,
     shared_nodes,
     to_text,
 )
@@ -271,27 +273,11 @@ def _template(name: str, params: tuple[str, ...]) -> str:
     return f"{head}({text})" if head else text
 
 
-def _program(f: Formula) -> list:
-    """``f`` in post order: an atom name or a Const pushes a leaf, ``Not``
-    negates the top value, a binary node type combines the top two."""
-    program, todo = [], [f]
-    while todo:  # pre order with the right operand first: reversed, it is the post order
-        g = todo.pop()
-        t = type(g)
-        if t is Atom or t is Const:
-            program.append(g.name if t is Atom else g)
-        else:
-            program.append(t)
-            todo += (g.arg,) if t is Not else (g.left, g.right)
-    program.reverse()
-    return program
-
-
 def ground(s: SchemaTheory) -> Theory:
     """Replace every schema by the collection of its instances.
 
-    Each schema's formula becomes a ``_program`` and its atom names
-    templates, once; each instance runs the program on its own Atoms. The
+    Each schema's formula becomes a ``postorder`` list and its atom names
+    templates, once; each instance runs the list on its own Atoms. The
     instances form one block of mutually unordered labels. A schema edge
     stands for all pairs of instances, whose closure is ``s.order``'s with
     each label widened to its block: one ``above`` mask per schema, shared
@@ -304,10 +290,10 @@ def ground(s: SchemaTheory) -> Theory:
     blocks = [1 << k for k in range(len(s.defaults))]  # blocks[k]: the grounded labels of s.order's label k
     for schema in s.schemas:
         start = len(grounded)
-        program = _program(schema.formula)
+        program = postorder(schema.formula)
         templates = {n: _template(n, schema.params) for n in program if type(n) is str}
+        leaves: dict[str | bool, Formula] = {True: TRUE, False: FALSE}  # atom names are refilled per instance
         for combo in itertools.product(s.domain, repeat=len(schema.params)):
-            leaves: dict[str, Atom] = {}
             for n, t in templates.items():
                 name = t.format(*combo)
                 leaves[n] = universe[name] = universe.get(name) or Atom(name)
@@ -318,8 +304,8 @@ def ground(s: SchemaTheory) -> Theory:
                 elif type(op) is type:  # a binary node type
                     right = stack.pop()
                     stack[-1] = op(stack[-1], right)
-                else:  # an atom name, or a Const that stands for itself
-                    stack.append(leaves.get(op, op))
+                else:  # an atom name or a constant's bool
+                    stack.append(leaves[op])
             label = f"{schema.label}[{','.join(combo)}]" if schema.params else schema.label
             grounded.append(LabeledFormula(label, stack[0]))
         blocks.append((1 << len(grounded)) - (1 << start))

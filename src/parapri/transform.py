@@ -153,18 +153,16 @@ def _guard_size(order: PriorityOrder) -> None:
 
 
 def transform_canonical(defaults: Sequence[LabeledFormula], order: PriorityOrder) -> TransformOutput:
-    """The deterministic member: canonical topological ordering per default."""
+    """The deterministic member: canonical topological ordering per default,
+    the first of ``_sigma_combinations`` and so the first of ``transform_all``."""
     _check_alignment(defaults, order)
     _guard_size(order)
-    sigmas = {label: next(_iter_descending(order, a)) for label, a in zip(order.indices, order.above)}
-    return _assemble(defaults, sigmas)
+    return _assemble(defaults, next(_sigma_combinations(order)))
 
 
 def transform_all(defaults: Sequence[LabeledFormula], order: PriorityOrder, limit: int) -> list[TransformOutput]:
-    """Members generated by all combinations of descending orderings, up to ``limit``.
-
-    The first member equals the canonical output.
-    """
+    """Members generated by all combinations of descending orderings, up to
+    ``limit``; the first is ``transform_canonical``'s output."""
     if limit <= 0:
         raise ValidationError("limit must be positive")
     _check_alignment(defaults, order)

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the package's packed-truth-table
 machinery and its explicit-stack walks: they recurse over the AST per
 interpretation, so agreement with the engine is a genuine cross-check.
 ``parse_formula_reference`` matches one token at a time into
-(kind, text, offset) tuples before it parses. No library code calls
-them.
+(kind, text, offset) tuples before it parses, and
+``formula_equal_reference`` walks two trees in pairs. No library code
+calls them.
 """
 
 from __future__ import annotations
@@ -159,6 +160,32 @@ def text_naive(f: Formula) -> str:
         case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
             return f"({text_naive(l)} {_OPS[type(f)]} {text_naive(r)})"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def formula_equal_reference(f: Formula, g: Formula) -> bool:
+    """Structural equality by a pairwise walk of both trees on one stack,
+    skipping a pair of identical subtrees; the reference for ``==``."""
+    todo = [(f, g)]
+    while todo:
+        f, g = todo.pop()
+        t = type(f)
+        if f is g:
+            continue
+        if t is not type(g):
+            return False
+        if t is Not:
+            todo.append((f.arg, g.arg))
+        elif t in _OPS:
+            todo += ((f.right, g.right), (f.left, g.left))
+        elif t is Atom:
+            if f.name != g.name:
+                return False
+        elif t is Const:
+            if f.value != g.value:
+                return False
+        elif f != g:  # operands that are not formulas
+            return False
+    return True
 
 
 def _check_universes(z: Interpretation, z2: Interpretation) -> None:

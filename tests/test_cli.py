@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from helpers import ac_set, run_python
 from parapri import config
-from parapri.circumscription import circ_equivalent
+from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.cli import main
 from parapri.formula import parse_formula
+from parapri.lp import encode_stratified, parse_program, perfect_model
 from parapri.theory import ground, parse_theory, print_theory
 
 try:
@@ -292,6 +293,16 @@ class TestEncodeLp:
         assert code == 0
         t = parse_theory(out)
         assert t.priority.closure == {("min_q", "min_p")}
+
+    def test_atoms_with_arguments(self, capsys, tmp_path):
+        f = tmp_path / "args.lp"
+        f.write_text("q(a,b).\np(a,b) :- q(a,b), not r(a,c).\n")
+        code, out, err = run(capsys, "encode-lp", f)
+        assert (code, err) == (0, "")
+        t = parse_theory(out)
+        p = parse_program(f.read_text())
+        assert t == encode_stratified(p)
+        assert preferred_models(t).models == (perfect_model(p),)
 
     def test_non_stratified_is_exit_2(self, capsys):
         code, _, err = run(capsys, "encode-lp", DATA / "nonstrat.lp")

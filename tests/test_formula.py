@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ac_key, evaluate, parse_formula_reference, text_naive
+from helpers import ac_key, evaluate, formula_equal_reference, parse_formula_reference, text_naive
 from parapri.errors import CapExceededError, ParseError, UniverseError
 from parapri.theory import LabeledFormula, Theory, parallel_order, parse_theory, print_theory
 from parapri.formula import (
@@ -442,3 +442,75 @@ class TestToText:
         memo = shared_nodes(*roots)
         assert [to_text(f, memo) for f in roots] == want
         assert [to_text(f, memo) for f in roots] == want  # now read from the memo
+
+
+def _copy(f, last=None):
+    """A node-for-node copy of ``f``; given ``last``, its rightmost leaf
+    (the bottom of a right spine) becomes ``last``."""
+    match f:
+        case Not(arg):
+            return Not(_copy(arg, last))
+        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            return type(f)(_copy(l), _copy(r, last))
+        case Atom(name):
+            return last or Atom(name)
+        case Const(value):
+            return last or Const(value)
+
+
+EQ_NAMES = ("a", "true")  # Atom("true") prints as TRUE does but is not equal to it
+
+
+@st.composite
+def formula_pairs(draw):
+    """A formula, possibly one of several that share subtrees, with one of:
+    another drawn formula, a root of the same pool, a copy, or a copy that
+    differs only in its rightmost leaf."""
+    kind = draw(st.sampled_from(["drawn", "same pool", "copy", "last leaf"]))
+    if kind == "same pool":
+        roots = draw(shared_roots(EQ_NAMES))
+        return draw(st.sampled_from(roots)), draw(st.sampled_from(roots))
+    f = draw(st.one_of(formulas(EQ_NAMES), spines(), shared_roots(EQ_NAMES).flatmap(st.sampled_from)))
+    if kind == "drawn":
+        return f, draw(formulas(EQ_NAMES))
+    if kind == "copy":
+        return f, _copy(f)
+    return f, _copy(f, draw(st.sampled_from([A, B, Atom("true"), Atom("false"), TRUE, FALSE])))
+
+
+SPINE = 40_000
+
+
+class TestEquality:
+    @given(formula_pairs())
+    @settings(max_examples=300)
+    def test_agrees_with_reference(self, pair):
+        f, g = pair
+        want = formula_equal_reference(f, g)
+        assert (f == g) is want and (g == f) is want and (f != g) is not want
+        if want:
+            assert hash(f) == hash(g)
+
+    def test_constants_are_not_atoms(self):
+        for name, const in (("true", TRUE), ("false", FALSE)):
+            assert str(Atom(name)) == str(const)
+            assert Atom(name) != const and Not(Atom(name)) != Not(const)
+            assert And(A, Atom(name)) != And(A, const)
+        assert Const(True) == TRUE and hash(Const(True)) == hash(TRUE)
+
+    @pytest.mark.parametrize("step", [lambda f: Or(A, f), lambda f: And(f, B)], ids=["right", "left"])
+    def test_long_spines(self, step):
+        f, g, h = A, A, B
+        for _ in range(SPINE):
+            f, g, h = step(f), step(g), step(h)
+        assert f == g and hash(f) == hash(g)
+        assert f != h  # only the bottom leaf differs
+
+    @pytest.mark.parametrize(
+        "f, g", [(Not(3), Not(3)), (And(A, None), And(A, None)), (Or(A, B), Or(A, "b"))]
+    )
+    def test_not_a_formula(self, f, g):
+        for call in (lambda: f == g, lambda: g == f, lambda: hash(g)):
+            with pytest.raises(TypeError, match="^not a formula: "):
+                call()
+        assert A != 3 and A != "a"

@@ -1,6 +1,7 @@
 """Logic programs: parsing, stratification, encoding, perfect models."""
 
 import random
+import re
 
 import pytest
 
@@ -8,12 +9,13 @@ from generate import random_stratified_program
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.errors import NotStratifiedError, ParseError
 from parapri.lp import Clause, Program, encode_stratified, parse_program, perfect_model, stratify
-from parapri.theory import classify_order
+from parapri.theory import PriorityOrder, classify_order
 from parapri.transform import parallel_theory, transform_canonical
 
 TWO_STRATA = "q.\np :- not q.\n"
 NEGATION_FREE = "p.\nr :- p.\n"
 UNDEFINED_NEG = "p :- not q.\n"
+WITH_ARGUMENTS = "q(a,b).\np(a,b) :- q(a,b), not r(a,c).\n"
 
 
 class TestParseProgram:
@@ -39,6 +41,18 @@ class TestParseProgram:
     def test_mixed_body(self):
         p = parse_program("h :- a, b, not c, not d.\n")
         assert p.clauses == (Clause("h", ("a", "b"), ("c", "d")),)
+
+    def test_atoms_with_arguments_in_a_body(self):
+        p = parse_program(WITH_ARGUMENTS)
+        assert p.clauses == (Clause("q(a,b)"), Clause("p(a,b)", ("q(a,b)",), ("r(a,c)",)))
+
+    @pytest.mark.parametrize(
+        "body, bad",
+        [("a b, c", "a b"), ("q(a, b", "q(a"), ("q(a,,b)", "q(a,,b)"), ("a,, b", ""), ("x), y", "x)")],
+    )
+    def test_bad_body_atom(self, body, bad):
+        with pytest.raises(ParseError, match=f"^bad atom {re.escape(repr(bad))} \\(line 2\\)$"):
+            parse_program(f"q.\np :- {body}.\n")
 
     def test_empty_body_rejected(self):
         with pytest.raises(ParseError):
@@ -106,6 +120,18 @@ class TestEncodeStratified:
                 assert t.priority.higher(f"min_{x}", f"min_{y}") == expected
 
 
+    def test_order_matches_the_stratum_pairs(self):
+        # The order closed from every (lower stratum, higher stratum) label pair.
+        rng = random.Random(311)
+        for _ in range(300):
+            p = random_stratified_program(rng, max_atoms=8, max_level=3)
+            t = encode_stratified(p)
+            s = stratify(p)
+            labels = t.priority.indices
+            pairs = [(la, lb) for la, a in zip(labels, p.atoms) for lb, b in zip(labels, p.atoms) if s.of(a) < s.of(b)]
+            assert t.priority == PriorityOrder(labels, pairs)
+
+
 class TestPerfectModel:
     def test_two_strata(self):
         assert perfect_model(parse_program(TWO_STRATA)).as_dict() == {"q": True, "p": False}
@@ -123,7 +149,7 @@ class TestPerfectModel:
 
 class TestCorrespondence:
     def test_fixture_programs(self):
-        for text in (TWO_STRATA, NEGATION_FREE, UNDEFINED_NEG):
+        for text in (TWO_STRATA, NEGATION_FREE, UNDEFINED_NEG, WITH_ARGUMENTS):
             p = parse_program(text)
             pm = preferred_models(encode_stratified(p))
             assert len(pm) == 1

@@ -443,15 +443,15 @@ class TestOrderDifferential:
 
 def schema_formula_texts(params, domain):
     """Formula text over atoms with constant arguments (``p(X,k0)``),
-    repeated variables (``q(X,X)``), bare variables and a propositional
-    atom, drawn from a small pool so that one atom often occurs twice,
-    under ``~``, ``->``, ``<->``, ``&`` and ``|``."""
+    repeated variables (``q(X,X)``), bare variables, a propositional
+    atom and the constants, drawn from a small pool so that one atom often
+    occurs twice, under ``~``, ``->``, ``<->``, ``&`` and ``|``."""
     terms = [*params, *domain[:2]]
     atom = st.one_of(
         st.tuples(st.sampled_from("pq"), st.lists(st.sampled_from(terms), min_size=1, max_size=3)).map(
             lambda t: f"{t[0]}{len(t[1])}({','.join(t[1])})"
         ),
-        st.sampled_from([*params, "r"]),
+        st.sampled_from([*params, "r", "true", "false"]),
     )
     return st.lists(atom, min_size=1, max_size=3).flatmap(
         lambda pool: st.recursive(
