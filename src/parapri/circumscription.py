@@ -20,6 +20,10 @@ empty, and without priorities that row is the containment test of the
 parallel case. The preferred models are the union of the undominated
 cells; ``preorder_equivalent`` compares both pre-orders' rows on the joint
 cells of their defaults over the whole universe.
+
+Memory: a shared subtree's mask lives from its first use to its last, and
+profiles are transposed ``TRANSPOSE_BLOCK`` columns at a time; what stays
+is the cells, one 2^n-bit mask each, and the default columns.
 """
 
 from __future__ import annotations
@@ -145,13 +149,27 @@ def _quotient(base_mask: int, masks: Iterable[int]) -> tuple[list[int], list[int
     return cells, profiles
 
 
+# Columns per ``_transpose`` block: its strings hold K·256 characters for K
+# rows, not K·width. On the 4096 profiles of a 12-default chain's transform
+# (CPython 3.11, best of 7, two runs), 256 adds 2 MB to peak RSS in 96-167 ms,
+# one block 31 MB in 154-163 ms, 512 7 MB; at 8191 outputs, 7 against 127 MB.
+# The benchmark's query-dense and verify-small never pass 128 columns.
+TRANSPOSE_BLOCK = 256
+
+
 def _transpose(rows: Sequence[int], width: int) -> list[int]:
     """Transpose a bit matrix of ``width``-bit rows: bit k of column i is
-    bit i of rows[k]."""
-    # One fixed-width binary string per row, last row first; every width-th
-    # character from offset width-1-i then spells column i, high bit first.
-    table = "".join(format(r, f"0{width}b") for r in reversed(rows))
-    return [int(table[width - 1 - i :: width] or "0", 2) for i in range(width)]
+    bit i of rows[k]; a row's bits from ``width`` on are ignored."""
+    columns: list[int] = []
+    for first in range(0, width, TRANSPOSE_BLOCK):
+        # One fixed-width binary string per row for the block's w columns,
+        # last row first; every w-th character from offset w-1-i then spells
+        # column first+i, high bit first.
+        w = min(TRANSPOSE_BLOCK, width - first)
+        keep = (1 << w) - 1
+        table = "".join(format(r >> first & keep, f"0{w}b") for r in reversed(rows))
+        columns += [int(table[w - 1 - i :: w] or "0", 2) for i in range(w)]
+    return columns
 
 
 def preferred_models(t: Theory, max_atoms: int = MODEL_ATOMS) -> PreferredModelSet:
@@ -160,7 +178,7 @@ def preferred_models(t: Theory, max_atoms: int = MODEL_ATOMS) -> PreferredModelS
     base_mask, masks = truth_masks(t.base, [f for _, f in t.defaults + t.fixtures], t.universe, max_atoms)
     cells, profiles = _quotient(base_mask, masks)
     low = (1 << n) - 1
-    columns = [(~m, m) for m in _transpose([p & low for p in profiles], n)]
+    columns = [(~m, m) for m in _transpose(profiles, n)]
     classes: defaultdict[int, int] = defaultdict(int)  # fixture profile -> mask of its cells
     for k, p in enumerate(profiles):
         classes[p >> n] |= 1 << k

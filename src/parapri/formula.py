@@ -19,9 +19,10 @@ loop; a shared name -> Atom dict gives one Atom per name and the names in
 first-mention order. Four walks visit a formula, each with one job and its
 own explicit stack, so nesting depth is limited by memory, not by the
 recursion limit: ``postorder`` lists the tree for ``==``, ``hash`` and
-``theory.ground``; ``_walk_once`` visits each distinct node once, for
+``theory.ground``; ``_count_lookups`` visits each distinct node once, for
 ``atoms`` and ``shared_nodes``; the two hot loops of the transform route
-print in ``to_text`` and evaluate in ``truth_mask``.
+print in ``to_text`` and evaluate in ``truth_mask``, and free a shared
+node's value at the last of the lookups that ``_count_lookups`` counted.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 _PENDING = object()
 
 
-def to_text(f: Formula, memo: dict[int, str] | None = None) -> str:
+def to_text(f: Formula, memo: dict[int, list] | None = None) -> str:
     """Fully parenthesized text form; ``parse_formula`` round-trips it.
 
     ``memo`` works as in ``truth_mask``, and so does the loop: a frame holds
@@ -241,10 +242,14 @@ def to_text(f: Formula, memo: dict[int, str] | None = None) -> str:
     while True:
         # Down: print ``g``, pushing one frame per connective left to combine.
         while True:
+            if memo and id(g) in memo and (v := (entry := memo[id(g)])[1]) is not _PENDING:
+                if entry[0] > 1:
+                    entry[0] -= 1
+                else:  # its last lookup
+                    del memo[id(g)]
+                break
             t = type(g)
             if t is And or t is Or or t is Implies or t is Iff:
-                if memo and id(g) in memo and (v := memo[id(g)]) is not _PENDING:
-                    break
                 a = g.left
                 u = type(a)
                 if u is Atom:
@@ -262,8 +267,6 @@ def to_text(f: Formula, memo: dict[int, str] | None = None) -> str:
                 v = g.name
                 break
             elif t is Not:
-                if memo and id(g) in memo and (v := memo[id(g)]) is not _PENDING:
-                    break
                 stack.append((g, _PENDING))
                 g = g.arg
             elif t is Const:
@@ -284,7 +287,7 @@ def to_text(f: Formula, memo: dict[int, str] | None = None) -> str:
             else:
                 v = f"({left} {_BINARY_OPS[t]} {v})"
             if memo and id(g) in memo:
-                memo[id(g)] = v
+                memo[id(g)][1] = v
         else:
             return v
 
@@ -308,37 +311,52 @@ def postorder(f: Formula) -> list:
     return program
 
 
-def _walk_once(roots: tuple[Formula, ...]) -> tuple[tuple[str, ...], dict[int, object]]:
+def _count_lookups(roots: tuple[Formula, ...]) -> tuple[tuple[str, ...], dict[int, int]]:
     # Each distinct node of ``roots`` once, depth first, left to right: the
-    # atom names in first-mention order and the inner nodes reached again.
+    # atom names in first-mention order, and how often a pass of the hot
+    # loops over ``roots`` looks each connective up: once per root it is and
+    # per edge from a distinct parent, but not as a literal left operand.
     names: dict[str, None] = {}
-    seen: set[int] = set()
-    shared: dict[int, object] = {}
+    lookups: dict[int, int] = {}
     todo = list(reversed(roots))
     while todo:
         g = todo.pop()
         t = type(g)
         if t is Atom:
-            names.setdefault(g.name)
-        elif id(g) in seen:
-            shared[id(g)] = _PENDING
-        elif t is Not or t in _BINARY_OPS:
-            seen.add(id(g))
-            todo += (g.arg,) if t is Not else (g.right, g.left)
+            names[g.name] = None
+        elif id(g) in lookups:
+            lookups[id(g)] += 1
+        elif t in _BINARY_OPS:
+            lookups[id(g)] = 1
+            a = g.left
+            u = type(a)
+            todo.append(g.right)
+            if u is Atom:
+                names[a.name] = None
+            elif u is Not and type(a.arg) is Atom:
+                names[a.arg.name] = None
+            elif u is not Const:
+                todo.append(a)
+        elif t is Not:
+            lookups[id(g)] = 1
+            todo.append(g.arg)
         elif t is not Const:
             raise TypeError(f"not a formula: {g!r}")
-    return tuple(names), shared
+    return tuple(names), lookups
 
 
 def atoms(*formulas: Formula) -> tuple[str, ...]:
     """Atom names of ``formulas`` in first-mention order."""
-    return _walk_once(formulas)[0]
+    return _count_lookups(formulas)[0]
 
 
-def shared_nodes(*roots: Formula) -> dict[int, object]:
-    """An empty ``to_text`` or ``truth_mask`` memo for ``roots`` that keeps
-    the values of the nodes they reach more than once, and of no other node."""
-    return _walk_once(roots)[1]
+def shared_nodes(*roots: Formula) -> dict[int, list]:
+    """An empty ``to_text`` or ``truth_mask`` memo for one pass over
+    ``roots`` in this order: a ``[hits left, value]`` entry under the
+    ``id()`` of each node the pass looks up more than once, freed at its
+    last lookup, so the pass leaves the memo empty; a later lookup, as in
+    a second pass, computes the value again."""
+    return {k: [n - 1, _PENDING] for k, n in _count_lookups(roots)[1].items() if n > 1}
 
 
 @dataclass(frozen=True)
@@ -415,13 +433,15 @@ def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], int]:
     return cols, width
 
 
-def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, int] | None = None) -> int:
+def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, list] | None = None) -> int:
     """Truth table of ``f`` packed into an int: bit i = value under index i.
 
-    ``memo`` (from ``shared_nodes``) keeps the value of a node under its
-    ``id()``, so the masks of several formulas given one memo evaluate each
-    shared subtree once. Ids are valid only while their objects live: keep
-    every root referenced while the memo is in use.
+    ``memo`` (from ``shared_nodes``) keeps the value of a shared node under
+    its ``id()`` from its first lookup to its last, so the masks of the
+    formulas it was made for, taken in that order, evaluate each shared
+    subtree once and leave the memo empty; a lookup beyond its count
+    computes the value again. Ids are valid only while their objects live:
+    keep every root referenced while the memo is in use.
 
     One explicit-stack loop with no callbacks: a frame is a connective
     with the value of its left operand, or ``_PENDING`` while that is still
@@ -437,10 +457,14 @@ def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, int] | None 
         while True:
             # Down: value ``g``, pushing one frame per connective left to combine.
             while True:
+                if memo and id(g) in memo and (v := (entry := memo[id(g)])[1]) is not _PENDING:
+                    if entry[0] > 1:
+                        entry[0] -= 1
+                    else:  # its last lookup
+                        del memo[id(g)]
+                    break
                 t = type(g)
                 if t is And or t is Or or t is Implies or t is Iff:
-                    if memo and id(g) in memo and (v := memo[id(g)]) is not _PENDING:
-                        break
                     a = g.left
                     u = type(a)
                     if u is Atom:
@@ -458,8 +482,6 @@ def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, int] | None 
                     v = cols[g.name]
                     break
                 elif t is Not:
-                    if memo and id(g) in memo and (v := memo[id(g)]) is not _PENDING:
-                        break
                     stack.append((g, _PENDING))
                     g = g.arg
                 elif t is Const:
@@ -486,7 +508,7 @@ def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, int] | None 
                 else:
                     v ^= full ^ left
                 if memo and id(g) in memo:
-                    memo[id(g)] = v
+                    memo[id(g)][1] = v
             else:
                 return v
     except KeyError as e:  # only column lookups raise it

@@ -98,21 +98,21 @@ def parse_program(text: str) -> Program:
     return Program(tuple(clauses))
 
 
-def _negative_cycle_witness(p: Program) -> tuple[str, ...]:
-    # dependency edges head -> body atom, kept in first-mention order
-    deps: dict[str, dict[str, None]] = {a: {} for a in p.atoms}
-    for c in p.clauses:
-        deps[c.head].update(dict.fromkeys(c.pos + c.neg))
+def _not_stratified(p: Program, deps: dict[str, list[tuple[str, int]]]) -> NotStratifiedError:
+    # For a program with a cycle through negation: the first such cycle, from
+    # the first negated body atom of the first clause that closes one.
     for c in p.clauses:
         for target in c.neg:
             # path target ~> c.head closes a cycle through this negation
             path = _find_path(deps, target, c.head)
             if path is not None:
-                return tuple(path)
-    return ()
+                return NotStratifiedError(
+                    f"program is not stratified (cycle through negation: {' -> '.join(path)})", cycle=tuple(path)
+                )
+    raise AssertionError("no cycle through negation")
 
 
-def _find_path(deps: dict[str, dict[str, None]], start: str, goal: str) -> list[str] | None:
+def _find_path(deps: dict[str, list[tuple[str, int]]], start: str, goal: str) -> list[str] | None:
     parent: dict[str, str | None] = {start: None}
     queue = [start]
     while queue:
@@ -122,7 +122,7 @@ def _find_path(deps: dict[str, dict[str, None]], start: str, goal: str) -> list[
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])
             return list(reversed(path))
-        for y in deps.get(x, ()):
+        for y, _ in deps[x]:
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
@@ -130,26 +130,49 @@ def _find_path(deps: dict[str, dict[str, None]], start: str, goal: str) -> list[
 
 
 def stratify(p: Program) -> Stratification:
-    """Least level assignment, or NotStratifiedError with a witness cycle."""
-    level = {a: 0 for a in p.atoms}
-    bound = len(p.atoms)
-    for _ in range(bound + 1):
-        changed = False
-        for c in p.clauses:
-            need = max(
-                [level[b] for b in c.pos] + [level[n] + 1 for n in c.neg],
-                default=0,
-            )
-            if need > level[c.head]:
-                level[c.head] = need
-                changed = True
-        if not changed:
-            return Stratification(level)
-    cycle = _negative_cycle_witness(p)
-    raise NotStratifiedError(
-        f"program is not stratified (cycle through negation: {' -> '.join(cycle) or 'unlocated'})",
-        cycle=cycle,
-    )
+    """Least level assignment, or NotStratifiedError with a witness cycle.
+
+    The atoms of a strongly connected component of the dependencies share
+    the least level that covers the edges leaving it; Tarjan's algorithm
+    emits each component after those it depends on, so one pass does."""
+    # head -> (body atom, 1 if negated), in first-mention order
+    deps: dict[str, list[tuple[str, int]]] = {a: [] for a in p.atoms}
+    for c in p.clauses:
+        deps[c.head] += [(b, 0) for b in c.pos] + [(b, 1) for b in c.neg]
+    level: dict[str, int] = {}  # the atoms of emitted components
+    index: dict[str, int] = {}  # visit order
+    low: dict[str, int] = {}  # the least index on the stack that an atom reaches
+    stack: list[str] = []  # visited atoms not yet emitted
+    for root in p.atoms:
+        work = [] if root in index else [(root, None)]
+        while work:
+            a, edges = work.pop()
+            if edges is None:
+                index[a] = low[a] = len(index)
+                stack.append(a)
+                edges = iter(deps[a])
+            for b, _ in edges:
+                if b not in index:
+                    work += [(a, edges), (b, None)]
+                    break
+                if b not in level:
+                    low[a] = min(low[a], index[b])
+            else:
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[a])
+                if low[a] == index[a]:  # ``a`` and the atoms above it on the stack
+                    component = set()
+                    while a not in component:
+                        component.add(stack.pop())
+                    need = 0
+                    for x in component:
+                        for b, w in deps[x]:
+                            if b not in component:
+                                need = max(need, level[b] + w)
+                            elif w:
+                                raise _not_stratified(p, deps)
+                    level.update(dict.fromkeys(component, need))
+    return Stratification(level)
 
 
 def _clause_formula(c: Clause) -> Formula:

@@ -1,7 +1,9 @@
 """Preferred-model enumeration, skeptical entailment, and the equivalence oracles."""
 
+import gc
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache, reduce
 
 import pytest
@@ -9,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generate import random_theory
-from helpers import default_leq, evaluate, preferred_indices_naive
+from helpers import chain_theory, default_leq, evaluate, preferred_indices_naive
 from parapri.circumscription import (
+    TRANSPOSE_BLOCK,
     PreferredModelSet,
     _quotient,
+    _transpose,
     circ_equivalent,
     format_model,
     models_of,
@@ -24,7 +28,7 @@ from parapri.errors import CapExceededError, UniverseError
 from parapri.formula import FALSE, TRUE, And, Atom, Iff, Implies, Interpretation, Not, Or, parse_formula
 from parapri.preorder import PreorderSpec
 from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory, parallel_order
-from parapri.transform import parallel_theory, transform_all, transform_canonical
+from parapri.transform import parallel_theory, transform_all, transform_canonical, transform_theory
 
 F = parse_formula
 
@@ -84,6 +88,22 @@ class TestPreferredModels:
                 continue
             checked += 1
             assert len(preferred_models(t)) > 0
+
+    def test_transform_of_a_chain_fits_in_1_6_mb(self):
+        # 1023 outputs over 10 atoms, 1024 cells. The traced peak is 1.26 MB;
+        # it was 2.61 MB while the memo kept every shared subtree's mask to the
+        # end and the transpose built one 1024 x 1023-character string.
+        t = transform_theory(chain_theory(10))
+        preferred_models(t)  # fills interpreter caches and free lists
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pm = preferred_models(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pm.mask == 1 << 1023  # every pk holds
+        assert peak < 1_600_000
 
 
 class TestSkepticalEntails:
@@ -413,3 +433,12 @@ class TestQuotient:
 
     def test_empty_base(self):
         assert _quotient(0, iter((0b1, 0b10))) == ([], [])
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("width", [0, 1, TRANSPOSE_BLOCK - 1, TRANSPOSE_BLOCK, TRANSPOSE_BLOCK + 1, 600])
+    @pytest.mark.parametrize("count", [0, 1, 37])
+    def test_matches_bit_by_bit(self, width, count):
+        rng = random.Random(width * 100 + count)
+        rows = [rng.getrandbits(width + 5) for _ in range(count)]  # bits from ``width`` on are ignored
+        assert _transpose(rows, width) == [sum((r >> i & 1) << k for k, r in enumerate(rows)) for i in range(width)]

@@ -59,7 +59,59 @@ class TestParseProgram:
             parse_program("h :- .\n")
 
 
+def levels_by_passes(p: Program) -> dict[str, int] | None:
+    """Least levels by raising heads in passes over the clauses until none
+    moves, or None when they still move after one pass per atom."""
+    level = dict.fromkeys(p.atoms, 0)
+    for _ in range(len(p.atoms) + 1):
+        moved = False
+        for c in p.clauses:
+            need = max([level[b] for b in c.pos] + [level[n] + 1 for n in c.neg], default=0)
+            if need > level[c.head]:
+                level[c.head], moved = need, True
+        if not moved:
+            return level
+    return None
+
+
+def random_program(rng: random.Random) -> Program:
+    atoms = [f"a{k}" for k in range(rng.randint(1, 7))]
+    return Program(
+        tuple(
+            Clause(
+                rng.choice(atoms),
+                tuple(rng.choices(atoms, k=rng.randint(0, 2))),
+                tuple(rng.choices(atoms, k=rng.randint(0, 2 if rng.random() < 0.6 else 0))),
+            )
+            for _ in range(rng.randint(0, 9))
+        )
+    )
+
+
 class TestStratify:
+    def test_matches_the_level_passes(self):
+        rng = random.Random(19)
+        for _ in range(3000):
+            p = random_program(rng)
+            want = levels_by_passes(p)
+            if want is not None:
+                assert stratify(p).stratum == want
+                continue
+            with pytest.raises(NotStratifiedError) as e:
+                stratify(p)
+            # The witness runs from a negated body atom along head -> body edges to its head.
+            cycle = e.value.cycle
+            deps = {(c.head, b) for c in p.clauses for b in c.pos + c.neg}
+            assert all((x, y) in deps for x, y in zip(cycle, cycle[1:]))
+            assert any(c.head == cycle[-1] and cycle[0] in c.neg for c in p.clauses)
+
+    def test_deep_chain_written_top_down(self):
+        # Highest stratum first: raising levels by passes over the clauses takes one pass per stratum.
+        n = 5000
+        p = parse_program("".join(f"a{k} :- not a{k - 1}.\n" for k in range(n, 0, -1)) + "a0.\n")
+        s = stratify(p)
+        assert [s.of(f"a{k}") for k in range(n + 1)] == list(range(n + 1))
+
     def test_two_strata(self):
         s = stratify(parse_program(TWO_STRATA))
         assert s.of("q") == 0
