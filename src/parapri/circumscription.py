@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import MODEL_ATOMS, check_atoms
 from .errors import UniverseError
-from .formula import Formula, Interpretation, iter_bits, shared_nodes, truth_mask
+from .formula import Formula, Interpretation, _columns, iter_bits, shared_nodes, truth_mask
 from .preorder import PreorderSpec
 from .theory import PriorityOrder, Theory
 
@@ -87,7 +87,7 @@ def truth_masks(
     formulas on, a subtree they share is evaluated once. Refuses a universe
     of more than ``max_atoms`` atoms."""
     check_atoms(universe, max_atoms)
-    base_mask = (1 << (1 << len(universe))) - 1
+    base_mask = _columns(universe)[1]
     for b in base:
         base_mask &= truth_mask(b, universe)
     memo = shared_nodes(*formulas) if len(formulas) >= SHARED_MEMO_MIN_FORMULAS else None

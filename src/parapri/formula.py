@@ -419,8 +419,9 @@ def iter_bits(mask: int) -> Iterator[int]:
 @lru_cache(maxsize=4)
 def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], int]:
     # Column k holds atom k's truth values across all 2^n interpretation
-    # indices, built by doubling so construction is O(n^2) bigint ops.
-    # Cached per universe: the returned dict is shared and read-only.
+    # indices, built by doubling so construction is O(n^2) bigint ops; with
+    # them comes the all-true mask of 2^n ones. Cached per universe: the
+    # returned dict is shared and read-only.
     if len(set(universe)) != len(universe):
         raise ValidationError("universe contains a duplicate atom")
     cols: dict[str, int] = {}
@@ -430,7 +431,7 @@ def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], int]:
             cols[a] |= cols[a] << width
         cols[name] = ((1 << width) - 1) << width
         width <<= 1
-    return cols, width
+    return cols, (1 << width) - 1
 
 
 def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, list] | None = None) -> int:
@@ -449,8 +450,7 @@ def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, list] | None
     a constant) is valued on the way down. A right-nested spine such as a
     transform output costs one push and one pop per connective.
     """
-    cols, size = _columns(tuple(universe))
-    full = (1 << size) - 1
+    cols, full = _columns(tuple(universe))
     stack: list[tuple[Formula, int | object]] = []
     g = f
     try:
@@ -518,15 +518,14 @@ def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, list] | None
 def is_tautology(f: Formula, universe: Iterable[str]) -> bool:
     names = tuple(universe)
     check_atoms(names, TAUTOLOGY_ATOMS)
-    return truth_mask(f, names) == (1 << (1 << len(names))) - 1
+    return truth_mask(f, names) == _columns(names)[1]
 
 
 def entails(premises: Iterable[Formula], f: Formula, universe: Iterable[str]) -> bool:
     """Whether every interpretation satisfying all premises satisfies ``f``."""
     names = tuple(universe)
     check_atoms(names, TAUTOLOGY_ATOMS)
-    full = (1 << (1 << len(names))) - 1
-    premise_mask = full
+    premise_mask = full = _columns(names)[1]
     for p in premises:
         premise_mask &= truth_mask(p, names)
     return premise_mask & (full ^ truth_mask(f, names)) == 0

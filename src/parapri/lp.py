@@ -10,7 +10,9 @@ may take arguments, as in formulas::
 
 Stratification assigns each atom the least level such that positive body
 atoms sit no higher than the head and negated body atoms sit strictly
-lower. A cycle through negation makes that impossible.
+lower. A cycle through negation makes that impossible. Both follow from
+one walk over the strongly connected components of the head -> body
+graph, the one that ``theory`` runs over priority orders.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from .errors import NotStratifiedError, ParseError, ValidationError
-from .formula import ATOM_RE, And, Atom, Formula, Implies, Interpretation, Not
-from .theory import LabeledFormula, PriorityOrder, Theory
+from .formula import And, Atom, Formula, Implies, Interpretation, Not, parse_formula
+from .theory import LabeledFormula, PriorityOrder, Theory, strongly_connected
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,18 @@ class Stratification:
         return max(self.stratum.values(), default=0)
 
 
-def _parse_atom(token: str, lineno: int) -> str:
+def _parse_atom(token: str, lineno: int, names: dict[str, Atom]) -> str:
+    # Read as a formula, so that atoms are named as in theory files. ``names``
+    # holds the atoms read so far under their names, as in ``parse_formula``,
+    # so that a name met again is not parsed again.
     token = token.strip()
-    if not ATOM_RE.fullmatch(token):
+    try:
+        atom = names.get(token) or parse_formula(token, names)
+    except ParseError:
+        atom = None
+    if type(atom) is not Atom:
         raise ParseError(f"bad atom {token!r}", line=lineno)
-    return token
+    return atom.name
 
 
 _ARGS_RE = re.compile(r"(\([^()]*\))")  # ``split`` keeps these closed groups at odd positions
@@ -69,6 +78,7 @@ _ARGS_RE = re.compile(r"(\([^()]*\))")  # ``split`` keeps these closed groups at
 
 def parse_program(text: str) -> Program:
     clauses = []
+    names: dict[str, Atom] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -77,7 +87,7 @@ def parse_program(text: str) -> Program:
             raise ParseError("clause does not end with '.'", line=lineno)
         line = line[:-1].strip()
         head_text, sep, body_text = line.partition(":-")
-        head = _parse_atom(head_text, lineno)
+        head = _parse_atom(head_text, lineno, names)
         pos: list[str] = []
         neg: list[str] = []
         if sep:
@@ -91,87 +101,60 @@ def parse_program(text: str) -> Program:
             for lit in literals:
                 lit = lit.strip()
                 if lit.startswith("not "):
-                    neg.append(_parse_atom(lit[4:], lineno))
+                    neg.append(_parse_atom(lit[4:], lineno, names))
                 else:
-                    pos.append(_parse_atom(lit, lineno))
+                    pos.append(_parse_atom(lit, lineno, names))
         clauses.append(Clause(head, tuple(pos), tuple(neg)))
     return Program(tuple(clauses))
 
 
-def _not_stratified(p: Program, deps: dict[str, list[tuple[str, int]]]) -> NotStratifiedError:
-    # For a program with a cycle through negation: the first such cycle, from
-    # the first negated body atom of the first clause that closes one.
-    for c in p.clauses:
-        for target in c.neg:
-            # path target ~> c.head closes a cycle through this negation
-            path = _find_path(deps, target, c.head)
-            if path is not None:
-                return NotStratifiedError(
-                    f"program is not stratified (cycle through negation: {' -> '.join(path)})", cycle=tuple(path)
-                )
-    raise AssertionError("no cycle through negation")
-
-
-def _find_path(deps: dict[str, list[tuple[str, int]]], start: str, goal: str) -> list[str] | None:
+def _witness(p: Program, deps: dict[str, list[str]]) -> NotStratifiedError:
+    # For a program with a cycle through negation: the first negated body atom
+    # of the first clause whose head shares its component, and a shortest
+    # path from it back to the head, breadth first.
+    owner = {x: k for k, component in enumerate(strongly_connected(deps)) for x in component}
+    c, start = next((c, n) for c in p.clauses for n in c.neg if owner[n] == owner[c.head])
     parent: dict[str, str | None] = {start: None}
     queue = [start]
-    while queue:
-        x = queue.pop(0)
-        if x == goal:
-            path = [x]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return list(reversed(path))
-        for y, _ in deps[x]:
+    for x in queue:  # the queue grows while it is read
+        if x == c.head:
+            break
+        for y in deps[x]:
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
-    return None
+    path = [c.head]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return NotStratifiedError(
+        f"program is not stratified (cycle through negation: {' -> '.join(path)})", cycle=tuple(path)
+    )
 
 
 def stratify(p: Program) -> Stratification:
     """Least level assignment, or NotStratifiedError with a witness cycle.
 
-    The atoms of a strongly connected component of the dependencies share
-    the least level that covers the edges leaving it; Tarjan's algorithm
-    emits each component after those it depends on, so one pass does."""
-    # head -> (body atom, 1 if negated), in first-mention order
-    deps: dict[str, list[tuple[str, int]]] = {a: [] for a in p.atoms}
+    The atoms of a strongly connected component of the head -> body graph
+    share the least level that covers the edges leaving it, and the walk
+    yields each component after those it reaches, so the atoms with no
+    level yet are those of the component at hand. A negated body atom
+    closes a cycle through negation exactly when it lies in its head's
+    component."""
+    deps: dict[str, list[str]] = {a: [] for a in p.atoms}  # head -> body atoms, clause by clause
     for c in p.clauses:
-        deps[c.head] += [(b, 0) for b in c.pos] + [(b, 1) for b in c.neg]
-    level: dict[str, int] = {}  # the atoms of emitted components
-    index: dict[str, int] = {}  # visit order
-    low: dict[str, int] = {}  # the least index on the stack that an atom reaches
-    stack: list[str] = []  # visited atoms not yet emitted
-    for root in p.atoms:
-        work = [] if root in index else [(root, None)]
-        while work:
-            a, edges = work.pop()
-            if edges is None:
-                index[a] = low[a] = len(index)
-                stack.append(a)
-                edges = iter(deps[a])
-            for b, _ in edges:
-                if b not in index:
-                    work += [(a, edges), (b, None)]
-                    break
-                if b not in level:
-                    low[a] = min(low[a], index[b])
-            else:
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[a])
-                if low[a] == index[a]:  # ``a`` and the atoms above it on the stack
-                    component = set()
-                    while a not in component:
-                        component.add(stack.pop())
-                    need = 0
-                    for x in component:
-                        for b, w in deps[x]:
-                            if b not in component:
-                                need = max(need, level[b] + w)
-                            elif w:
-                                raise _not_stratified(p, deps)
-                    level.update(dict.fromkeys(component, need))
+        deps[c.head] += c.pos + c.neg
+    negated = {(c.head, n) for c in p.clauses for n in c.neg}
+    level: dict[str, int] = {}
+    for component in strongly_connected(deps):
+        need = 0
+        for x in component:
+            for b in deps[x]:
+                if b in level:
+                    need = max(need, level[b] + ((x, b) in negated))
+                elif (x, b) in negated:
+                    raise _witness(p, deps)
+        level.update(dict.fromkeys(component, need))
     return Stratification(level)
 
 
@@ -213,9 +196,11 @@ def encode_stratified(p: Program) -> Theory:
 def perfect_model(p: Program) -> Interpretation:
     """Stratum-by-stratum least fixpoint model of a stratified program."""
     strata = stratify(p)
+    layers: list[list[Clause]] = [[] for _ in range(strata.max_level + 1)]
+    for c in p.clauses:
+        layers[strata.of(c.head)].append(c)
     true: set[str] = set()
-    for lvl in range(strata.max_level + 1):
-        layer = [c for c in p.clauses if strata.of(c.head) == lvl]
+    for layer in layers:
         changed = True
         while changed:
             changed = False

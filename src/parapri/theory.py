@@ -12,9 +12,11 @@ Theory file format (line oriented, ``#`` comments)::
 
 Priority is entered as covering edges; the transitive closure is computed
 and validated for acyclicity at load time, and only the closure is kept:
-``print_theory`` writes one ``prefer`` line per closure pair. A grounded
-order takes its closure from the schema-level one, one block of instances
-per schema.
+``print_theory`` writes one ``prefer`` line per closure pair. One walk over
+the strongly connected components of the lower -> higher edges fills the
+closure and finds any cycle; ``lp.stratify`` runs the same walk over a
+program's dependencies. A grounded order takes its closure from the
+schema-level one, one block of instances per schema.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Collection, Iterable, NamedTuple, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import CycleError, ParseError, ValidationError
 from .formula import (
@@ -51,38 +53,66 @@ class LabeledFormula(NamedTuple):
     formula: Formula
 
 
+_DONE = float("inf")  # above every visit index: a node whose component is out lowers no ``low``
+
+
+def strongly_connected(succ: Mapping) -> Iterator[list]:
+    """The strongly connected components of the graph whose edges run from
+    each key of ``succ`` to the nodes it lists, each yielded after every
+    component it reaches (Tarjan, 1972). A node that is no key has no edge
+    out: it is a component of its own, and is not yielded. The walk keeps
+    its own stack, so its depth is bounded by memory, not by the recursion
+    limit."""
+    index = {}  # visit order, and _DONE once a node's component is out
+    low = {}  # the least index on the stack that a node reaches
+    stack = []  # visited nodes whose component is not out yet
+    for root in succ:
+        work = [] if root in index else [(root, None)]
+        while work:
+            a, edges = work.pop()
+            if edges is None:
+                index[a] = low[a] = len(index)
+                stack.append(a)
+                edges = iter(succ[a])
+            for b in edges:
+                if b not in index:
+                    if b in succ:
+                        work += [(a, edges), (b, None)]
+                        break
+                    index[b] = _DONE
+                elif index[b] < low[a]:
+                    low[a] = index[b]
+            else:
+                if work and low[a] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[a]
+                if low[a] == index[a]:  # ``a`` and the nodes above it on the stack
+                    component = [stack.pop()]
+                    while component[-1] != a:
+                        component.append(stack.pop())
+                    for x in component:
+                        index[x] = _DONE
+                    yield component
+
+
 def _order_masks(names: Sequence[str], edges: Iterable[tuple[int, int]]) -> list[int]:
     """For (higher, lower) position pairs over ``names``: one int per name
     whose bit k is set when ``names[k]`` is strictly higher, the rows of the
-    transitive closure filled in one topological pass. Raises CycleError
-    naming the least name on a cycle."""
-    below: dict[int, list[int]] = {}
-    pending: dict[int, int] = {}
+    transitive closure filled one component of the lower -> higher graph at
+    a time. Raises CycleError naming the least name on a cycle: one in a
+    component of two or more names, or with an edge to itself."""
+    higher: dict[int, list[int]] = {}
     for hi, lo in edges:
-        below.setdefault(hi, []).append(lo)
-        pending[lo] = pending.get(lo, 0) + 1
+        higher.setdefault(lo, []).append(hi)
     above = [0] * len(names)
-    # Kahn's order (the list grows while it is read): a name is taken once
-    # every name directly above it is, and hands itself and all above it down.
-    ready = [k for k in below if k not in pending]
-    for hi in ready:
-        up = above[hi] | 1 << hi
-        for lo in below.get(hi, ()):
-            above[lo] |= up
-            pending[lo] -= 1
-            if not pending[lo]:
-                ready.append(lo)
-    left = [k for k, p in pending.items() if p]
-    if left:
-        # The names left lie on a cycle or below one: close the relation
-        # among them (Warshall) and keep those that reach themselves.
-        reach = {k: sum({1 << lo for lo in below.get(k, ())}) for k in left}
-        for k in left:
-            bit, rk = 1 << k, reach[k]
-            for i in left:
-                if reach[i] & bit:
-                    reach[i] |= rk
-        raise CycleError(f"priority cycle through {min(names[k] for k in left if reach[k] >> k & 1)!r}")
+    cyclic: list[int] = []
+    for component in strongly_connected(higher):
+        for lo in component:  # the names above are filled, unless lo lies on a cycle
+            for hi in higher[lo]:
+                above[lo] |= above[hi] | 1 << hi
+        if len(component) > 1 or above[lo] >> lo & 1:  # a cycle, or one name above itself
+            cyclic += component
+    if cyclic:
+        raise CycleError(f"priority cycle through {min(names[k] for k in cyclic)!r}")
     return above
 
 

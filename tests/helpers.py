@@ -248,6 +248,66 @@ def transitive_closure_naive(edges: Iterable[tuple[str, str]]) -> frozenset[tupl
     return frozenset((x, y) for x in nodes for y in reach[x])
 
 
+def order_masks_by_kahn(names: tuple[str, ...], edges: Iterable[tuple[int, int]]) -> list[int]:
+    """For (higher, lower) position pairs over ``names``: one int per name
+    whose bit k is set when ``names[k]`` is strictly higher, filled in
+    Kahn's topological order. A name left over lies on a cycle or below
+    one; Warshall's closure among those names keeps the ones that reach
+    themselves, and CycleError names the least of them."""
+    below: dict[int, list[int]] = {}
+    pending: dict[int, int] = {}
+    for hi, lo in edges:
+        below.setdefault(hi, []).append(lo)
+        pending[lo] = pending.get(lo, 0) + 1
+    above = [0] * len(names)
+    ready = [k for k in below if k not in pending]
+    for hi in ready:  # the list grows while it is read
+        up = above[hi] | 1 << hi
+        for lo in below.get(hi, ()):
+            above[lo] |= up
+            pending[lo] -= 1
+            if not pending[lo]:
+                ready.append(lo)
+    left = [k for k, p in pending.items() if p]
+    if left:
+        reach = {k: sum({1 << lo for lo in below.get(k, ())}) for k in left}
+        for k in left:
+            bit, rk = 1 << k, reach[k]
+            for i in left:
+                if reach[i] & bit:
+                    reach[i] |= rk
+        raise CycleError(f"priority cycle through {min(names[k] for k in left if reach[k] >> k & 1)!r}")
+    return above
+
+
+def cycle_through_negation_by_literals(clauses) -> tuple[str, ...] | None:
+    """The witness of a cycle through negation in ``clauses`` (objects with
+    ``head``, ``pos`` and ``neg``), or None: for each negated body atom of
+    each clause in turn, a breadth-first search along head -> body edges
+    for a path from it to the clause's head; the first path found."""
+    deps: dict[str, list[str]] = {}
+    for c in clauses:
+        for a in (c.head, *c.pos, *c.neg):
+            deps.setdefault(a, [])
+        deps[c.head] += [*c.pos, *c.neg]
+    for c in clauses:
+        for start in c.neg:
+            parent: dict[str, str | None] = {start: None}
+            queue = [start]
+            while queue:
+                x = queue.pop(0)
+                if x == c.head:
+                    path = [x]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                for y in deps[x]:
+                    if y not in parent:
+                        parent[y] = x
+                        queue.append(y)
+    return None
+
+
 def descending_naive(
     indices: tuple[str, ...], edges: Iterable[tuple[str, str]], label: str
 ) -> Iterator[tuple[str, ...]]:

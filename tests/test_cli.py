@@ -304,6 +304,21 @@ class TestEncodeLp:
         assert t == encode_stratified(p)
         assert preferred_models(t).models == (perfect_model(p),)
 
+    def test_spaced_arguments(self, capsys, tmp_path):
+        f = tmp_path / "spaced.lp"
+        f.write_text("q(a, b).\np(a, b) :- q(a,b).\n")
+        code, out, err = run(capsys, "encode-lp", f)
+        assert (code, err) == (0, "")
+        assert parse_theory(out) == encode_stratified(parse_program("q(a,b).\np(a,b) :- q(a,b).\n"))
+
+    def test_constant_atom_is_exit_2(self, capsys, tmp_path):
+        # Printed, an atom named ``true`` would read back as the constant.
+        f = tmp_path / "const.lp"
+        f.write_text("true.\np :- not true.\n")
+        code, out, err = run(capsys, "encode-lp", f)
+        assert (code, out) == (2, "")
+        assert "bad atom 'true' (line 1)" in err
+
     def test_non_stratified_is_exit_2(self, capsys):
         code, _, err = run(capsys, "encode-lp", DATA / "nonstrat.lp")
         assert code == 2

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from generate import random_stratified_program
+from helpers import cycle_through_negation_by_literals
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.errors import NotStratifiedError, ParseError
 from parapri.lp import Clause, Program, encode_stratified, parse_program, perfect_model, stratify
@@ -48,11 +49,30 @@ class TestParseProgram:
 
     @pytest.mark.parametrize(
         "body, bad",
-        [("a b, c", "a b"), ("q(a, b", "q(a"), ("q(a,,b)", "q(a,,b)"), ("a,, b", ""), ("x), y", "x)")],
+        [
+            ("a b, c", "a b"),
+            ("q(a, b", "q(a"),
+            ("q(a,,b)", "q(a,,b)"),
+            ("a,, b", ""),
+            ("x), y", "x)"),
+            ("a, true", "true"),
+            ("not false", "false"),
+            ("~a", "~a"),
+        ],
     )
     def test_bad_body_atom(self, body, bad):
         with pytest.raises(ParseError, match=f"^bad atom {re.escape(repr(bad))} \\(line 2\\)$"):
             parse_program(f"q.\np :- {body}.\n")
+
+    def test_atoms_are_read_as_in_formulas(self):
+        # Spaces between arguments, as a theory file allows them.
+        p = parse_program("p(a, b) :- q( a ,b ), not r (c).\n")
+        assert p.clauses == (Clause("p(a,b)", ("q(a,b)",), ("r(c)",)),)
+
+    def test_constant_head_rejected(self):
+        # A theory file reads ``true`` as the constant, so no program atom may be named so.
+        with pytest.raises(ParseError, match=r"^bad atom 'true' \(line 1\)$"):
+            parse_program("true.\np :- not true.\n")
 
     def test_empty_body_rejected(self):
         with pytest.raises(ParseError):
@@ -90,20 +110,33 @@ def random_program(rng: random.Random) -> Program:
 
 class TestStratify:
     def test_matches_the_level_passes(self):
+        # Levels against the pass loop, and the witness against one search per negated literal.
         rng = random.Random(19)
-        for _ in range(3000):
+        for _ in range(20000):
             p = random_program(rng)
             want = levels_by_passes(p)
+            witness = cycle_through_negation_by_literals(p.clauses)
+            assert (want is None) == (witness is not None)
             if want is not None:
                 assert stratify(p).stratum == want
                 continue
             with pytest.raises(NotStratifiedError) as e:
                 stratify(p)
+            assert e.value.cycle == witness
+            assert str(e.value) == f"program is not stratified (cycle through negation: {' -> '.join(witness)})"
             # The witness runs from a negated body atom along head -> body edges to its head.
             cycle = e.value.cycle
             deps = {(c.head, b) for c in p.clauses for b in c.pos + c.neg}
             assert all((x, y) in deps for x, y in zip(cycle, cycle[1:]))
             assert any(c.head == cycle[-1] and cycle[0] in c.neg for c in p.clauses)
+
+    def test_deep_chain_with_its_cycle_at_the_bottom(self):
+        # One search per negated literal walks the whole chain below each clause: quadratic.
+        n = 20000
+        p = parse_program("".join(f"a{k} :- not a{k - 1}.\n" for k in range(n, 0, -1)) + "a0 :- not a1.\n")
+        with pytest.raises(NotStratifiedError) as e:
+            stratify(p)
+        assert e.value.cycle == ("a0", "a1")
 
     def test_deep_chain_written_top_down(self):
         # Highest stratum first: raising levels by passes over the clauses takes one pass per stratum.

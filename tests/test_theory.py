@@ -1,6 +1,7 @@
 """Theory files, priority orders, grounding, and the fixture reduction."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     classify_order_naive,
     ground_naive,
     lifted_edges_naive,
+    order_masks_by_kahn,
     preferred_indices_naive,
     transitive_closure_naive,
 )
@@ -432,6 +434,24 @@ class TestOrderDifferential:
         for t in rest:
             assert t.priority == first.priority and hash(t.priority) == hash(first.priority)
             assert print_theory(t) == print_theory(first)
+
+    def test_matches_the_topological_pass(self):
+        # Masks and cycle errors against Kahn's pass with Warshall's cycle search.
+        rng = random.Random(23)
+        cycles = 0
+        for _ in range(20000):
+            labels = tuple(rng.sample(NAMES, rng.randint(1, len(NAMES))))
+            edges = [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 10))]
+            position = {x: k for k, x in enumerate(labels)}
+            try:
+                want = tuple(order_masks_by_kahn(labels, [(position[a], position[b]) for a, b in edges]))
+            except CycleError as e:
+                cycles += 1
+                with pytest.raises(CycleError, match=f"^{re.escape(str(e))}$"):
+                    PriorityOrder(labels, edges)
+                continue
+            assert PriorityOrder(labels, edges).above == want
+        assert 0 < cycles < 20000
 
     def test_cycle_names_the_least_label_on_a_cycle(self):
         # "a" sits below the cycle, not on it
