@@ -5,7 +5,8 @@
 
 Each combination runs once as ``python -m parapri.cli`` from this
 checkout's ``src``, with the checkout as working directory, under
-``PYTHONHASHSEED=0``, once as is and once with ``PARAPRI_MAX_ATOMS=2``.
+``PYTHONHASHSEED=0``, once as is, once with ``PARAPRI_MAX_ATOMS=2`` and once
+with the bad value ``PARAPRI_MAX_ATOMS=many``.
 One JSON line per run gives argv, the added environment, exit code,
 stdout and stderr. FILE defaults to every file in ``tests/data``; give
 paths relative to the checkout, so that the output of two checkouts can be
@@ -26,7 +27,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from parapri.errors import ParapriError  # noqa: E402
 from parapri.theory import SchemaTheory, ground, parse_theory  # noqa: E402
 
-ENVIRONMENTS = ({}, {"PARAPRI_MAX_ATOMS": "2"})
+ENVIRONMENTS = ({}, {"PARAPRI_MAX_ATOMS": "2"}, {"PARAPRI_MAX_ATOMS": "many"})
 
 
 def _atoms(path: str) -> tuple[str, ...]:

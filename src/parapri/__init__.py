@@ -12,7 +12,6 @@ from .circumscription import (
     PreferredModelSet,
     circ_equivalent,
     format_model,
-    models_of,
     preferred_models,
     preorder_equivalent,
     skeptical_entails,
@@ -40,8 +39,6 @@ from .formula import (
     Or,
     TRUE,
     atoms,
-    entails,
-    is_tautology,
     parse_formula,
     to_text,
     truth_mask,
@@ -74,9 +71,6 @@ from .transform import (
     Provenance,
     SizeReport,
     TransformOutput,
-    build_wil,
-    descending_sequences,
-    dominators,
     output_size,
     parallel_theory,
     transform_all,

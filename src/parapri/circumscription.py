@@ -2,7 +2,8 @@
 
 All operations enumerate total interpretations explicitly, so they are exact
 but only usable at small atom counts; ``truth_masks``, where every 2^n
-enumeration starts, refuses a universe above its atom cap.
+enumeration starts, refuses a universe above the atom cap through
+``config.check_atoms``, which reads ``PARAPRI_MAX_ATOMS`` at call time.
 Truth tables are packed into ints (bit i = truth under interpretation index
 i), and so are results: a ``PreferredModelSet`` is the mask of its models.
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .config import MODEL_ATOMS, check_atoms
+from .config import check_atoms
 from .errors import UniverseError
 from .formula import Formula, Interpretation, _columns, iter_bits, shared_nodes, truth_mask
 from .preorder import PreorderSpec
@@ -80,25 +81,18 @@ SHARED_MEMO_MIN_FORMULAS = 16
 
 
 def truth_masks(
-    base: Iterable[Formula], formulas: Sequence[Formula], universe: tuple[str, ...], max_atoms: int
+    base: Iterable[Formula], formulas: Sequence[Formula], universe: tuple[str, ...]
 ) -> tuple[int, Iterator[int]]:
     """The conjunction of the base's truth masks, and the truth masks of
     ``formulas`` in order, one at a time; from ``SHARED_MEMO_MIN_FORMULAS``
     formulas on, a subtree they share is evaluated once. Refuses a universe
-    of more than ``max_atoms`` atoms."""
-    check_atoms(universe, max_atoms)
+    above the atom cap."""
+    check_atoms(universe)
     base_mask = _columns(universe)[1]
     for b in base:
         base_mask &= truth_mask(b, universe)
     memo = shared_nodes(*formulas) if len(formulas) >= SHARED_MEMO_MIN_FORMULAS else None
     return base_mask, (truth_mask(f, universe, memo) for f in formulas)
-
-
-def models_of(base: Iterable[Formula], universe: Iterable[str]) -> list[Interpretation]:
-    """All total assignments satisfying every base formula, by index order."""
-    names = tuple(universe)
-    mask, _ = truth_masks(base, (), names, MODEL_ATOMS)
-    return [Interpretation.from_index(names, z) for z in iter_bits(mask)]
 
 
 def _leq_row(p: int, masks: Sequence[tuple[int, int]], doms: Sequence[Sequence[int]], row: int) -> int:
@@ -172,10 +166,10 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return columns
 
 
-def preferred_models(t: Theory, max_atoms: int = MODEL_ATOMS) -> PreferredModelSet:
+def preferred_models(t: Theory) -> PreferredModelSet:
     """Base models not strictly dominated by any fixture-equivalent base model."""
     n = len(t.defaults)
-    base_mask, masks = truth_masks(t.base, [f for _, f in t.defaults + t.fixtures], t.universe, max_atoms)
+    base_mask, masks = truth_masks(t.base, [f for _, f in t.defaults + t.fixtures], t.universe)
     cells, profiles = _quotient(base_mask, masks)
     low = (1 << n) - 1
     columns = [(~m, m) for m in _transpose(profiles, n)]
@@ -201,23 +195,18 @@ def preferred_models(t: Theory, max_atoms: int = MODEL_ATOMS) -> PreferredModelS
     return PreferredModelSet(t.universe, mask=preferred)
 
 
-def skeptical_entails(t: Theory, q: Formula, max_atoms: int = MODEL_ATOMS) -> bool:
+def skeptical_entails(t: Theory, q: Formula) -> bool:
     """Whether q holds in every preferred model (vacuously true when none)."""
-    pm = preferred_models(t, max_atoms)
+    pm = preferred_models(t)
     return pm.mask & ~truth_mask(q, t.universe) == 0
 
 
-def circ_equivalent(
-    t1: Theory,
-    t2: Theory,
-    project: Sequence[str] | None = None,
-    max_atoms: int = MODEL_ATOMS,
-) -> bool:
+def circ_equivalent(t1: Theory, t2: Theory, project: Sequence[str] | None = None) -> bool:
     """Equality of preferred-model sets, optionally restricted to ``project`` atoms."""
     if project is None:
         if t1.universe != t2.universe:
             raise UniverseError("theories compare over different universes; pass a projection")
-        return preferred_models(t1, max_atoms).mask == preferred_models(t2, max_atoms).mask
+        return preferred_models(t1).mask == preferred_models(t2).mask
     names = tuple(project)
     for t in (t1, t2):
         missing = [a for a in names if a not in t.universe]
@@ -226,21 +215,16 @@ def circ_equivalent(
 
     def projected(t: Theory) -> set[int]:
         positions = [t.universe.index(a) for a in names]  # bit j of a projected index: names[j]
-        pm = preferred_models(t, max_atoms)
+        pm = preferred_models(t)
         return {sum((z >> p & 1) << j for j, p in enumerate(positions)) for z in iter_bits(pm.mask)}
 
     return projected(t1) == projected(t2)
 
 
-def preorder_equivalent(
-    s1: PreorderSpec,
-    s2: PreorderSpec,
-    universe: Iterable[str],
-    max_atoms: int = MODEL_ATOMS,
-) -> bool:
+def preorder_equivalent(s1: PreorderSpec, s2: PreorderSpec, universe: Iterable[str]) -> bool:
     """Whether two default pre-orders agree on every ordered interpretation pair."""
     n1 = len(s1.defaults)
-    masks = truth_masks((), [f for _, f in s1.defaults + s2.defaults], tuple(universe), max_atoms)
+    masks = truth_masks((), [f for _, f in s1.defaults + s2.defaults], tuple(universe))
     cells, profiles = _quotient(*masks)
     columns = [(~m, m) for m in _transpose(profiles, n1 + len(s2.defaults))]
     masks1, masks2 = columns[:n1], columns[n1:]

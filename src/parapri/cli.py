@@ -73,7 +73,7 @@ def _corrupt(out: TransformOutput) -> TransformOutput:
     )
 
 
-def cmd_transform(args, max_atoms: int) -> int:
+def cmd_transform(args) -> int:
     t = _load_theory(args.file)
     if args.size_only:
         print(output_size(t.priority).total)
@@ -111,15 +111,15 @@ def cmd_transform(args, max_atoms: int) -> int:
     return 0
 
 
-def cmd_query(args, max_atoms: int) -> int:
+def cmd_query(args) -> int:
     t = _load_theory(args.file)
     q = parse_formula(args.query)
     for a in formula_atoms(q):
         if a not in t.universe:
             raise UniverseError(f"query atom {a!r} not in the theory's universe")
-    direct = skeptical_entails(t, q, max_atoms)
+    direct = skeptical_entails(t, q)
     out = transform_canonical(t.defaults, t.priority)
-    via_parallel = skeptical_entails(parallel_theory(t, out), q, max_atoms)
+    via_parallel = skeptical_entails(parallel_theory(t, out), q)
     if direct != via_parallel:
         raise InternalError(
             f"direct answer {direct} disagrees with the transform route {via_parallel}"
@@ -131,9 +131,9 @@ def cmd_query(args, max_atoms: int) -> int:
     return 0
 
 
-def cmd_models(args, max_atoms: int) -> int:
+def cmd_models(args) -> int:
     t = _load_theory(args.file)
-    pm = preferred_models(t, max_atoms)
+    pm = preferred_models(t)
     rows = [[bool((z >> k) & 1) for k in range(len(pm.universe))] for z in iter_bits(pm.mask)]
     if args.format == "json":
         doc = {"universe": list(pm.universe), "models": rows}
@@ -144,9 +144,9 @@ def cmd_models(args, max_atoms: int) -> int:
     return 0
 
 
-def cmd_check_equiv(args, max_atoms: int) -> int:
+def cmd_check_equiv(args) -> int:
     t = _load_theory(args.file)
-    check_atoms(t.universe, max_atoms)  # every route enumerates; refuse before the transform
+    check_atoms(t.universe)  # every route enumerates; refuse before the transform
     members = _members(t, args.all)
     if args.self_test_corrupt:
         members = [_corrupt(m) for m in members]
@@ -154,21 +154,16 @@ def cmd_check_equiv(args, max_atoms: int) -> int:
     ok = True
     for m in members:
         if args.preorder:
-            ok = preorder_equivalent(
-                PreorderSpec.of(t),
-                PreorderSpec.parallel(m.defaults),
-                t.universe,
-                max_atoms,
-            )
+            ok = preorder_equivalent(PreorderSpec.of(t), PreorderSpec.parallel(m.defaults), t.universe)
         else:
-            ok = circ_equivalent(t, parallel_theory(t, m), project, max_atoms)
+            ok = circ_equivalent(t, parallel_theory(t, m), project)
         if not ok:
             break
     print("equivalent" if ok else "not-equivalent")
     return 0 if ok else 1
 
 
-def cmd_stats(args, max_atoms: int) -> int:
+def cmd_stats(args) -> int:
     t = _load_theory(args.file)
     report = output_size(t.priority)
     print(f"defaults: {len(t.defaults)}")
@@ -181,9 +176,9 @@ def cmd_stats(args, max_atoms: int) -> int:
     return 0
 
 
-def cmd_prune(args, max_atoms: int) -> int:
+def cmd_prune(args) -> int:
     t = _load_theory(args.file)
-    report = transformed_then_pruned(t, k=args.k, max_atoms=max_atoms)
+    report = transformed_then_pruned(t, k=args.k)
     memo = shared_nodes(*(f for _, f in report.kept))
     for l, f in report.kept:
         print(f"kept {l}: {to_text(f, memo)}")
@@ -193,12 +188,12 @@ def cmd_prune(args, max_atoms: int) -> int:
     return 0
 
 
-def cmd_encode_ab(args, max_atoms: int) -> int:
+def cmd_encode_ab(args) -> int:
     print(print_theory(encode_abnormality(_load_theory(args.file), args.variant)), end="")
     return 0
 
 
-def cmd_encode_lp(args, max_atoms: int) -> int:
+def cmd_encode_lp(args) -> int:
     p = parse_program(_read_text(args.file))
     print(print_theory(encode_stratified(p)), end="")
     return 0
@@ -265,7 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.handler(args, atom_cap_from_env())
+        atom_cap_from_env()  # a bad PARAPRI_MAX_ATOMS is an input error on every subcommand
+        return args.handler(args)
     except (CapExceededError, InternalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

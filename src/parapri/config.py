@@ -3,8 +3,11 @@
 Every enumeration in the package is capped; exceeding a cap raises
 CapExceededError instead of silently truncating. The atom cap of the 2^n
 interpretation enumerations is the one bound a user sets, through
-``PARAPRI_MAX_ATOMS``; the others are fixed. ``TRANSFORM_FORMULAS`` is
-read as ``config.TRANSFORM_FORMULAS`` at call time, so a test can lower it.
+``PARAPRI_MAX_ATOMS`` (``MODEL_ATOMS`` when unset); ``check_atoms`` reads
+it at call time, so the CLI and library calls obey the same value, and is
+the only place that compares a universe against it. ``TRANSFORM_FORMULAS``
+is fixed, and read as ``config.TRANSFORM_FORMULAS`` at call time, so a
+test can lower it.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ from typing import Sequence
 from .errors import CapExceededError, ValidationError
 
 MODEL_ATOMS = 20  # 2^n interpretations enumerated for model sets and pre-orders
-TAUTOLOGY_ATOMS = 24  # 2^n rows for tautology / entailment checks
 TRANSFORM_FORMULAS = 1 << 20  # formulas the transform may emit
 
 
-def check_atoms(universe: Sequence[str], max_atoms: int) -> None:
-    """Refuse a 2^n enumeration over more than ``max_atoms`` atoms."""
-    if len(universe) > max_atoms:
-        raise CapExceededError(f"{len(universe)} atoms exceeds the enumeration cap of {max_atoms}")
+def check_atoms(universe: Sequence[str]) -> None:
+    """Refuse a 2^n enumeration over more atoms than the atom cap."""
+    cap = atom_cap_from_env()
+    if len(universe) > cap:
+        raise CapExceededError(f"{len(universe)} atoms exceeds the enumeration cap of {cap}")
 
 
 def atom_cap_from_env() -> int:

@@ -1,4 +1,4 @@
-"""Propositional formulas: AST, parser, printer, brute-force semantic checks.
+"""Propositional formulas: AST, parser, printer and packed truth tables.
 
 Grammar (whitespace insensitive, ``#`` starts a line comment)::
 
@@ -13,16 +13,18 @@ Grammar (whitespace insensitive, ``#`` starts a line comment)::
 Ground atoms such as ``flies(tweety)`` are opaque names; no term structure
 is modelled.
 
-The parser checks a text with one regex scan, splits it into token
-strings with one ``findall`` and builds the tree in one operator-precedence
-loop; a shared name -> Atom dict gives one Atom per name and the names in
-first-mention order. Four walks visit a formula, each with one job and its
-own explicit stack, so nesting depth is limited by memory, not by the
-recursion limit: ``postorder`` lists the tree for ``==``, ``hash`` and
-``theory.ground``; ``_count_lookups`` visits each distinct node once, for
-``atoms`` and ``shared_nodes``; the two hot loops of the transform route
-print in ``to_text`` and evaluate in ``truth_mask``, and free a shared
-node's value at the last of the lookups that ``_count_lookups`` counted.
+The parser checks a text with one regex scan, splits it into token strings
+with one ``findall`` and builds the tree in one operator-precedence loop; a
+text that is one identifier (a name on an ``atoms:`` line, a program atom,
+a single-atom default) takes one regex match instead. A shared name -> Atom
+dict gives one Atom per name and the names in first-mention order. Four
+walks visit a formula, each with one job and its own explicit stack, so
+nesting depth is limited by memory, not by the recursion limit:
+``postorder`` lists the tree for ``==``, ``hash`` and ``theory.ground``;
+``_count_lookups`` visits each distinct node once, for ``atoms`` and
+``shared_nodes``; the two hot loops of the transform route print in
+``to_text`` and evaluate in ``truth_mask``, and free a shared node's value
+at the last of the lookups that ``_count_lookups`` counted.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .config import TAUTOLOGY_ATOMS, check_atoms
 from .errors import ParseError, UniverseError, ValidationError
 
 
@@ -125,8 +126,6 @@ FALSE = Const(False)
 
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-# The one grammar of names shared by formulas, theory files and programs.
-ATOM_RE = re.compile(rf"{IDENT}(?:\({IDENT}(?:,{IDENT})*\))?")
 LABEL_RE = re.compile(rf"{IDENT}(?:\[{IDENT}(?:,{IDENT})*\])?")
 VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 
@@ -139,6 +138,8 @@ _TOKEN = "|".join(map(re.escape, _OPERATORS)) + f"|{IDENT}(?![A-Za-z0-9_])"
 _TOKEN_RE = re.compile(rf"(?:{_SKIP})*(?:({_TOKEN})|\Z)")
 # The longest prefix made of whitespace, comments and tokens only.
 _TOKENS_RE = re.compile(rf"(?:{_SKIP}|{_TOKEN})*")
+# A text that is one identifier, which the parser reads as an atom or constant.
+_ONE_NAME_RE = re.compile(rf"\s*({IDENT})\s*")
 
 # Pending operators: binding strength, the strength from which the operators
 # before it are applied ("->" is right associative), node type. "(", "~" and
@@ -165,10 +166,15 @@ def parse_formula(text: str, names: dict[str, Atom] | None = None) -> Formula:
     added, so formulas parsed with one dict share one Atom per name and
     its keys come out in first-mention order.
     """
+    names = {} if names is None else names
+    if m := _ONE_NAME_RE.fullmatch(text):
+        tok = m.group(1)
+        if (g := _CONSTANTS.get(tok) or names.get(tok)) is None:
+            g = names[tok] = Atom(tok)
+        return g
     if (pos := _TOKENS_RE.match(text).end()) < len(text):  # an unknown character wins over any syntax error
         raise ParseError(f"unknown token {text[pos]!r}", offset=pos)
     tokens = _TOKEN_RE.findall(text)
-    names = {} if names is None else names
     operands: list[Formula] = []
     pending = [_BOTTOM]
     k = 0  # the next token
@@ -224,6 +230,17 @@ def parse_formula(text: str, names: dict[str, Atom] | None = None) -> Formula:
                 raise _syntax_error(text, k - 1, None)
             else:
                 return operands[0]
+
+
+def parse_atom(text: str, names: dict[str, Atom]) -> Atom | None:
+    """``text`` read as a formula, as in ``parse_formula``, if it is one
+    atom; None for any other text. Theory files and programs name their
+    atoms through it, so atoms have one grammar."""
+    try:
+        g = parse_formula(text, names)
+    except ParseError:
+        return None
+    return g if type(g) is Atom else None
 
 
 _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
@@ -513,19 +530,3 @@ def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, list] | None
                 return v
     except KeyError as e:  # only column lookups raise it
         raise UniverseError(f"atom {e.args[0]!r} not in universe") from None
-
-
-def is_tautology(f: Formula, universe: Iterable[str]) -> bool:
-    names = tuple(universe)
-    check_atoms(names, TAUTOLOGY_ATOMS)
-    return truth_mask(f, names) == _columns(names)[1]
-
-
-def entails(premises: Iterable[Formula], f: Formula, universe: Iterable[str]) -> bool:
-    """Whether every interpretation satisfying all premises satisfies ``f``."""
-    names = tuple(universe)
-    check_atoms(names, TAUTOLOGY_ATOMS)
-    premise_mask = full = _columns(names)[1]
-    for p in premises:
-        premise_mask &= truth_mask(p, names)
-    return premise_mask & (full ^ truth_mask(f, names)) == 0

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from .errors import NotStratifiedError, ParseError, ValidationError
-from .formula import And, Atom, Formula, Implies, Interpretation, Not, parse_formula
+from .formula import And, Atom, Formula, Implies, Interpretation, Not, parse_atom
 from .theory import LabeledFormula, PriorityOrder, Theory, strongly_connected
 
 
@@ -60,16 +60,10 @@ class Stratification:
 
 
 def _parse_atom(token: str, lineno: int, names: dict[str, Atom]) -> str:
-    # Read as a formula, so that atoms are named as in theory files. ``names``
-    # holds the atoms read so far under their names, as in ``parse_formula``,
-    # so that a name met again is not parsed again.
-    token = token.strip()
-    try:
-        atom = names.get(token) or parse_formula(token, names)
-    except ParseError:
-        atom = None
-    if type(atom) is not Atom:
-        raise ParseError(f"bad atom {token!r}", line=lineno)
+    # ``names`` holds the atoms read so far under their names, as in
+    # ``parse_formula``, so that the program shares one Atom per name.
+    if (atom := parse_atom(token, names)) is None:
+        raise ParseError(f"bad atom {token.strip()!r}", line=lineno)
     return atom.name
 
 

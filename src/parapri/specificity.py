@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .circumscription import circ_equivalent, truth_masks
-from .config import MODEL_ATOMS, check_atoms
+from .config import check_atoms
 from .errors import InternalError, ValidationError
 from .formula import Atom, Formula, Implies, Not, iter_bits
 from .theory import LabeledFormula, Theory, build_theory, parallel_order
@@ -71,7 +71,6 @@ def prune_redundant(
     base: Sequence[Formula],
     universe: Sequence[str],
     k: int = 2,
-    max_atoms: int = MODEL_ATOMS,
 ) -> PruneReport:
     """Iteratively drop redundant formulas from a transform's output."""
     _check_k(k)
@@ -79,7 +78,7 @@ def prune_redundant(
     keys = [(block_of.setdefault(p.source, len(block_of)), int(p.bits or "0", 2)) for p in w.provenance]
 
     names = tuple(universe)
-    base_mask, masks = truth_masks(base, w.formulas, names, max_atoms)
+    base_mask, masks = truth_masks(base, w.formulas, names)
     masks = list(masks)
 
     alive = set(range(len(keys)))
@@ -118,7 +117,7 @@ def prune_redundant(
     dropped = tuple(drops[pos] for pos in sorted(drops))
     before = _parallel(names, base, w.defaults)
     after = _parallel(names, base, kept)
-    if not circ_equivalent(before, after, max_atoms=max_atoms):
+    if not circ_equivalent(before, after):
         raise InternalError("pruning changed the preferred models")
     return PruneReport(kept=kept, dropped=dropped)
 
@@ -272,10 +271,10 @@ def abnormality_variant_report() -> dict[str, dict[int, bool]]:
     }
 
 
-def transformed_then_pruned(t: Theory, k: int = 2, max_atoms: int = MODEL_ATOMS) -> PruneReport:
+def transformed_then_pruned(t: Theory, k: int = 2) -> PruneReport:
     """Convenience pipeline used by the CLI: eliminate priorities, then prune."""
     # Refuse before building a transform that pruning could not enumerate.
     _check_k(k)
-    check_atoms(t.universe, max_atoms)
+    check_atoms(t.universe)
     out = transform_canonical(t.defaults, t.priority)
-    return prune_redundant(out, t.base, t.universe, k=k, max_atoms=max_atoms)
+    return prune_redundant(out, t.base, t.universe, k=k)

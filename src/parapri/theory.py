@@ -30,7 +30,6 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CycleError, ParseError, ValidationError
 from .formula import (
-    ATOM_RE,
     FALSE,
     IDENT,
     LABEL_RE,
@@ -41,6 +40,7 @@ from .formula import (
     Not,
     atoms as formula_atoms,
     iter_bits,
+    parse_atom,
     parse_formula,
     postorder,
     shared_nodes,
@@ -397,11 +397,12 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
             if line.startswith("atoms:"):
                 if explicit_atoms is not None:
                     fail("duplicate atoms: line", lineno)
-                atom_names = line[len("atoms:"):].split()
-                for n in atom_names:
-                    if not ATOM_RE.fullmatch(n):
+                explicit = []
+                for n in line[len("atoms:"):].split():
+                    if (atom := parse_atom(n, names)) is None:
                         fail(f"bad atom name {n!r}", lineno)
-                explicit_atoms = tuple(atom_names)
+                    explicit.append(atom.name)
+                explicit_atoms = tuple(explicit)
             elif line.startswith("base:"):
                 in_order = in_order and not defaults and not fixtures
                 base.append(parse_formula(line[len("base:"):], names))
@@ -433,7 +434,7 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
             elif line.startswith("prefer "):
                 m = _PREFER_RE.fullmatch(line)
                 if not m:
-                    fail("bad prefer line", lineno)
+                    fail("bad prefer line, expected 'prefer <label> > <label>'", lineno)
                 edges.append((m.group(1), m.group(2)))
             elif line.startswith("fix "):
                 head, _, body = line[len("fix "):].partition(":")

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import config
 from .errors import CapExceededError, ValidationError
-from .formula import And, Formula, Or, iter_bits
+from .formula import And, Formula, Or
 from .theory import LabeledFormula, PriorityOrder, Theory, parallel_order
 
 TOP_HEAVY_THRESHOLD = 10
@@ -55,18 +55,6 @@ class SizeReport:
         return max((v for _, v in self.m), default=0)
 
 
-def _dominator_mask(order: PriorityOrder, index: str) -> int:
-    try:
-        return order.above[order.position[index]]
-    except KeyError:
-        raise ValidationError(f"unknown index {index!r}") from None
-
-
-def dominators(order: PriorityOrder, index: str) -> frozenset[str]:
-    """Labels strictly higher in priority than ``index``."""
-    return frozenset(order.indices[k] for k in iter_bits(_dominator_mask(order, index)))
-
-
 def _iter_descending(order: PriorityOrder, remaining: int) -> Iterator[tuple[str, ...]]:
     # ``remaining`` is a mask of label positions. Emit maximal elements first;
     # candidate choice follows declaration order, so the first sequence
@@ -93,22 +81,6 @@ def _iter_descending(order: PriorityOrder, remaining: int) -> Iterator[tuple[str
             yield tuple(order.indices[lv[2]] for lv in stack)
 
 
-def descending_sequences(order: PriorityOrder, index: str) -> list[tuple[str, ...]]:
-    """All descending topological orderings of ``index``'s dominators."""
-    return list(_iter_descending(order, _dominator_mask(order, index)))
-
-
-def build_wil(formulas: Mapping[str, Formula], index: str, sigma: Sequence[str], bits: str) -> Formula:
-    """One output formula: dominators outermost, source default innermost."""
-    if len(sigma) != len(bits):
-        raise ValidationError(f"bit string {bits!r} does not match sequence length {len(sigma)}")
-    acc = formulas[index]
-    for k in range(len(sigma) - 1, -1, -1):
-        conn = And if bits[k] == "1" else Or
-        acc = conn(formulas[sigma[k]], acc)
-    return acc
-
-
 def output_size(order: PriorityOrder) -> SizeReport:
     """Output size sum(2^m_i) without materializing anything."""
     m = tuple((i, a.bit_count()) for i, a in zip(order.indices, order.above))
@@ -131,7 +103,7 @@ def _assemble(
     for label, f in defaults:
         sigma = sigmas[label]
         m = len(sigma)
-        block = [f]  # innermost first: block[v] is build_wil's nest for v's bits
+        block = [f]  # innermost first: block[v] is the nest for v's bits
         for j in reversed(sigma):
             s = formulas[j]
             block = [Or(s, a) for a in block] + [And(s, a) for a in block]

@@ -17,7 +17,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from parapri.errors import CycleError, ParseError, UniverseError
 from parapri.formula import FALSE, IDENT, TRUE, And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
@@ -327,6 +327,16 @@ def descending_naive(
                     yield (x,) + tail
 
     return walk(frozenset(j for j, i in closure if i == label))
+
+
+def build_wil(formulas: Mapping[str, Formula], index: str, sigma: Sequence[str], bits: str) -> Formula:
+    """One transform output built as a separate nest: the dominators in
+    ``sigma`` outermost, the default ``index`` innermost, and ``sigma[k]``
+    joined by ``&`` where bit k is 1, by ``|`` where it is 0."""
+    acc = formulas[index]
+    for s, b in reversed(list(zip(sigma, bits, strict=True))):
+        acc = (And if b == "1" else Or)(formulas[s], acc)
+    return acc
 
 
 def classify_order_naive(indices: tuple[str, ...], edges: Iterable[tuple[str, str]]) -> str:

@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 from functools import lru_cache, reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,15 +20,16 @@ from parapri.circumscription import (
     _transpose,
     circ_equivalent,
     format_model,
-    models_of,
     preferred_models,
     preorder_equivalent,
     skeptical_entails,
+    truth_masks,
 )
-from parapri.errors import CapExceededError, UniverseError
-from parapri.formula import FALSE, TRUE, And, Atom, Iff, Implies, Interpretation, Not, Or, parse_formula
+from parapri.errors import CapExceededError, UniverseError, ValidationError
+from parapri.formula import FALSE, TRUE, And, Atom, Iff, Implies, Interpretation, Not, Or, iter_bits, parse_formula
 from parapri.preorder import PreorderSpec
-from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory, parallel_order
+from parapri.specificity import prune_redundant
+from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory, parallel_order, parse_theory
 from parapri.transform import parallel_theory, transform_all, transform_canonical, transform_theory
 
 F = parse_formula
@@ -39,6 +41,13 @@ def tweety_theory():
         defaults=[("e1", "bird -> flies"), ("e2", "ostrich -> ~flies")],
         prefer=[("e2", "e1")],
     )
+
+
+def models_of(base, universe):
+    """The base models, read off the base mask of ``truth_masks``."""
+    names = tuple(universe)
+    mask, _ = truth_masks(base, (), names)
+    return [Interpretation.from_index(names, z) for z in iter_bits(mask)]
 
 
 class TestModelsOf:
@@ -199,6 +208,39 @@ class TestPreorderEquivalent:
             preorder_equivalent(
                 PreorderSpec.of(t), PreorderSpec.of(t), tuple(f"x{k}" for k in range(21))
             )
+
+
+class TestAtomCap:
+    """Library calls obey ``PARAPRI_MAX_ATOMS``, read when they are made."""
+
+    t = parse_theory((Path(__file__).parent / "data" / "tweety.thy").read_text())
+    out = transform_canonical(t.defaults, t.priority)
+    calls = {
+        "preferred_models": lambda t, out: preferred_models(t),
+        "skeptical_entails": lambda t, out: skeptical_entails(t, F("flies")),
+        "circ_equivalent": lambda t, out: circ_equivalent(t, parallel_theory(t, out)),
+        "preorder_equivalent": lambda t, out: preorder_equivalent(
+            PreorderSpec.of(t), PreorderSpec.parallel(out.defaults), t.universe
+        ),
+        "prune_redundant": lambda t, out: prune_redundant(out, t.base, t.universe),
+    }
+
+    @pytest.mark.parametrize("call", calls)
+    def test_cap_from_env(self, monkeypatch, call):
+        monkeypatch.setenv("PARAPRI_MAX_ATOMS", "2")
+        with pytest.raises(CapExceededError, match="^3 atoms exceeds the enumeration cap of 2$"):
+            self.calls[call](self.t, self.out)
+
+    @pytest.mark.parametrize("call", calls)
+    def test_bad_env_value(self, monkeypatch, call):
+        monkeypatch.setenv("PARAPRI_MAX_ATOMS", "many")
+        with pytest.raises(ValidationError, match="^PARAPRI_MAX_ATOMS must be an integer, got 'many'$"):
+            self.calls[call](self.t, self.out)
+
+    @pytest.mark.parametrize("call", calls)
+    def test_cap_of_three_admits_tweety(self, monkeypatch, call):
+        monkeypatch.setenv("PARAPRI_MAX_ATOMS", "3")
+        self.calls[call](self.t, self.out)
 
 
 class TestEquivalenceGuarantees:

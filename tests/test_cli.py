@@ -377,6 +377,17 @@ class TestErrorPaths:
         code, _, err = run(capsys, "models", DATA / "tweety.thy")
         assert code == 2
 
+    def test_constant_on_the_atoms_line(self, capsys, tmp_path):
+        path = tmp_path / "t.thy"
+        path.write_text("atoms: true p\ndefault d: ~p\n")
+        code, out, err = run(capsys, "models", path)
+        assert (code, out, err) == (2, "", "error: bad atom name 'true' (line 1)\n")
+
+    def test_bad_env_value_on_a_command_that_does_not_enumerate(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARAPRI_MAX_ATOMS", "many")
+        code, out, err = run(capsys, "stats", DATA / "tweety.thy")
+        assert (code, out, err) == (2, "", "error: PARAPRI_MAX_ATOMS must be an integer, got 'many'\n")
+
     @pytest.mark.parametrize(
         "argv, text, stderr",
         [

@@ -43,7 +43,7 @@ def test_cli_matrix_smoke():
     assert r.returncode == 0, r.stderr
     runs = [json.loads(line) for line in r.stdout.splitlines()]
     assert {run["argv"][1] for run in runs} == {"tests/data/pair_chain.thy", "tests/data/two_strata.lp"}
-    assert len(runs) == 2 * 2 * 32  # files x environments x combinations
+    assert len(runs) == 2 * 3 * 32  # files x environments x combinations
     for run in runs:
         assert run["exit"] in (0, 1, 2, 3), run
         assert "Traceback" not in run["stderr"], run

@@ -93,6 +93,22 @@ class TestParseTheory:
         t = parse_theory("atoms: p q\ndefault a: p\n")
         assert t.universe == ("p", "q")
 
+    @pytest.mark.parametrize("name", ["true", "false", "~p", "p&q", "p(a,"])
+    def test_atoms_line_takes_atoms_only(self, name):
+        # ``true`` would be an atom that no formula can name
+        with pytest.raises(ParseError, match=rf"^bad atom name {re.escape(repr(name))} \(line 2\)$"):
+            parse_theory(f"# vocabulary\natoms: {name} p\ndefault d: ~p\n")
+
+    def test_atoms_line_reads_atoms_as_formulas_do(self):
+        t = parse_theory("atoms: q(a,b) p\ndefault d: p | q(a, b)\n")
+        assert t.universe == ("q(a,b)", "p")
+        assert t.defaults[0].formula.right == Atom("q(a,b)")
+
+    def test_chained_prefer_line_names_the_rule(self):
+        text = "default a: p\ndefault b: q\ndefault c: r\nprefer a > b > c\n"
+        with pytest.raises(ParseError, match=r"^bad prefer line, expected 'prefer <label> > <label>' \(line 4\)$"):
+            parse_theory(text)
+
     def test_duplicate_domain_constant_carries_line(self):
         with pytest.raises(ParseError, match="duplicate domain constant 'a'") as e:
             parse_theory("# constants\ndomain: a b a\n")

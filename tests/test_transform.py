@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generate import random_theory
-from helpers import ac_set, chain_theory, descending_naive
+from helpers import ac_set, build_wil, chain_theory, descending_naive
 from parapri import config
 from parapri.circumscription import preorder_equivalent
 from parapri.errors import CapExceededError, ValidationError
@@ -16,9 +16,7 @@ from parapri.preorder import PreorderSpec
 from parapri.theory import LabeledFormula, PriorityOrder, build_theory, parallel_order, print_theory
 from parapri.transform import (
     TransformOutput,
-    build_wil,
-    descending_sequences,
-    dominators,
+    _iter_descending,
     output_size,
     parallel_theory,
     transform_all,
@@ -26,6 +24,12 @@ from parapri.transform import (
 )
 
 F = parse_formula
+
+
+def descending_sequences(order, label):
+    """The descending orderings of ``label``'s dominators, as the transform
+    enumerates them."""
+    return list(_iter_descending(order, order.above[order.position[label]]))
 
 
 def pair_theory():
@@ -56,20 +60,16 @@ def fan_in_theory():
 class TestDominators:
     def test_chain_bottom(self):
         t = chain_theory(3)
-        assert dominators(t.priority, "d3") == {"d1", "d2"}
+        assert t.priority.dominators_map["d3"] == {"d1", "d2"}
 
     def test_empty_order(self):
         order = parallel_order(("a", "b"))
-        assert dominators(order, "a") == frozenset()
+        assert order.dominators_map["a"] == frozenset()
 
     def test_fan_in(self):
         t = fan_in_theory()
-        assert dominators(t.priority, "d3") == {"d1", "d2"}
-        assert dominators(t.priority, "d1") == frozenset()
-
-    def test_unknown_index(self):
-        with pytest.raises(ValidationError):
-            dominators(parallel_order(("a",)), "zz")
+        assert t.priority.dominators_map["d3"] == {"d1", "d2"}
+        assert t.priority.dominators_map["d1"] == frozenset()
 
 
 class TestDescendingSequences:
@@ -102,6 +102,8 @@ class TestDescendingSequences:
 
 
 class TestBuildWil:
+    """``helpers.build_wil``, the separate nest each output must equal."""
+
     formulas = {"d1": Atom("a"), "d2": Atom("b"), "d3": Atom("c")}
 
     def test_conjunctive_pair(self):
@@ -118,7 +120,7 @@ class TestBuildWil:
         assert build_wil(self.formulas, "d1", (), "") == Atom("a")
 
     def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError):
             build_wil(self.formulas, "d3", ("d1", "d2"), "1")
 
 
