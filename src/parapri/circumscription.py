@@ -22,13 +22,17 @@ parallel case. The preferred models are the union of the undominated
 cells; ``preorder_equivalent`` compares both pre-orders' rows on the joint
 cells of their defaults over the whole universe.
 
-Memory: a shared subtree's mask lives from its first use to its last, and
-profiles are transposed ``TRANSPOSE_BLOCK`` columns at a time; what stays
-is the cells, one 2^n-bit mask each, and the default columns.
+Memory: the masks reach the cell split one at a time. A transform's
+outputs are valued by its own recurrence from the sources' masks, so only
+one block of shared suffix masks, less its outermost step, is held at
+once. Profiles are transposed ``TRANSPOSE_BLOCK`` columns at a time; what
+stays is the cells, one 2^n-bit mask each, and the default columns.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,9 +40,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import check_atoms
 from .errors import UniverseError
-from .formula import Formula, Interpretation, _columns, iter_bits, shared_nodes, truth_mask
+from .formula import Formula, Interpretation, _columns, iter_bits, truth_mask
 from .preorder import PreorderSpec
-from .theory import PriorityOrder, Theory
+from .theory import LabeledFormula, Nest, PriorityOrder, Theory, default_values
 
 
 @dataclass(frozen=True)
@@ -70,29 +74,18 @@ class PreferredModelSet:
         return self.mask.bit_count()
 
 
-# Fewer formulas than this get their masks without a ``shared_nodes`` memo,
-# whose walk costs more than it saves on small specs. In a seed-1 benchmark
-# pass, 3182 of verify-small's 3250 calls have fewer than 16 formulas (at
-# most 19), and 121 of query-dense's 200 (at most 128). Ten alternating 10 s
-# verify-small runs (CPython 3.11, 2 cores): 4465 tasks/s with this cutoff
-# against 4160 with a memo on every call, faster in 9 of 10 pairs. Raw passes
-# put cutoffs of 8, 16 and 64 within noise of each other (318 / 313 / 315 ms).
-SHARED_MEMO_MIN_FORMULAS = 16
-
-
 def truth_masks(
-    base: Iterable[Formula], formulas: Sequence[Formula], universe: tuple[str, ...]
+    base: Iterable[Formula], defaults: Sequence[LabeledFormula], universe: tuple[str, ...], nest: Nest | None = None
 ) -> tuple[int, Iterator[int]]:
     """The conjunction of the base's truth masks, and the truth masks of
-    ``formulas`` in order, one at a time; from ``SHARED_MEMO_MIN_FORMULAS``
-    formulas on, a subtree they share is evaluated once. Refuses a universe
-    above the atom cap."""
+    ``defaults`` in order, one at a time: through the transform's ``nest``
+    when given, as in ``theory.default_values``. Refuses a universe above
+    the atom cap."""
     check_atoms(universe)
     base_mask = _columns(universe)[1]
     for b in base:
         base_mask &= truth_mask(b, universe)
-    memo = shared_nodes(*formulas) if len(formulas) >= SHARED_MEMO_MIN_FORMULAS else None
-    return base_mask, (truth_mask(f, universe, memo) for f in formulas)
+    return base_mask, default_values(defaults, nest, lambda f: truth_mask(f, universe), operator.or_, operator.and_)
 
 
 def _leq_row(p: int, masks: Sequence[tuple[int, int]], doms: Sequence[Sequence[int]], row: int) -> int:
@@ -169,8 +162,9 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
 def preferred_models(t: Theory) -> PreferredModelSet:
     """Base models not strictly dominated by any fixture-equivalent base model."""
     n = len(t.defaults)
-    base_mask, masks = truth_masks(t.base, [f for _, f in t.defaults + t.fixtures], t.universe)
-    cells, profiles = _quotient(base_mask, masks)
+    base_mask, masks = truth_masks(t.base, t.defaults, t.universe, t.nest)
+    fixture_masks = (truth_mask(f, t.universe) for _, f in t.fixtures)
+    cells, profiles = _quotient(base_mask, itertools.chain(masks, fixture_masks))
     low = (1 << n) - 1
     columns = [(~m, m) for m in _transpose(profiles, n)]
     classes: defaultdict[int, int] = defaultdict(int)  # fixture profile -> mask of its cells
@@ -224,7 +218,7 @@ def circ_equivalent(t1: Theory, t2: Theory, project: Sequence[str] | None = None
 def preorder_equivalent(s1: PreorderSpec, s2: PreorderSpec, universe: Iterable[str]) -> bool:
     """Whether two default pre-orders agree on every ordered interpretation pair."""
     n1 = len(s1.defaults)
-    masks = truth_masks((), [f for _, f in s1.defaults + s2.defaults], tuple(universe))
+    masks = truth_masks((), s1.defaults + s2.defaults, tuple(universe))
     cells, profiles = _quotient(*masks)
     columns = [(~m, m) for m in _transpose(profiles, n1 + len(s2.defaults))]
     masks1, masks2 = columns[:n1], columns[n1:]

@@ -27,11 +27,11 @@ from .errors import (
     ParseError,
     UniverseError,
 )
-from .formula import Not, atoms as formula_atoms, iter_bits, parse_formula, shared_nodes, to_text
+from .formula import Not, atoms as formula_atoms, iter_bits, parse_formula, to_text
 from .lp import encode_stratified, parse_program
 from .preorder import PreorderSpec
 from .specificity import AB_VARIANTS, encode_abnormality, transformed_then_pruned
-from .theory import SchemaTheory, Theory, classify_order, ground, parse_theory, print_theory
+from .theory import SchemaTheory, Theory, classify_order, default_texts, ground, parse_theory, print_theory
 from .transform import (
     TransformOutput,
     output_size,
@@ -80,22 +80,21 @@ def cmd_transform(args) -> int:
         return 0
     members = _members(t, args.all)
     if args.format == "json":
-        memo = shared_nodes(*t.base, *(f for _, f in t.fixtures), *(f for m in members for f in m.formulas))
         doc = {
             "universe": list(t.universe),
-            "base": [to_text(f, memo) for f in t.base],
-            "fixtures": [{"label": l, "formula": to_text(f, memo)} for l, f in t.fixtures],
+            "base": [to_text(f) for f in t.base],
+            "fixtures": [{"label": l, "formula": to_text(f)} for l, f in t.fixtures],
             "members": [
                 {
                     "defaults": [
                         {
                             "label": l,
-                            "formula": to_text(f, memo),
+                            "formula": text,
                             "source": p.source,
                             "sigma": list(p.sigma),
                             "bits": p.bits,
                         }
-                        for (l, f), p in zip(m.defaults, m.provenance)
+                        for (l, _), p, text in zip(m.defaults, m.provenance, default_texts(m.defaults, m.nest))
                     ]
                 }
                 for m in members
@@ -179,9 +178,8 @@ def cmd_stats(args) -> int:
 def cmd_prune(args) -> int:
     t = _load_theory(args.file)
     report = transformed_then_pruned(t, k=args.k)
-    memo = shared_nodes(*(f for _, f in report.kept))
     for l, f in report.kept:
-        print(f"kept {l}: {to_text(f, memo)}")
+        print(f"kept {l}: {to_text(f)}")
     for d in report.dropped:
         print(f"dropped {d.label}: {d.describe()}")
     print(f"kept {len(report.kept)} of {len(report.kept) + len(report.dropped)}")

@@ -21,10 +21,11 @@ dict gives one Atom per name and the names in first-mention order. Four
 walks visit a formula, each with one job and its own explicit stack, so
 nesting depth is limited by memory, not by the recursion limit:
 ``postorder`` lists the tree for ``==``, ``hash`` and ``theory.ground``;
-``_count_lookups`` visits each distinct node once, for ``atoms`` and
-``shared_nodes``; the two hot loops of the transform route print in
-``to_text`` and evaluate in ``truth_mask``, and free a shared node's value
-at the last of the lookups that ``_count_lookups`` counted.
+``atoms`` visits each distinct node once; ``to_text`` prints and
+``truth_mask`` evaluates, one formula at a time. A transform's outputs
+share subtrees, but they are printed and valued by the transform's own
+recurrence (``theory.nest_values``) over their sources, so no walk here
+keeps values across formulas.
 """
 
 from __future__ import annotations
@@ -247,24 +248,17 @@ _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 _PENDING = object()
 
 
-def to_text(f: Formula, memo: dict[int, list] | None = None) -> str:
+def to_text(f: Formula) -> str:
     """Fully parenthesized text form; ``parse_formula`` round-trips it.
 
-    ``memo`` works as in ``truth_mask``, and so does the loop: a frame holds
-    the text of its left operand, and a literal left operand is printed on
-    the way down.
+    The loop is ``truth_mask``'s: a frame holds the text of its left
+    operand, and a literal left operand is printed on the way down.
     """
     stack: list[tuple[Formula, str | object]] = []
     g = f
     while True:
         # Down: print ``g``, pushing one frame per connective left to combine.
         while True:
-            if memo and id(g) in memo and (v := (entry := memo[id(g)])[1]) is not _PENDING:
-                if entry[0] > 1:
-                    entry[0] -= 1
-                else:  # its last lookup
-                    del memo[id(g)]
-                break
             t = type(g)
             if t is And or t is Or or t is Implies or t is Iff:
                 a = g.left
@@ -303,8 +297,6 @@ def to_text(f: Formula, memo: dict[int, list] | None = None) -> str:
                 break
             else:
                 v = f"({left} {_BINARY_OPS[t]} {v})"
-            if memo and id(g) in memo:
-                memo[id(g)][1] = v
         else:
             return v
 
@@ -328,52 +320,28 @@ def postorder(f: Formula) -> list:
     return program
 
 
-def _count_lookups(roots: tuple[Formula, ...]) -> tuple[tuple[str, ...], dict[int, int]]:
-    # Each distinct node of ``roots`` once, depth first, left to right: the
-    # atom names in first-mention order, and how often a pass of the hot
-    # loops over ``roots`` looks each connective up: once per root it is and
-    # per edge from a distinct parent, but not as a literal left operand.
+def atoms(*formulas: Formula) -> tuple[str, ...]:
+    """Atom names of ``formulas`` in first-mention order, from one walk
+    that visits each distinct node once, however often it is shared."""
     names: dict[str, None] = {}
-    lookups: dict[int, int] = {}
-    todo = list(reversed(roots))
+    seen: set[int] = set()
+    todo = list(reversed(formulas))
     while todo:
         g = todo.pop()
         t = type(g)
         if t is Atom:
             names[g.name] = None
-        elif id(g) in lookups:
-            lookups[id(g)] += 1
+        elif id(g) in seen:
+            continue
         elif t in _BINARY_OPS:
-            lookups[id(g)] = 1
-            a = g.left
-            u = type(a)
-            todo.append(g.right)
-            if u is Atom:
-                names[a.name] = None
-            elif u is Not and type(a.arg) is Atom:
-                names[a.arg.name] = None
-            elif u is not Const:
-                todo.append(a)
+            seen.add(id(g))
+            todo += (g.right, g.left)
         elif t is Not:
-            lookups[id(g)] = 1
+            seen.add(id(g))
             todo.append(g.arg)
         elif t is not Const:
             raise TypeError(f"not a formula: {g!r}")
-    return tuple(names), lookups
-
-
-def atoms(*formulas: Formula) -> tuple[str, ...]:
-    """Atom names of ``formulas`` in first-mention order."""
-    return _count_lookups(formulas)[0]
-
-
-def shared_nodes(*roots: Formula) -> dict[int, list]:
-    """An empty ``to_text`` or ``truth_mask`` memo for one pass over
-    ``roots`` in this order: a ``[hits left, value]`` entry under the
-    ``id()`` of each node the pass looks up more than once, freed at its
-    last lookup, so the pass leaves the memo empty; a later lookup, as in
-    a second pass, computes the value again."""
-    return {k: [n - 1, _PENDING] for k, n in _count_lookups(roots)[1].items() if n > 1}
+    return tuple(names)
 
 
 @dataclass(frozen=True)
@@ -451,15 +419,8 @@ def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], int]:
     return cols, (1 << width) - 1
 
 
-def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, list] | None = None) -> int:
+def truth_mask(f: Formula, universe: Iterable[str]) -> int:
     """Truth table of ``f`` packed into an int: bit i = value under index i.
-
-    ``memo`` (from ``shared_nodes``) keeps the value of a shared node under
-    its ``id()`` from its first lookup to its last, so the masks of the
-    formulas it was made for, taken in that order, evaluate each shared
-    subtree once and leave the memo empty; a lookup beyond its count
-    computes the value again. Ids are valid only while their objects live:
-    keep every root referenced while the memo is in use.
 
     One explicit-stack loop with no callbacks: a frame is a connective
     with the value of its left operand, or ``_PENDING`` while that is still
@@ -474,12 +435,6 @@ def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, list] | None
         while True:
             # Down: value ``g``, pushing one frame per connective left to combine.
             while True:
-                if memo and id(g) in memo and (v := (entry := memo[id(g)])[1]) is not _PENDING:
-                    if entry[0] > 1:
-                        entry[0] -= 1
-                    else:  # its last lookup
-                        del memo[id(g)]
-                    break
                 t = type(g)
                 if t is And or t is Or or t is Implies or t is Iff:
                     a = g.left
@@ -524,8 +479,6 @@ def truth_mask(f: Formula, universe: Iterable[str], memo: dict[int, list] | None
                     v |= full ^ left
                 else:
                     v ^= full ^ left
-                if memo and id(g) in memo:
-                    memo[id(g)][1] = v
             else:
                 return v
     except KeyError as e:  # only column lookups raise it

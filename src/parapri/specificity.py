@@ -78,7 +78,7 @@ def prune_redundant(
     keys = [(block_of.setdefault(p.source, len(block_of)), int(p.bits or "0", 2)) for p in w.provenance]
 
     names = tuple(universe)
-    base_mask, masks = truth_masks(base, w.formulas, names)
+    base_mask, masks = truth_masks(base, w.defaults, names, w.nest)
     masks = list(masks)
 
     alive = set(range(len(keys)))

@@ -17,6 +17,12 @@ the strongly connected components of the lower -> higher edges fills the
 closure and finds any cycle; ``lp.stratify`` runs the same walk over a
 program's dependencies. A grounded order takes its closure from the
 schema-level one, one block of instances per schema.
+
+The transform's recurrence lives here, as ``nest_values``, because theories
+are printed here: a theory made by ``transform.parallel_theory`` keeps the
+transform's ``nest`` (its sources and their dominator positions), and
+``default_values`` values such a theory's defaults from their sources
+alone: as formulas, masks or texts, one block at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import CycleError, ParseError, ValidationError
 from .formula import (
@@ -43,7 +49,6 @@ from .formula import (
     parse_atom,
     parse_formula,
     postorder,
-    shared_nodes,
     to_text,
 )
 
@@ -198,6 +203,49 @@ def parallel_order(labels: Iterable[str]) -> PriorityOrder:
     return PriorityOrder(tuple(labels))
 
 
+# A transform's source formulas and, per source, its dominators' positions.
+Nest = tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...]]
+
+
+def nest_values(values: Sequence, sigmas: Sequence[Sequence[int]], or_: Callable, and_: Callable) -> Iterator:
+    """The transform's recurrence over any value type: for each source i,
+    with value ``values[i]`` and dominator positions ``sigmas[i]`` =
+    (j1, ..., jm), the values of its 2^m nests
+    ``values[j1] g1 (... (values[jm] gm values[i]))``, bit strings from all
+    ones down, where a 1 bit makes gk ``and_`` and a 0 bit ``or_``.
+
+    A block is built innermost first, so its nests share their suffixes:
+    each step doubles it to ``or_(s, a)`` for every a, then ``and_(s, a)``,
+    2^(m+1) - 2 calls per block. The outermost step is yielded, not stored.
+    """
+    for v, sigma in zip(values, sigmas):
+        if not sigma:
+            yield v
+            continue
+        block = [v]  # innermost first: block[k] is the nest below sigma[0] for k's bits
+        for j in sigma[:0:-1]:
+            s = values[j]
+            block = [or_(s, a) for a in block] + [and_(s, a) for a in block]
+        s = values[sigma[0]]
+        block.reverse()
+        for a in block:
+            yield and_(s, a)
+        for a in block:
+            yield or_(s, a)
+
+
+def default_values(
+    defaults: Sequence[LabeledFormula], nest: Nest | None, value: Callable, or_: Callable, and_: Callable
+) -> Iterator:
+    """``value`` of each formula of ``defaults``, in order. Given the nest of
+    the transform that built them, only its sources are valued, and
+    ``nest_values`` combines them with ``or_`` and ``and_``."""
+    if nest is None:
+        return (value(f) for _, f in defaults)
+    sources, sigmas = nest
+    return nest_values([value(f) for f in sources], sigmas, or_, and_)
+
+
 @dataclass(frozen=True)
 class Theory:
     """Construction checks the labels, the universe for duplicates, and
@@ -211,6 +259,9 @@ class Theory:
     defaults: tuple[LabeledFormula, ...]
     priority: PriorityOrder
     fixtures: tuple[LabeledFormula, ...] = ()
+    # Set by ``transform.parallel_theory``: the transform's nest, from which
+    # ``default_values`` values the defaults; None for any other theory.
+    nest: Nest | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = [d.label for d in self.defaults]
@@ -505,15 +556,20 @@ def print_theory(t: Theory) -> str:
     """Theory file text that parses back to an equal Theory: the order is
     printed as its closure pairs, by position of the higher label, then of
     the lower one."""
-    memo = shared_nodes(*t.base, *(f for _, f in (*t.defaults, *t.fixtures)))
     names, above = t.priority.indices, t.priority.above
     pairs = sorted((j, i) for i, a in enumerate(above) if a for j in iter_bits(a))
     lines = [f"atoms: {' '.join(t.universe)}"] if t.universe else ["atoms:"]
-    lines += [f"base: {to_text(f, memo)}" for f in t.base]
-    lines += [f"default {l}: {to_text(f, memo)}" for l, f in t.defaults]
+    lines += [f"base: {to_text(f)}" for f in t.base]
+    lines += [f"default {l}: {s}" for (l, _), s in zip(t.defaults, default_texts(t.defaults, t.nest))]
     lines += [f"prefer {names[j]} > {names[i]}" for j, i in pairs]
-    lines += [f"fix {l}: {to_text(f, memo)}" for l, f in t.fixtures]
+    lines += [f"fix {l}: {to_text(f)}" for l, f in t.fixtures]
     return "\n".join(lines) + "\n"
+
+
+def default_texts(defaults: Sequence[LabeledFormula], nest: Nest | None) -> Iterator[str]:
+    """``to_text`` of each formula of ``defaults``, through ``nest`` as in
+    ``default_values``."""
+    return default_values(defaults, nest, to_text, "({} | {})".format, "({} & {})".format)
 
 
 def classify_order(order: PriorityOrder) -> str:

@@ -12,18 +12,23 @@ declaration order, bit strings from all-ones down to all-zeros.
 
 The construction never inspects the default formulas themselves, only the
 priority order, so its output size depends solely on the order's shape.
+Its one recurrence, ``theory.nest_values``, builds each block innermost
+first, so a block's outputs share their suffix subtrees. An output keeps
+its sources and dominator positions as ``nest``; ``parallel_theory``
+hands that on, and the engine and the printers value the outputs by the
+same recurrence over the sources' masks and texts, not by walking them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Sequence
 
 from . import config
 from .errors import CapExceededError, ValidationError
 from .formula import And, Formula, Or
-from .theory import LabeledFormula, PriorityOrder, Theory, parallel_order
+from .theory import LabeledFormula, Nest, PriorityOrder, Theory, nest_values, parallel_order
 
 TOP_HEAVY_THRESHOLD = 10
 
@@ -38,6 +43,9 @@ class Provenance(NamedTuple):
 class TransformOutput:
     defaults: tuple[LabeledFormula, ...]
     provenance: tuple[Provenance, ...]
+    # The sources and their dominator positions that ``nest_values`` built
+    # ``defaults`` from; None for an output built by hand.
+    nest: Nest | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def formulas(self) -> tuple[Formula, ...]:
@@ -55,12 +63,13 @@ class SizeReport:
         return max((v for _, v in self.m), default=0)
 
 
-def _iter_descending(order: PriorityOrder, remaining: int) -> Iterator[tuple[str, ...]]:
-    # ``remaining`` is a mask of label positions. Emit maximal elements first;
-    # candidate choice follows declaration order, so the first sequence
-    # generated is the canonical one. A depth-first walk on an explicit
-    # stack, so the number of dominators is not bounded by recursion; a
-    # level looks for its next maximal candidate only when the walk returns.
+def _iter_descending(order: PriorityOrder, remaining: int) -> Iterator[tuple[int, ...]]:
+    # ``remaining`` is a mask of label positions, and a sequence is a tuple
+    # of positions. Emit maximal elements first; candidate choice follows
+    # declaration order, so the first sequence generated is the canonical
+    # one. A depth-first walk on an explicit stack, so the number of
+    # dominators is not bounded by recursion; a level looks for its next
+    # maximal candidate only when the walk returns.
     if not remaining:
         yield ()
         return
@@ -78,7 +87,7 @@ def _iter_descending(order: PriorityOrder, remaining: int) -> Iterator[tuple[str
         if rest ^ 1 << x:
             stack.append([rest ^ 1 << x, rest ^ 1 << x, -1])
         else:
-            yield tuple(order.indices[lv[2]] for lv in stack)
+            yield tuple(lv[2] for lv in stack)
 
 
 def output_size(order: PriorityOrder) -> SizeReport:
@@ -88,34 +97,28 @@ def output_size(order: PriorityOrder) -> SizeReport:
     return SizeReport(total=total, m=m, top_heavy=any(v > TOP_HEAVY_THRESHOLD for _, v in m))
 
 
-def _label_for(source: str, bits: str) -> str:
-    return f"w_{source}_{bits}" if bits else f"w_{source}"
-
-
-def _assemble(
-    defaults: Sequence[LabeledFormula],
-    sigmas: Mapping[str, tuple[str, ...]],
-) -> TransformOutput:
-    formulas = dict(defaults)
+def _assemble(defaults: Sequence[LabeledFormula], sigmas: tuple[tuple[int, ...], ...]) -> TransformOutput:
+    # ``sigmas[i]``: the dominator positions of defaults[i], in descending order.
+    names = [l for l, _ in defaults]
+    sources = tuple(f for _, f in defaults)
+    values = nest_values(sources, sigmas, Or, And)
     out: list[LabeledFormula] = []
     prov: list[Provenance] = []
     seen: set[str] = set()
-    for label, f in defaults:
-        sigma = sigmas[label]
+    for label, sigma in zip(names, sigmas):
         m = len(sigma)
-        block = [f]  # innermost first: block[v] is the nest for v's bits
-        for j in reversed(sigma):
-            s = formulas[j]
-            block = [Or(s, a) for a in block] + [And(s, a) for a in block]
+        named = tuple(map(names.__getitem__, sigma))
         for v in range((1 << m) - 1, -1, -1):
             bits = format(v, f"0{m}b") if m else ""
-            w_label = _label_for(label, bits)
+            w_label = f"w_{label}_{bits}" if m else f"w_{label}"
             if w_label in seen:
                 raise ValidationError(f"generated label {w_label!r} is not unique")
             seen.add(w_label)
-            out.append(LabeledFormula(w_label, block[v]))
-            prov.append(Provenance(label, sigma, bits))
-    return TransformOutput(tuple(out), tuple(prov))
+            out.append(LabeledFormula(w_label, next(values)))
+            prov.append(Provenance(label, named, bits))
+    result = TransformOutput(tuple(out), tuple(prov))
+    object.__setattr__(result, "nest", (sources, sigmas))
+    return result
 
 
 def _guard_size(order: PriorityOrder) -> None:
@@ -143,16 +146,16 @@ def transform_all(defaults: Sequence[LabeledFormula], order: PriorityOrder, limi
     return [_assemble(defaults, sigmas) for sigmas in itertools.islice(members, limit)]
 
 
-def _sigma_combinations(order: PriorityOrder) -> Iterator[dict[str, tuple[str, ...]]]:
+def _sigma_combinations(order: PriorityOrder) -> Iterator[tuple[tuple[int, ...], ...]]:
     # A lazy odometer over the labels' descending orderings, the last label
     # turning fastest. Each digit restarts its own generator instead of
     # holding a label's orderings, which can number m!.
-    labels, above = order.indices, order.above
+    above = order.above
     digits = [_iter_descending(order, a) for a in above]
     current = [next(d) for d in digits]
     while True:
-        yield dict(zip(labels, current))
-        for k in reversed(range(len(labels))):
+        yield tuple(current)
+        for k in reversed(range(len(above))):
             sigma = next(digits[k], None)
             if sigma is not None:
                 current[k] = sigma
@@ -172,8 +175,10 @@ def parallel_theory(t: Theory, out: TransformOutput) -> Theory:
     """The input theory with its defaults replaced by the parallel output.
 
     ``out`` must be a transform of ``t``'s own defaults: its atoms are then
-    ``t``'s, and are not checked again."""
-    return Theory._known_atoms(t.universe, t.base, out.defaults, parallel_order(l for l, _ in out.defaults), t.fixtures)
+    ``t``'s, and are not checked again. The result keeps ``out.nest``."""
+    p = Theory._known_atoms(t.universe, t.base, out.defaults, parallel_order(l for l, _ in out.defaults), t.fixtures)
+    object.__setattr__(p, "nest", out.nest)
+    return p
 
 
 def transform_theory(t: Theory) -> Theory:

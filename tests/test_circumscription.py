@@ -99,9 +99,11 @@ class TestPreferredModels:
             assert len(preferred_models(t)) > 0
 
     def test_transform_of_a_chain_fits_in_1_6_mb(self):
-        # 1023 outputs over 10 atoms, 1024 cells. The traced peak is 1.26 MB;
-        # it was 2.61 MB while the memo kept every shared subtree's mask to the
-        # end and the transpose built one 1024 x 1023-character string.
+        # 1023 outputs over 10 atoms, 1024 cells. The traced peak is 1.26 MB:
+        # the outputs' masks come from the sources' masks one block at a time,
+        # the outermost step streamed, and the transpose works in blocks. It
+        # was 2.61 MB while every shared subtree's mask was kept to the end and
+        # the transpose built one 1024 x 1023-character string.
         t = transform_theory(chain_theory(10))
         preferred_models(t)  # fills interpreter caches and free lists
         gc.collect()

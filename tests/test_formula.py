@@ -22,7 +22,6 @@ from parapri.formula import (
     Or,
     atoms,
     parse_formula,
-    shared_nodes,
     to_text,
     truth_mask,
 )
@@ -190,7 +189,7 @@ class TestParser:
 
 def unshared_atoms(*roots):
     """Atom names in first-mention order from a plain walk of every
-    occurrence of every node, with no memo."""
+    occurrence of every node, shared or not."""
     names = []
     todo = list(reversed(roots))
     while todo:
@@ -204,50 +203,14 @@ def unshared_atoms(*roots):
     return tuple(dict.fromkeys(names))
 
 
-@st.composite
-def lookup_dags(draw):
-    """Roots over one pool of nodes with every kind of repeat the lookup
-    count must get right: ``op(x, x)`` on one object, shared ``Not(Atom)``
-    objects as literal left operands and as right operands, repeated roots,
-    and roots that are subtrees of other roots."""
-    literals = [Not(Atom(n)) for n in ("a", "b", "c")]
-    pool = [Atom("a"), Atom("b"), TRUE, *literals]
-    for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from([Not, And, Or, Implies, Iff]))
-        x = draw(st.sampled_from(pool))
-        if kind is Not:
-            pool.append(Not(x))
-        else:
-            pool.append(kind(x, x if draw(st.booleans()) else draw(st.sampled_from(pool))))
-    roots = draw(st.lists(st.sampled_from(pool[3:]), min_size=1, max_size=5))
-    return roots + [And(literals[0], roots[0]), Or(roots[-1], literals[0]), roots[0]]
-
-
-class FreedLookups(dict):
-    """A memo that records every lookup of a key it held, made after that
-    key's entry was freed: a count too low for the evaluators' lookups."""
-
-    def __init__(self, entries):
-        super().__init__(entries)
-        self.held, self.late = set(entries), []
-
-    def __contains__(self, key):
-        found = super().__contains__(key)
-        if not found and key in self.held:
-            self.late.append(key)
-        return found
-
-
 class TestSharedWalks:
-    """A memo shared across roots changes how often a subtree is walked, never the result."""
+    """Sharing across roots changes how often ``atoms`` walks a subtree, never the result."""
 
     @given(st.lists(formulas(("a", "b", "c", "d")), min_size=1, max_size=4))
     @settings(max_examples=150)
     def test_memo_gives_the_unmemoized_results(self, fs):
         # Roots that repeat objects, nest them on either side and inside one another.
         roots = fs + [And(f, g) for f, g in zip(fs, reversed(fs))] + [Not(Or(fs[0], fs[-1])), fs[0]]
-        memo = shared_nodes(*roots)
-        assert [to_text(f, memo) for f in roots] == [to_text(f) for f in roots]
         assert atoms(*roots) == unshared_atoms(*roots)
         assert [atoms(f) for f in roots] == [unshared_atoms(f) for f in roots]
 
@@ -257,24 +220,6 @@ class TestSharedWalks:
             g = And(g, g)
         assert atoms(g) == ("a", "b")
         assert atoms(Atom("c"), g, Atom("a")) == ("c", "a", "b")
-        # Every node below the top is looked up twice, so the memo has all 200,
-        # each freed at its second lookup.
-        memo = shared_nodes(g)
-        assert len(memo) == 200
-        assert all(hits == 1 for hits, _ in memo.values())
-        assert truth_mask(g, ("a", "b"), memo) == 0b1011  # a | ~b, from 2^201 leaf occurrences
-        assert memo == {}
-
-    @given(lookup_dags())
-    @settings(max_examples=300)
-    def test_one_pass_frees_every_value(self, roots):
-        universe = ("a", "b", "c")
-        for value in (to_text, lambda f, memo=None: truth_mask(f, universe, memo)):
-            want = [value(f) for f in roots]
-            memo = FreedLookups(shared_nodes(*roots))
-            assert [value(f, memo) for f in roots] == want
-            assert memo == {} and memo.late == []  # each entry freed at its last lookup
-            assert [value(f, memo) for f in roots] == want
 
 
 class TestEvaluate:
@@ -406,22 +351,9 @@ class TestDeepFormulas:
         # Fully parenthesized text is injective on trees, so equal text
         # means parse_formula rebuilt the same tree.
         assert to_text(parse_formula(text)) == text
-        # Only the root is looked up twice: the memo holds its text and none of
-        # the 10,000 descendants', so its size does not grow with the depth,
-        # and the second lookup frees it.
-        memo = shared_nodes(f, f)
-        assert to_text(f, memo) == text
-        assert memo == {id(f): [1, text]}
-        assert to_text(f, memo) == text
-        assert memo == {}
         assert atoms(f) == ("a", "b")
         assert atoms(Atom("c"), f, f) == ("c", "a", "b")
         assert truth_mask(f, ("a", "b")) == mask
-        memo = shared_nodes(f, f)
-        assert truth_mask(f, ("a", "b"), memo) == mask
-        assert memo == {id(f): [1, mask]}
-        assert truth_mask(f, ("a", "b"), memo) == mask
-        assert memo == {}
 
     @pytest.mark.parametrize("name", DEEP_CASES)
     def test_theory_round_trip_compares_and_hashes(self, name):
@@ -452,11 +384,7 @@ class TestTruthMask:
     @settings(max_examples=200)
     def test_shared_memo_matches_oracle(self, roots):
         universe = ("a", "b", "c")
-        memo = shared_nodes(*roots)
-        masks = [truth_mask(f, universe, memo) for f in roots]
-        assert masks == [truth_mask(f, universe) for f in roots]
-        assert memo == {}  # each value was freed at its last lookup
-        assert [truth_mask(f, universe, memo) for f in roots] == masks  # computed again
+        masks = [truth_mask(f, universe) for f in roots]
         for f, mask in zip(roots, masks):
             for idx in range(8):
                 assert evaluate(f, Interpretation.from_index(universe, idx)) == bool((mask >> idx) & 1)
@@ -473,9 +401,8 @@ class TestTruthMask:
         ],
     )
     def test_unknown_atom(self, f):
-        for memo in (None, shared_nodes(f, f)):
-            with pytest.raises(UniverseError, match=r"^atom 'z' not in universe$"):
-                truth_mask(f, ("a", "b"), memo)
+        with pytest.raises(UniverseError, match=r"^atom 'z' not in universe$"):
+            truth_mask(f, ("a", "b"))
 
     @pytest.mark.parametrize("f", [And(A, 3), And(3, A), Not(None), Iff(Not(A), Not("a"))])
     def test_not_a_formula(self, f):
@@ -506,10 +433,6 @@ class TestToText:
         roots = fs + [Implies(f, Iff(g, f)) for f, g in zip(fs, reversed(fs))]
         want = [text_naive(f) for f in roots]
         assert [to_text(f) for f in roots] == want
-        memo = shared_nodes(*roots)
-        assert [to_text(f, memo) for f in roots] == want
-        assert memo == {}  # each text was freed at its last lookup
-        assert [to_text(f, memo) for f in roots] == want  # computed again
 
 
 def _copy(f, last=None):

@@ -47,3 +47,32 @@ def test_cli_matrix_smoke():
     for run in runs:
         assert run["exit"] in (0, 1, 2, 3), run
         assert "Traceback" not in run["stderr"], run
+
+
+CODE_LINES_SNIPPET = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code
+
+
+class C:
+    """A class docstring."""
+
+    def f(self, x):
+        """A function docstring."""
+        # a comment line
+        s = """a string that
+is no docstring"""
+        return (x +
+                1)
+'''
+
+
+def test_code_lines_counts_a_snippet(tmp_path):
+    # Blank, comment and docstring lines do not count; a multi-line string
+    # that is no docstring and a multi-line expression count every line.
+    path = tmp_path / "snippet.py"
+    path.write_text(CODE_LINES_SNIPPET)
+    r = run_python(ROOT / "scripts" / "code_lines.py", path)
+    assert r.returncode == 0, r.stderr
+    assert [line.split() for line in r.stdout.splitlines()] == [["7", str(path)], ["7", "total"]]

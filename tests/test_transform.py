@@ -1,5 +1,6 @@
 """The priority-elimination construction and its size accounting."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,11 +10,19 @@ from hypothesis import strategies as st
 from generate import random_theory
 from helpers import ac_set, build_wil, chain_theory, descending_naive
 from parapri import config
-from parapri.circumscription import preorder_equivalent
+from parapri.circumscription import preferred_models, preorder_equivalent, truth_masks
 from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import And, Atom, Or, parse_formula, truth_mask
 from parapri.preorder import PreorderSpec
-from parapri.theory import LabeledFormula, PriorityOrder, build_theory, parallel_order, print_theory
+from parapri.theory import (
+    LabeledFormula,
+    PriorityOrder,
+    build_theory,
+    fixtures_to_defaults,
+    parallel_order,
+    parse_theory,
+    print_theory,
+)
 from parapri.transform import (
     TransformOutput,
     _iter_descending,
@@ -28,8 +37,9 @@ F = parse_formula
 
 def descending_sequences(order, label):
     """The descending orderings of ``label``'s dominators, as the transform
-    enumerates them."""
-    return list(_iter_descending(order, order.above[order.position[label]]))
+    enumerates them, with positions mapped back to labels."""
+    sequences = _iter_descending(order, order.above[order.position[label]])
+    return [tuple(order.indices[j] for j in sigma) for sigma in sequences]
 
 
 def pair_theory():
@@ -313,8 +323,15 @@ def ordered_defaults(draw):
     return list(zip(labels, texts)), edges
 
 
-def ordered_theories():
-    return ordered_defaults().map(lambda d: build_theory(defaults=d[0], prefer=d[1]))
+@st.composite
+def ordered_theories(draw):
+    """``ordered_defaults`` with up to one base formula and two fixtures."""
+    defaults, edges = draw(ordered_defaults())
+    base = draw(st.lists(st.sampled_from(["p | q", "~r"]), max_size=1))
+    fixtures = draw(st.lists(st.sampled_from(["q", "p & r", "~p"]), max_size=2))
+    return build_theory(
+        base=base, defaults=defaults, prefer=edges, fixtures=[(f"f{k}", f) for k, f in enumerate(fixtures)]
+    )
 
 
 class TestDescendingOracle:
@@ -329,14 +346,30 @@ class TestDescendingOracle:
 
 
 def assert_outputs_are_nests(t, out):
-    """Each output equals, and prints like, build_wil's nest for its provenance."""
+    """Each output equals, and prints like, build_wil's nest for its
+    provenance. Through the transform's nest, the engine values and
+    ``print_theory`` prints the outputs as the AST walks of hand-built
+    outputs (whose nest is None) do."""
     formulas = dict(t.defaults)
     nests = []
     for (label, f), p in zip(out.defaults, out.provenance):
         nests.append(LabeledFormula(label, build_wil(formulas, p.source, p.sigma, p.bits)))
         assert f == nests[-1].formula
     unshared = TransformOutput(tuple(nests), out.provenance)
-    assert print_theory(parallel_theory(t, out)) == print_theory(parallel_theory(t, unshared))
+    via_nest, via_ast = parallel_theory(t, out), parallel_theory(t, unshared)
+    assert out.nest is not None and via_nest.nest is out.nest
+    assert via_ast.nest is None
+    assert print_theory(via_nest) == print_theory(via_ast)
+    assert parse_theory(print_theory(via_nest)) == via_nest
+    assert preferred_models(via_nest).mask == preferred_models(via_ast).mask
+    masks = truth_masks(via_nest.base, via_nest.defaults, t.universe, via_nest.nest)[1]
+    assert list(masks) == [truth_mask(f, t.universe) for f in out.formulas]
+    assert_block_masks(t, out)
+    # Any other route to the same defaults drops the nest.
+    assert TransformOutput(out.defaults, out.provenance).nest is None
+    assert dataclasses.replace(out).nest is None
+    assert dataclasses.replace(via_nest).nest is None
+    assert fixtures_to_defaults(via_nest).nest is None
 
 
 def blocks(out):
