@@ -26,6 +26,7 @@ from .errors import (
     ParapriError,
     ParseError,
     UniverseError,
+    ValidationError,
 )
 from .formula import Not, atoms as formula_atoms, iter_bits, parse_formula, to_text
 from .lp import encode_stratified, parse_program
@@ -144,12 +145,14 @@ def cmd_models(args) -> int:
 
 
 def cmd_check_equiv(args) -> int:
+    project = None if args.project is None else args.project.split(",")
+    if args.preorder and project is not None:
+        raise ValidationError("--project applies to model sets only, not to --preorder")
     t = _load_theory(args.file)
     check_atoms(t.universe)  # every route enumerates; refuse before the transform
     members = _members(t, args.all)
     if args.self_test_corrupt:
         members = [_corrupt(m) for m in members]
-    project = args.project.split(",") if args.project else None
     ok = True
     for m in members:
         if args.preorder:
@@ -226,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--preorder", action="store_true", help="compare pre-orders instead of model sets")
     p.add_argument("--all", type=int, default=None, metavar="N", help="check the first N members")
-    p.add_argument("--project", default=None, metavar="a,b,c")
+    p.add_argument("--project", default=None, metavar="a,b,c", help="compare model sets on these atoms only")
     p.add_argument("--self-test-corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=cmd_check_equiv)
 

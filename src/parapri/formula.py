@@ -17,15 +17,20 @@ The parser checks a text with one regex scan, splits it into token strings
 with one ``findall`` and builds the tree in one operator-precedence loop; a
 text that is one identifier (a name on an ``atoms:`` line, a program atom,
 a single-atom default) takes one regex match instead. A shared name -> Atom
-dict gives one Atom per name and the names in first-mention order. Four
-walks visit a formula, each with one job and its own explicit stack, so
-nesting depth is limited by memory, not by the recursion limit:
-``postorder`` lists the tree for ``==``, ``hash`` and ``theory.ground``;
-``atoms`` visits each distinct node once; ``to_text`` prints and
-``truth_mask`` evaluates, one formula at a time. A transform's outputs
-share subtrees, but they are printed and valued by the transform's own
-recurrence (``theory.nest_values``) over their sources, so no walk here
-keeps values across formulas.
+dict gives one Atom per name and the names in first-mention order.
+
+Two walks visit a formula, each on its own explicit stack, so nesting
+depth is limited by memory, not by the recursion limit. ``postorder``
+lists the tree; ``==``, ``hash``, ``theory.ground``, ``to_text`` and
+``atoms`` run that list. ``truth_mask`` keeps its own fused loop, the one
+walk the benchmark times on a hot path (``transform-wide``): a generic
+evaluator over ``postorder``'s list ran 1.7-2.0x slower than it on the
+transform outputs of 8- and 10-default chains. Printing is no hot path:
+``to_text`` takes about 1.5% of a traced ``verify-small`` pass, and none of
+``query-dense``. A transform's outputs share subtrees, but they are
+printed and valued by the transform's own recurrence
+(``theory.nest_values``) over their sources, so no walk here keeps values
+across formulas.
 """
 
 from __future__ import annotations
@@ -248,59 +253,6 @@ _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 _PENDING = object()
 
 
-def to_text(f: Formula) -> str:
-    """Fully parenthesized text form; ``parse_formula`` round-trips it.
-
-    The loop is ``truth_mask``'s: a frame holds the text of its left
-    operand, and a literal left operand is printed on the way down.
-    """
-    stack: list[tuple[Formula, str | object]] = []
-    g = f
-    while True:
-        # Down: print ``g``, pushing one frame per connective left to combine.
-        while True:
-            t = type(g)
-            if t is And or t is Or or t is Implies or t is Iff:
-                a = g.left
-                u = type(a)
-                if u is Atom:
-                    stack.append((g, a.name))
-                elif u is Not and type(a.arg) is Atom:
-                    stack.append((g, "~" + a.arg.name))
-                elif u is Const:
-                    stack.append((g, "true" if a.value else "false"))
-                else:
-                    stack.append((g, _PENDING))
-                    g = a
-                    continue
-                g = g.right
-            elif t is Atom:
-                v = g.name
-                break
-            elif t is Not:
-                stack.append((g, _PENDING))
-                g = g.arg
-            elif t is Const:
-                v = "true" if g.value else "false"
-                break
-            else:
-                raise TypeError(f"not a formula: {g!r}")
-        # Up: ``v`` is the last operand of the top frame; combine it.
-        while stack:
-            g, left = stack.pop()
-            t = type(g)
-            if t is Not:
-                v = "~" + v
-            elif left is _PENDING:  # ``v`` is the left operand; go right
-                stack.append((g, v))
-                g = g.right
-                break
-            else:
-                v = f"({left} {_BINARY_OPS[t]} {v})"
-        else:
-            return v
-
-
 def postorder(f: Formula) -> list:
     """``f`` in post order: an atom name or a constant's bool is a leaf,
     ``Not`` negates the value on top, a binary node type combines the top
@@ -320,28 +272,28 @@ def postorder(f: Formula) -> list:
     return program
 
 
+def to_text(f: Formula) -> str:
+    """Fully parenthesized text form; ``parse_formula`` round-trips it.
+
+    Runs ``postorder``'s list on a stack of texts."""
+    texts: list[str] = []
+    for x in postorder(f):
+        if type(x) is str:
+            texts.append(x)
+        elif x is Not:
+            texts[-1] = "~" + texts[-1]
+        elif x in _BINARY_OPS:
+            right = texts.pop()
+            texts[-1] = f"({texts[-1]} {_BINARY_OPS[x]} {right})"
+        else:
+            texts.append("true" if x else "false")
+    return texts[0]
+
+
 def atoms(*formulas: Formula) -> tuple[str, ...]:
-    """Atom names of ``formulas`` in first-mention order, from one walk
-    that visits each distinct node once, however often it is shared."""
-    names: dict[str, None] = {}
-    seen: set[int] = set()
-    todo = list(reversed(formulas))
-    while todo:
-        g = todo.pop()
-        t = type(g)
-        if t is Atom:
-            names[g.name] = None
-        elif id(g) in seen:
-            continue
-        elif t in _BINARY_OPS:
-            seen.add(id(g))
-            todo += (g.right, g.left)
-        elif t is Not:
-            seen.add(id(g))
-            todo.append(g.arg)
-        elif t is not Const:
-            raise TypeError(f"not a formula: {g!r}")
-    return tuple(names)
+    """Atom names of ``formulas`` in first-mention order: the string
+    leaves of their ``postorder`` lists."""
+    return tuple(dict.fromkeys(x for f in formulas for x in postorder(f) if type(x) is str))
 
 
 @dataclass(frozen=True)

@@ -187,13 +187,6 @@ class PriorityOrder:
         sets = {a: frozenset(names[j] for j in iter_bits(a)) for a in set(self.above)}
         return {i: sets[a] for i, a in zip(names, self.above)}
 
-    def higher(self, j: str, i: str) -> bool:
-        position = self.position
-        try:
-            return self.above[position[i]] >> position[j] & 1 == 1
-        except KeyError:
-            return False
-
     @property
     def is_empty(self) -> bool:
         return not any(self.above)

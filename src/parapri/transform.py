@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import config
 from .errors import CapExceededError, ValidationError
-from .formula import And, Formula, Or
+from .formula import And, Or
 from .theory import LabeledFormula, Nest, PriorityOrder, Theory, nest_values, parallel_order
 
 TOP_HEAVY_THRESHOLD = 10
@@ -46,10 +46,6 @@ class TransformOutput:
     # The sources and their dominator positions that ``nest_values`` built
     # ``defaults`` from; None for an output built by hand.
     nest: Nest | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def formulas(self) -> tuple[Formula, ...]:
-        return tuple(f for _, f in self.defaults)
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,19 @@ class TestCheckEquiv:
         code, out, err = run(capsys, "check-equiv", f, "--preorder")
         assert (code, out, err) == (3, "", "error: 13 atoms exceeds the enumeration cap of 12\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--project", ""), "error: projection atoms [''] not in universe\n"),
+            (
+                ("--preorder", "--project", "nosuch"),
+                "error: --project applies to model sets only, not to --preorder\n",
+            ),
+        ],
+    )
+    def test_project_is_refused_not_ignored(self, capsys, argv, message):
+        assert run(capsys, "check-equiv", DATA / "tweety.thy", *argv) == (2, "", message)
+
     def test_corrupted_self_test(self, capsys):
         code, out, _ = run(capsys, "check-equiv", DATA / "tweety.thy", "--self-test-corrupt")
         assert code == 1

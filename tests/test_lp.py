@@ -202,7 +202,7 @@ class TestEncodeStratified:
         for x in p.atoms:
             for y in p.atoms:
                 expected = s.of(x) < s.of(y)
-                assert t.priority.higher(f"min_{x}", f"min_{y}") == expected
+                assert ((f"min_{x}", f"min_{y}") in t.priority.closure) == expected
 
 
     def test_order_matches_the_stratum_pairs(self):

@@ -194,7 +194,7 @@ class TestInheritanceCases:
         t = inheritance_theory(11)
         out = transform_canonical(t.defaults, t.priority)
         listed = inheritance_parallel_theory(11)
-        assert ac_set(out.formulas) != ac_set(f for _, f in listed.defaults)
+        assert ac_set(f for _, f in out.defaults) != ac_set(f for _, f in listed.defaults)
 
 
 class TestEncodeAbnormality:

@@ -108,7 +108,7 @@ class TestDescendingSequences:
                 for sigma in descending_sequences(t.priority, label):
                     for a in range(len(sigma)):
                         for b in range(a + 1, len(sigma)):
-                            assert not t.priority.higher(sigma[b], sigma[a])
+                            assert (sigma[b], sigma[a]) not in t.priority.closure
 
 
 class TestBuildWil:
@@ -139,7 +139,7 @@ class TestGoldenSets:
 
     def golden(self, theory, expected_texts):
         out = transform_canonical(theory.defaults, theory.priority)
-        assert ac_set(out.formulas) == ac_set(F(s) for s in expected_texts)
+        assert ac_set(f for _, f in out.defaults) == ac_set(F(s) for s in expected_texts)
 
     def test_pair(self):
         self.golden(pair_theory(), ["p1", "p2 & p1", "p2 | p1"])
@@ -172,15 +172,15 @@ class TestGoldenSets:
         assert len(members) == 2
         first = ["p1", "p2", "p3 & p2 & p1", "(p3 & p2) | p1", "(p3 | p2) & p1", "p3 | p2 | p1"]
         second = ["p1", "p2", "p3 & p1 & p2", "(p3 & p1) | p2", "(p3 | p1) & p2", "p3 | p1 | p2"]
-        assert ac_set(members[0].formulas) == ac_set(F(s) for s in first)
-        assert ac_set(members[1].formulas) == ac_set(F(s) for s in second)
+        assert ac_set(f for _, f in members[0].defaults) == ac_set(F(s) for s in first)
+        assert ac_set(f for _, f in members[1].defaults) == ac_set(F(s) for s in second)
         # the two alternatives differ syntactically before normalization
-        assert [str(f) for f in members[0].formulas] != [str(f) for f in members[1].formulas]
+        assert [str(f) for _, f in members[0].defaults] != [str(f) for _, f in members[1].defaults]
 
     def test_empty_order_echoes_input(self):
         t = build_theory(defaults=[("a", "p"), ("b", "q | r")])
         out = transform_canonical(t.defaults, t.priority)
-        assert out.formulas == tuple(f for _, f in t.defaults)
+        assert [f for _, f in out.defaults] == [f for _, f in t.defaults]
 
     def test_labels_and_provenance(self):
         out = transform_canonical(*_pair())
@@ -234,7 +234,7 @@ class TestTransformAll:
         t = build_theory(defaults=[("a", "p")])
         members = transform_all(t.defaults, t.priority, limit=64)
         assert len(members) == 1
-        assert members[0].formulas == (F("p"),)
+        assert [f for _, f in members[0].defaults] == [F("p")]
 
     def test_first_member_is_canonical(self):
         rng = random.Random(21)
@@ -363,7 +363,7 @@ def assert_outputs_are_nests(t, out):
     assert parse_theory(print_theory(via_nest)) == via_nest
     assert preferred_models(via_nest).mask == preferred_models(via_ast).mask
     masks = truth_masks(via_nest.base, via_nest.defaults, t.universe, via_nest.nest)[1]
-    assert list(masks) == [truth_mask(f, t.universe) for f in out.formulas]
+    assert list(masks) == [truth_mask(f, t.universe) for _, f in out.defaults]
     assert_block_masks(t, out)
     # Any other route to the same defaults drops the nest.
     assert TransformOutput(out.defaults, out.provenance).nest is None
@@ -430,7 +430,7 @@ def assert_block_masks(t, out):
             d = source[j]
             acc = [d | a for a in acc] + [d & a for a in acc]
         expected += reversed(acc)
-    assert [truth_mask(f, t.universe) for f in out.formulas] == expected
+    assert [truth_mask(f, t.universe) for _, f in out.defaults] == expected
 
 
 class TestBlockMasks:
