@@ -9,17 +9,18 @@ which guarded-rule cancellation variants reproduce the original semantics.
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # the package and its built-in scenarios
 
 from parapri.formula import to_text  # noqa: E402
-from parapri.specificity import (  # noqa: E402
+from parapri.specificity import prune_redundant  # noqa: E402
+from parapri.transform import transform_canonical  # noqa: E402
+from scenarios import (  # noqa: E402
     INHERITANCE_CASES,
     abnormality_variant_report,
     inheritance_theory,
-    prune_redundant,
     verify_special_case,
 )
-from parapri.transform import transform_canonical  # noqa: E402
 
 
 def main() -> int:

@@ -43,15 +43,9 @@ from .formula import (
     to_text,
     truth_mask,
 )
-from .lp import Clause, Program, Stratification, encode_stratified, parse_program, perfect_model, stratify
+from .lp import Clause, Program, encode_stratified, parse_program, stratify
 from .preorder import PreorderSpec
-from .specificity import (
-    PruneReport,
-    abnormality_variant_report,
-    encode_abnormality,
-    prune_redundant,
-    verify_special_case,
-)
+from .specificity import PruneReport, encode_abnormality, prune_redundant
 from .theory import (
     LabeledFormula,
     PriorityOrder,
@@ -60,7 +54,6 @@ from .theory import (
     Theory,
     build_theory,
     classify_order,
-    fixtures_to_defaults,
     ground,
     parallel_order,
     parse_theory,

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .errors import ParseError, UniverseError, ValidationError
 
@@ -132,7 +132,9 @@ FALSE = Const(False)
 
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-LABEL_RE = re.compile(rf"{IDENT}(?:\[{IDENT}(?:,{IDENT})*\])?")
+# A label: an identifier, or a ground schema instance such as e1[tweety],
+# which the transform's output labels extend, as in w_e1[tweety]_11.
+LABEL_RE = re.compile(rf"{IDENT}(?:\[{IDENT}(?:,{IDENT})*\][A-Za-z0-9_]*)?")
 VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 
 # Operator tokens; every other token is an IDENT. The lookaheads split a text
@@ -313,16 +315,6 @@ class Interpretation:
         if len(set(self.universe)) != len(self.universe):
             raise UniverseError("universe contains a duplicate atom")
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return {a: k for k, a in enumerate(self.universe)}
-
-    def value(self, atom: str) -> bool:
-        try:
-            return self.values[self._position[atom]]
-        except KeyError:
-            raise UniverseError(f"atom {atom!r} not in universe") from None
-
     @property
     def index(self) -> int:
         return sum(1 << k for k, v in enumerate(self.values) if v)
@@ -331,17 +323,6 @@ class Interpretation:
     def from_index(cls, universe: Iterable[str], index: int) -> "Interpretation":
         names = tuple(universe)
         return cls(names, tuple(bool((index >> k) & 1) for k in range(len(names))))
-
-    @classmethod
-    def of(cls, universe: Iterable[str], assignment: Mapping[str, bool]) -> "Interpretation":
-        names = tuple(universe)
-        missing = [a for a in names if a not in assignment]
-        if missing:
-            raise UniverseError(f"assignment misses atoms {missing}")
-        return cls(names, tuple(bool(assignment[a]) for a in names))
-
-    def as_dict(self) -> dict[str, bool]:
-        return dict(zip(self.universe, self.values))
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -1,5 +1,6 @@
-"""Propositional normal logic programs: stratification, the layered-priority
-encoding into a default theory, and the perfect-model oracle.
+"""Propositional normal logic programs: stratification and the
+layered-priority encoding into a default theory. The perfect-model oracle
+that the encoding is checked against lives in the tests.
 
 Program file format: one clause per line, terminated by a period; atoms
 may take arguments, as in formulas::
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from .errors import NotStratifiedError, ParseError, ValidationError
-from .formula import And, Atom, Formula, Implies, Interpretation, Not, parse_atom
+from .formula import And, Atom, Formula, Implies, Not, parse_atom
 from .theory import LabeledFormula, PriorityOrder, Theory, strongly_connected
 
 
@@ -45,18 +46,6 @@ class Program:
             for a in c.pos + c.neg:
                 seen.setdefault(a)
         return tuple(seen)
-
-
-@dataclass(frozen=True)
-class Stratification:
-    stratum: dict[str, int]
-
-    def of(self, atom: str) -> int:
-        return self.stratum[atom]
-
-    @property
-    def max_level(self) -> int:
-        return max(self.stratum.values(), default=0)
 
 
 def _parse_atom(token: str, lineno: int, names: dict[str, Atom]) -> str:
@@ -126,8 +115,8 @@ def _witness(p: Program, deps: dict[str, list[str]]) -> NotStratifiedError:
     )
 
 
-def stratify(p: Program) -> Stratification:
-    """Least level assignment, or NotStratifiedError with a witness cycle.
+def stratify(p: Program) -> dict[str, int]:
+    """Least level of each atom, or NotStratifiedError with a witness cycle.
 
     The atoms of a strongly connected component of the head -> body graph
     share the least level that covers the edges leaving it, and the walk
@@ -149,7 +138,7 @@ def stratify(p: Program) -> Stratification:
                 elif (x, b) in negated:
                     raise _witness(p, deps)
         level.update(dict.fromkeys(component, need))
-    return Stratification(level)
+    return level
 
 
 def _clause_formula(c: Clause) -> Formula:
@@ -169,39 +158,20 @@ def _default_label(atom: str) -> str:
 def encode_stratified(p: Program) -> Theory:
     """Clauses become for-sure premises; every atom is minimized, atoms of
     lower strata at strictly higher priority."""
-    strata = stratify(p)
+    level = stratify(p)
     labels = [_default_label(a) for a in p.atoms]
     if len(set(labels)) != len(labels):
         raise ValidationError("atom names collide after label sanitization")
     defaults = tuple(LabeledFormula(l, Not(Atom(a))) for l, a in zip(labels, p.atoms))
     # The labels above an atom's are those of every lower stratum: already closed and acyclic.
-    strata_masks = [0] * (strata.max_level + 1)
+    strata_masks = [0] * (max(level.values(), default=0) + 1)
     for k, a in enumerate(p.atoms):
-        strata_masks[strata.of(a)] |= 1 << k
+        strata_masks[level[a]] |= 1 << k
     below = list(itertools.accumulate(strata_masks, initial=0))  # the strata are disjoint: sums are unions
     return Theory._known_atoms(
         universe=p.atoms,
         base=tuple(_clause_formula(c) for c in p.clauses),
         defaults=defaults,
-        priority=PriorityOrder._closed(tuple(labels), tuple(below[strata.of(a)] for a in p.atoms)),
+        priority=PriorityOrder._closed(tuple(labels), tuple(below[level[a]] for a in p.atoms)),
     )
 
-
-def perfect_model(p: Program) -> Interpretation:
-    """Stratum-by-stratum least fixpoint model of a stratified program."""
-    strata = stratify(p)
-    layers: list[list[Clause]] = [[] for _ in range(strata.max_level + 1)]
-    for c in p.clauses:
-        layers[strata.of(c.head)].append(c)
-    true: set[str] = set()
-    for layer in layers:
-        changed = True
-        while changed:
-            changed = False
-            for c in layer:
-                if c.head in true:
-                    continue
-                if all(b in true for b in c.pos) and not any(n in true for n in c.neg):
-                    true.add(c.head)
-                    changed = True
-    return Interpretation(p.atoms, tuple(a in true for a in p.atoms))

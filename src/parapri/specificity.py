@@ -11,19 +11,22 @@ after the fact.
 The guarded encoding is the other front end: it takes the prioritized
 theory itself, fixtures included, and replaces its priorities by one
 abnormality atom per default and cancellation axioms in the base.
+
+The built-in inheritance scenarios that exercise both, and the report of
+which cancellation variants reproduce them, live in ``tests/scenarios.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .circumscription import circ_equivalent, truth_masks
 from .config import check_atoms
 from .errors import InternalError, ValidationError
 from .formula import Atom, Formula, Implies, Not, iter_bits
-from .theory import LabeledFormula, Theory, build_theory, parallel_order
+from .theory import LabeledFormula, Theory, parallel_order
 from .transform import TransformOutput, transform_canonical
 
 TAUT_TRUE = "tautologically-true"
@@ -128,88 +131,9 @@ def _check_k(k: int) -> None:
 
 
 def _parallel(universe: tuple[str, ...], base: Sequence[Formula], defaults: Sequence[LabeledFormula]) -> Theory:
-    return Theory(
-        universe=universe,
-        base=tuple(base),
-        defaults=tuple(defaults),
-        priority=parallel_order(l for l, _ in defaults),
-        fixtures=(),
-    )
-
-
-class InheritanceCase(NamedTuple):
-    universe: tuple[str, ...]
-    base: tuple[str, ...]
-    defaults: tuple[tuple[str, str], ...]
-    prefer: tuple[tuple[str, str], ...]
-    parallel_defaults: tuple[tuple[str, str], ...]
-
-
-# Built-in single-individual inheritance scenarios of increasing size:
-# one exceptional subclass, two exceptional subclasses, and two levels of
-# exceptional subclasses.
-INHERITANCE_CASES: dict[int, InheritanceCase] = {
-    11: InheritanceCase(
-        universe=("bird", "flies", "ostrich"),
-        base=("ostrich -> bird",),
-        defaults=(("e1", "bird -> flies"), ("e2", "ostrich -> ~flies")),
-        prefer=(("e2", "e1"),),
-        parallel_defaults=(
-            ("d1", "bird -> (flies & ~ostrich)"),
-            ("d2", "ostrich -> ~flies"),
-        ),
-    ),
-    12: InheritanceCase(
-        universe=("bird", "flies", "ostrich", "penguin"),
-        base=("ostrich -> bird", "penguin -> bird"),
-        defaults=(
-            ("e1", "bird -> flies"),
-            ("e2", "ostrich -> ~flies"),
-            ("e3", "penguin -> ~flies"),
-        ),
-        prefer=(("e2", "e1"), ("e3", "e1")),
-        parallel_defaults=(
-            ("d1", "bird -> (flies & ~ostrich & ~penguin)"),
-            ("d2", "ostrich -> ~flies"),
-            ("d3", "penguin -> ~flies"),
-        ),
-    ),
-    13: InheritanceCase(
-        universe=("animal", "bird", "flies", "ostrich", "penguin"),
-        base=("ostrich -> bird", "penguin -> bird", "bird -> animal"),
-        defaults=(
-            ("e0", "animal -> ~flies"),
-            ("e1", "bird -> flies"),
-            ("e2", "ostrich -> ~flies"),
-            ("e3", "penguin -> ~flies"),
-        ),
-        prefer=(("e1", "e0"), ("e2", "e0"), ("e3", "e0"), ("e2", "e1"), ("e3", "e1")),
-        parallel_defaults=(
-            ("d0", "animal -> (~flies & ~bird)"),
-            ("d1", "bird -> (flies & ~ostrich & ~penguin)"),
-            ("d2", "ostrich -> ~flies"),
-            ("d3", "penguin -> ~flies"),
-        ),
-    ),
-}
-
-
-def inheritance_theory(case: int) -> Theory:
-    c = INHERITANCE_CASES[case]
-    return build_theory(atoms=c.universe, base=c.base, defaults=c.defaults, prefer=c.prefer)
-
-
-def inheritance_parallel_theory(case: int) -> Theory:
-    c = INHERITANCE_CASES[case]
-    return build_theory(atoms=c.universe, base=c.base, defaults=c.parallel_defaults)
-
-
-def verify_special_case(case: int) -> bool:
-    """Whether the prioritized scenario and its hand-listed parallel
-    counterpart have the same preferred models."""
-    if case not in INHERITANCE_CASES:
-        raise ValidationError(f"unknown built-in case {case}; choose from {sorted(INHERITANCE_CASES)}")
-    return circ_equivalent(inheritance_theory(case), inheritance_parallel_theory(case))
+    # ``truth_masks`` has valued every formula (or the nest's sources) over
+    # ``universe`` already, and raised UniverseError on any atom outside it.
+    return Theory._known_atoms(universe, tuple(base), tuple(defaults), parallel_order(l for l, _ in defaults))
 
 
 AB_VARIANTS = ("violation", "class", "class-positive")
@@ -256,19 +180,6 @@ def encode_abnormality(t: Theory, variant: str = "violation") -> Theory:
         priority=parallel_order(l for l, _ in defaults),
         fixtures=t.fixtures,
     )
-
-
-def abnormality_variant_report() -> dict[str, dict[int, bool]]:
-    """For each cancellation variant: which built-in cases it reproduces,
-    judged by projection equivalence on the original vocabulary."""
-    theories = {case: inheritance_theory(case) for case in INHERITANCE_CASES}
-    return {
-        variant: {
-            case: circ_equivalent(t, encode_abnormality(t, variant), project=t.universe)
-            for case, t in theories.items()
-        }
-        for variant in AB_VARIANTS
-    }
 
 
 def transformed_then_pruned(t: Theory, k: int = 2) -> PruneReport:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -244,8 +244,10 @@ class Theory:
     """Construction checks the labels, the universe for duplicates, and
     every formula's atoms against the universe. ``_known_atoms`` skips that
     atom walk where the universe holds them by construction: in
-    ``parallel_theory``, ``ground``, ``build_theory`` when no universe is
-    given, and ``parse_theory``, whose parse has collected the atoms."""
+    ``parallel_theory``, ``ground``, ``encode_stratified``, the pruner's
+    self-check, whose truth tables have valued every formula over the
+    universe, ``build_theory`` when no universe is given, and
+    ``parse_theory``, whose parse has collected the atoms."""
 
     universe: tuple[str, ...]
     base: tuple[Formula, ...]
@@ -392,25 +394,6 @@ def ground(s: SchemaTheory) -> Theory:
         defaults=tuple(grounded),
         priority=PriorityOrder._closed(tuple(lf.label for lf in grounded), tuple(above)),
         fixtures=s.fixtures,
-    )
-
-
-def fixtures_to_defaults(t: Theory) -> Theory:
-    """Replace each fixture F by the parallel pair of defaults F and ~F."""
-    existing = {d.label for d in t.defaults}
-    new_defaults = list(t.defaults)
-    for label, f in t.fixtures:
-        for new_label, g in ((f"fix_{label}", f), (f"nfix_{label}", Not(f))):
-            if new_label in existing:
-                raise ValidationError(f"generated label {new_label!r} clashes with an existing default")
-            existing.add(new_label)
-            new_defaults.append(LabeledFormula(new_label, g))
-    above = t.priority.above + (0,) * (2 * len(t.fixtures))  # the new labels are unordered
-    return replace(
-        t,
-        defaults=tuple(new_defaults),
-        priority=PriorityOrder._closed(tuple(d.label for d in new_defaults), above),
-        fixtures=(),
     )
 
 

@@ -5,8 +5,11 @@ machinery and its explicit-stack walks: they recurse over the AST per
 interpretation, so agreement with the engine is a genuine cross-check.
 ``parse_formula_reference`` matches one token at a time into
 (kind, text, offset) tuples before it parses, and
-``formula_equal_reference`` walks two trees in pairs. No library code
-calls them.
+``formula_equal_reference`` walks two trees in pairs. ``perfect_model``
+is the least-fixpoint model that ``encode_stratified`` and
+``preferred_models`` must reproduce, and ``fixtures_to_defaults`` the
+"fixture F = parallel pair F, ~F" reduction that fixture handling is
+compared against. No library code calls them.
 """
 
 from __future__ import annotations
@@ -16,22 +19,31 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from parapri.errors import CycleError, ParseError, UniverseError
+from parapri.errors import CycleError, ParseError, UniverseError, ValidationError
 from parapri.formula import FALSE, IDENT, TRUE, And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
+from parapri.lp import Clause, Program, stratify
 from parapri.preorder import PreorderSpec
-from parapri.theory import SchemaTheory, Theory, build_theory
+from parapri.theory import LabeledFormula, PriorityOrder, SchemaTheory, Theory, build_theory
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _value(z: Interpretation, atom: str) -> bool:
+    try:
+        return z.values[z.universe.index(atom)]
+    except ValueError:
+        raise UniverseError(f"atom {atom!r} not in universe") from None
 
 
 def evaluate(f: Formula, z: Interpretation) -> bool:
     """Classical truth value of ``f`` under ``z``."""
     match f:
         case Atom(name):
-            return z.value(name)
+            return _value(z, name)
         case Const(value):
             return value
         case Not(arg):
@@ -455,6 +467,45 @@ def preferred_indices_naive(t: Theory) -> set[int]:
     spec = PreorderSpec.of(t)
     ms = models_naive(t.base, t.universe)
     return {m.index for m in ms if not any(strictly_better(spec, m2, m) for m2 in ms)}
+
+
+def perfect_model(p: Program) -> Interpretation:
+    """Stratum-by-stratum least fixpoint model of a stratified program."""
+    level = stratify(p)
+    layers: list[list[Clause]] = [[] for _ in range(max(level.values(), default=0) + 1)]
+    for c in p.clauses:
+        layers[level[c.head]].append(c)
+    true: set[str] = set()
+    for layer in layers:
+        changed = True
+        while changed:
+            changed = False
+            for c in layer:
+                if c.head in true:
+                    continue
+                if all(b in true for b in c.pos) and not any(n in true for n in c.neg):
+                    true.add(c.head)
+                    changed = True
+    return Interpretation(p.atoms, tuple(a in true for a in p.atoms))
+
+
+def fixtures_to_defaults(t: Theory) -> Theory:
+    """Replace each fixture F by the parallel pair of defaults F and ~F."""
+    existing = {d.label for d in t.defaults}
+    new_defaults = list(t.defaults)
+    for label, f in t.fixtures:
+        for new_label, g in ((f"fix_{label}", f), (f"nfix_{label}", Not(f))):
+            if new_label in existing:
+                raise ValidationError(f"generated label {new_label!r} clashes with an existing default")
+            existing.add(new_label)
+            new_defaults.append(LabeledFormula(new_label, g))
+    above = t.priority.above + (0,) * (2 * len(t.fixtures))  # the new labels are unordered
+    return replace(
+        t,
+        defaults=tuple(new_defaults),
+        priority=PriorityOrder._closed(tuple(d.label for d in new_defaults), above),
+        fixtures=(),
+    )
 
 
 def _flatten(f: Formula, cls) -> list[str]:

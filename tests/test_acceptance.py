@@ -13,7 +13,8 @@ import time
 from pathlib import Path
 
 from generate import random_formula, random_theory, random_stratified_program
-from helpers import ac_set, chain_theory
+from helpers import ac_set, chain_theory, fixtures_to_defaults, perfect_model
+from scenarios import abnormality_variant_report, verify_special_case
 from parapri.circumscription import (
     circ_equivalent,
     preferred_models,
@@ -22,10 +23,9 @@ from parapri.circumscription import (
 )
 from parapri.cli import main
 from parapri.formula import parse_formula, truth_mask
-from parapri.lp import encode_stratified, perfect_model
+from parapri.lp import encode_stratified
 from parapri.preorder import PreorderSpec
-from parapri.specificity import abnormality_variant_report, verify_special_case
-from parapri.theory import Theory, build_theory, fixtures_to_defaults, parse_theory
+from parapri.theory import Theory, build_theory, parse_theory
 from parapri.transform import output_size, parallel_theory, transform_all, transform_canonical
 
 DATA = Path(__file__).parent / "data"

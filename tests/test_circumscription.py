@@ -53,7 +53,7 @@ def models_of(base, universe):
 class TestModelsOf:
     def test_unit(self):
         ms = models_of([F("a")], ("a",))
-        assert [m.as_dict() for m in ms] == [{"a": True}]
+        assert [dict(zip(m.universe, m.values)) for m in ms] == [{"a": True}]
 
     def test_contradiction(self):
         assert models_of([F("a & ~a")], ("a",)) == []
@@ -61,7 +61,7 @@ class TestModelsOf:
     def test_free_atom_doubles(self):
         ms = models_of([F("ostrich -> bird"), F("ostrich")], ("ostrich", "bird", "flies"))
         assert len(ms) == 2
-        assert all(m.value("ostrich") and m.value("bird") for m in ms)
+        assert all(dict(zip(m.universe, m.values)).items() >= {"ostrich": True, "bird": True}.items() for m in ms)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -72,7 +72,8 @@ class TestPreferredModels:
     def test_tweety_unique_model(self):
         pm = preferred_models(tweety_theory())
         assert len(pm) == 1
-        assert pm.models[0].as_dict() == {"ostrich": True, "bird": True, "flies": False}
+        m = pm.models[0]
+        assert dict(zip(m.universe, m.values)) == {"ostrich": True, "bird": True, "flies": False}
 
     def test_unsatisfiable_base(self):
         t = build_theory(base=["p & ~p"], defaults=[("d", "p")])
@@ -198,8 +199,8 @@ class TestPreorderEquivalent:
         s1, s2 = PreorderSpec.of(t), PreorderSpec.of(flat)
         assert not preorder_equivalent(s1, s2, ("a",))
         # the distinguishing pair: dropping 'a' is allowed only in parallel
-        z = Interpretation.of(("a",), {"a": True})
-        z2 = Interpretation.of(("a",), {"a": False})
+        z = Interpretation(("a",), (True,))
+        z2 = Interpretation(("a",), (False,))
         assert default_leq(s2, z, z2) != default_leq(s1, z, z2) or default_leq(
             s2, z2, z
         ) != default_leq(s1, z2, z)
@@ -282,11 +283,11 @@ class TestEquivalenceGuarantees:
 
 class TestFormatModel:
     def test_positive_then_negative(self):
-        z = Interpretation.of(("ostrich", "bird", "flies"), {"ostrich": True, "bird": True, "flies": False})
+        z = Interpretation(("ostrich", "bird", "flies"), (True, True, False))
         assert format_model(z) == "bird ostrich ~flies"
 
     def test_all_negative(self):
-        z = Interpretation.of(("b", "a"), {"a": False, "b": False})
+        z = Interpretation(("b", "a"), (False, False))
         assert format_model(z) == "~a ~b"
 
 

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ac_set, run_python
+from helpers import ac_set, perfect_model, run_python
 from parapri import config
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.cli import main
 from parapri.formula import parse_formula
-from parapri.lp import encode_stratified, parse_program, perfect_model
+from parapri.lp import encode_stratified, parse_program
 from parapri.theory import ground, parse_theory, print_theory
 
 try:

@@ -222,15 +222,15 @@ class TestEvaluate:
             assert evaluate(F("a | ~a"), z)
 
     def test_and(self):
-        z = Interpretation.of(("a", "b"), {"a": True, "b": False})
+        z = Interpretation(("a", "b"), (True, False))
         assert not evaluate(F("a & b"), z)
 
     def test_rule_violated(self):
-        z = Interpretation.of(("ostrich", "flies", "bird"), {"ostrich": True, "flies": True, "bird": True})
+        z = Interpretation(("ostrich", "flies", "bird"), (True, True, True))
         assert not evaluate(F("ostrich -> ~flies"), z)
 
     def test_missing_atom(self):
-        z = Interpretation.of(("a",), {"a": True})
+        z = Interpretation(("a",), (True,))
         with pytest.raises(UniverseError):
             evaluate(F("b"), z)
 

@@ -6,10 +6,10 @@ import re
 import pytest
 
 from generate import random_stratified_program
-from helpers import cycle_through_negation_by_literals
+from helpers import cycle_through_negation_by_literals, perfect_model
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.errors import NotStratifiedError, ParseError
-from parapri.lp import Clause, Program, encode_stratified, parse_program, perfect_model, stratify
+from parapri.lp import Clause, Program, encode_stratified, parse_program, stratify
 from parapri.theory import PriorityOrder, classify_order
 from parapri.transform import parallel_theory, transform_canonical
 
@@ -118,7 +118,7 @@ class TestStratify:
             witness = cycle_through_negation_by_literals(p.clauses)
             assert (want is None) == (witness is not None)
             if want is not None:
-                assert stratify(p).stratum == want
+                assert stratify(p) == want
                 continue
             with pytest.raises(NotStratifiedError) as e:
                 stratify(p)
@@ -143,16 +143,16 @@ class TestStratify:
         n = 5000
         p = parse_program("".join(f"a{k} :- not a{k - 1}.\n" for k in range(n, 0, -1)) + "a0.\n")
         s = stratify(p)
-        assert [s.of(f"a{k}") for k in range(n + 1)] == list(range(n + 1))
+        assert [s[f"a{k}"] for k in range(n + 1)] == list(range(n + 1))
 
     def test_two_strata(self):
         s = stratify(parse_program(TWO_STRATA))
-        assert s.of("q") == 0
-        assert s.of("p") == 1
+        assert s["q"] == 0
+        assert s["p"] == 1
 
     def test_negation_free_is_flat(self):
         s = stratify(parse_program(NEGATION_FREE))
-        assert all(s.of(a) == 0 for a in ("p", "r"))
+        assert all(s[a] == 0 for a in ("p", "r"))
 
     def test_direct_negative_loop(self):
         with pytest.raises(NotStratifiedError) as e:
@@ -166,7 +166,7 @@ class TestStratify:
 
     def test_levels_are_minimal(self):
         s = stratify(parse_program("r :- not q.\nq :- not p.\nx.\n"))
-        assert (s.of("p"), s.of("q"), s.of("r"), s.of("x")) == (0, 1, 2, 0)
+        assert (s["p"], s["q"], s["r"], s["x"]) == (0, 1, 2, 0)
 
 
 class TestEncodeStratified:
@@ -177,14 +177,16 @@ class TestEncodeStratified:
         assert t.priority.closure == {("min_q", "min_p")}
         pm = preferred_models(t)
         assert len(pm) == 1
-        assert pm.models[0].as_dict() == {"q": True, "p": False}
+        m = pm.models[0]
+        assert dict(zip(m.universe, m.values)) == {"q": True, "p": False}
 
     def test_negation_free_is_parallel_least_model(self):
         t = encode_stratified(parse_program(NEGATION_FREE))
         assert t.priority.is_empty
         pm = preferred_models(t)
         assert len(pm) == 1
-        assert pm.models[0].as_dict() == {"p": True, "r": True}
+        m = pm.models[0]
+        assert dict(zip(m.universe, m.values)) == {"p": True, "r": True}
 
     def test_empty_program(self):
         t = encode_stratified(parse_program(""))
@@ -201,7 +203,7 @@ class TestEncodeStratified:
         s = stratify(p)
         for x in p.atoms:
             for y in p.atoms:
-                expected = s.of(x) < s.of(y)
+                expected = s[x] < s[y]
                 assert ((f"min_{x}", f"min_{y}") in t.priority.closure) == expected
 
 
@@ -213,19 +215,22 @@ class TestEncodeStratified:
             t = encode_stratified(p)
             s = stratify(p)
             labels = t.priority.indices
-            pairs = [(la, lb) for la, a in zip(labels, p.atoms) for lb, b in zip(labels, p.atoms) if s.of(a) < s.of(b)]
+            pairs = [(la, lb) for la, a in zip(labels, p.atoms) for lb, b in zip(labels, p.atoms) if s[a] < s[b]]
             assert t.priority == PriorityOrder(labels, pairs)
 
 
 class TestPerfectModel:
     def test_two_strata(self):
-        assert perfect_model(parse_program(TWO_STRATA)).as_dict() == {"q": True, "p": False}
+        m = perfect_model(parse_program(TWO_STRATA))
+        assert dict(zip(m.universe, m.values)) == {"q": True, "p": False}
 
     def test_undefined_negative_body(self):
-        assert perfect_model(parse_program(UNDEFINED_NEG)).as_dict() == {"p": True, "q": False}
+        m = perfect_model(parse_program(UNDEFINED_NEG))
+        assert dict(zip(m.universe, m.values)) == {"p": True, "q": False}
 
     def test_facts_only(self):
-        assert perfect_model(parse_program("a.\nb.\n")).as_dict() == {"a": True, "b": True}
+        m = perfect_model(parse_program("a.\nb.\n"))
+        assert dict(zip(m.universe, m.values)) == {"a": True, "b": True}
 
     def test_non_stratified_rejected(self):
         with pytest.raises(NotStratifiedError):

@@ -42,7 +42,7 @@ def spec_two_levels():
 
 
 def z_of(a, b):
-    return Interpretation.of(("a", "b"), {"a": a, "b": b})
+    return Interpretation(("a", "b"), (a, b))
 
 
 class TestDefaultLeq:
@@ -77,7 +77,7 @@ class TestDefaultLeq:
     def test_universe_mismatch(self):
         spec = spec_two_levels()
         with pytest.raises(UniverseError):
-            default_leq(spec, z_of(True, True), Interpretation.of(("a",), {"a": True}))
+            default_leq(spec, z_of(True, True), Interpretation(("a",), (True,)))
 
     def test_reflexive_and_transitive_randomly(self):
         rng = random.Random(5)
@@ -160,8 +160,8 @@ class TestFixtureEquiv:
         assert not fixture_equiv([F("a")], z_of(True, False), z_of(False, False))
 
     def test_disjunctive_fixture_held(self):
-        z = Interpretation.of(("p", "q"), {"p": True, "q": False})
-        z2 = Interpretation.of(("p", "q"), {"p": False, "q": True})
+        z = Interpretation(("p", "q"), (True, False))
+        z2 = Interpretation(("p", "q"), (False, True))
         assert fixture_equiv([F("p | q")], z, z2)
 
 
@@ -174,14 +174,14 @@ class TestStrictlyBetter:
     def test_maximizing_single_default(self):
         t = build_theory(defaults=[("d", "a")])
         spec = PreorderSpec.of(t)
-        top = Interpretation.of(("a",), {"a": True})
-        bot = Interpretation.of(("a",), {"a": False})
+        top = Interpretation(("a",), (True,))
+        bot = Interpretation(("a",), (False,))
         assert strictly_better(spec, top, bot)
         assert not strictly_better(spec, bot, top)
 
     def test_fixture_blocks_comparison(self):
         t = build_theory(defaults=[("d", "a")], fixtures=[("f", "a")])
         spec = PreorderSpec.of(t)
-        top = Interpretation.of(("a",), {"a": True})
-        bot = Interpretation.of(("a",), {"a": False})
+        top = Interpretation(("a",), (True,))
+        bot = Interpretation(("a",), (False,))
         assert not strictly_better(spec, top, bot)

@@ -9,22 +9,24 @@ from hypothesis import strategies as st
 
 from generate import random_formula, random_theory
 from helpers import ac_set, positive_closure_naive
+from scenarios import (
+    INHERITANCE_CASES,
+    abnormality_variant_report,
+    inheritance_parallel_theory,
+    inheritance_theory,
+    verify_special_case,
+)
 from parapri.circumscription import circ_equivalent, preferred_models, skeptical_entails
-from parapri.errors import CapExceededError, ValidationError
+from parapri.errors import CapExceededError, UniverseError, ValidationError
 from parapri.formula import Atom, parse_formula, to_text, truth_mask
 from parapri.specificity import (
     COMBINATION,
     TAUT_FALSE,
     TAUT_TRUE,
     AB_VARIANTS,
-    INHERITANCE_CASES,
-    abnormality_variant_report,
     encode_abnormality,
-    inheritance_parallel_theory,
-    inheritance_theory,
     _positive_combination,
     prune_redundant,
-    verify_special_case,
 )
 from parapri.theory import LabeledFormula, Theory, build_theory, ground, parallel_order, parse_theory, print_theory
 from parapri.transform import Provenance, TransformOutput, transform_canonical
@@ -50,6 +52,20 @@ class TestPruneRedundant:
     def test_cap(self):
         with pytest.raises(CapExceededError, match="^21 atoms exceeds the enumeration cap of 20$"):
             prune_redundant(labeled(("w1", "x0")), [], tuple(f"x{k}" for k in range(21)))
+
+    def test_atom_outside_the_universe_refused_by_the_truth_tables(self):
+        # The self-check builds its theories without the constructor's atom
+        # walk; the truth tables have already refused any atom it would find.
+        t = build_theory(atoms=("p", "q"), defaults=[("d1", "p"), ("d2", "q")], prefer=[("d1", "d2")])
+        out = transform_canonical(t.defaults, t.priority)
+        assert out.nest is not None
+        for w, base, name in (
+            (labeled(("w1", "p"), ("w2", "zz")), [], "zz"),  # a hand-built output
+            (labeled(("w1", "p")), [F("q")], "q"),  # a base formula
+            (out, [], "q"),  # a transform's source
+        ):
+            with pytest.raises(UniverseError, match=f"^atom '{name}' not in universe$"):
+                prune_redundant(w, base, ("p",))
 
     def test_contradiction_dropped(self):
         report = prune_redundant(labeled(("w1", "a & ~a"), ("w2", "a")), [], ("a",))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from generate import random_theory
 from helpers import (
     classify_order_naive,
+    fixtures_to_defaults,
     ground_naive,
     lifted_edges_naive,
     order_masks_by_kahn,
@@ -28,7 +29,6 @@ from parapri.theory import (
     Theory,
     build_theory,
     classify_order,
-    fixtures_to_defaults,
     ground,
     parse_theory,
     print_theory,
@@ -567,9 +567,11 @@ class TestPrintedForm:
 
 def assert_checked_constructor_agrees(x: Theory) -> None:
     """``x`` and its transform, rebuilt by the constructor that walks every
-    formula's atoms, are accepted and equal."""
+    formula's atoms, are accepted and equal, and print to text that parses
+    back to them."""
     for t in (x, transform_theory(x)):
         assert Theory(t.universe, t.base, t.defaults, t.priority, t.fixtures) == t
+        assert parse_theory(print_theory(t)) == t
 
 
 class TestKnownAtoms:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generate import random_theory
-from helpers import ac_set, build_wil, chain_theory, descending_naive
+from helpers import ac_set, build_wil, chain_theory, descending_naive, fixtures_to_defaults
 from parapri import config
 from parapri.circumscription import preferred_models, preorder_equivalent, truth_masks
 from parapri.errors import CapExceededError, ValidationError
@@ -18,7 +18,6 @@ from parapri.theory import (
     LabeledFormula,
     PriorityOrder,
     build_theory,
-    fixtures_to_defaults,
     parallel_order,
     parse_theory,
     print_theory,
