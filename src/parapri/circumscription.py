@@ -8,11 +8,16 @@ Truth tables are packed into ints (bit i = truth under interpretation index
 i), and so are results: a ``PreferredModelSet`` is the mask of its models.
 
 The prioritized pre-order and fixture equivalence read an interpretation
-only through its truth values on the defaults and fixtures, so domination
-is decided on a quotient: the models are split into cells, the non-empty
-sets of models that agree on every default and fixture (at most
-min(#models, 2^(defaults+fixtures)) of them), one streamed truth mask at a
-time. Because the priority order is transitively closed, z <= z2 holds
+only through its truth values on the defaults and fixtures, and each
+default is a Boolean function of the leaves: the transform's sources when
+the theory carries its nest, else the defaults themselves. So domination is
+decided on a quotient: the models are split into cells, the non-empty sets
+of models that agree on every leaf and fixture (at most
+min(#models, 2^(leaves+fixtures)) of them), one streamed truth mask at a
+time, and each default is valued over the K cells as a K-bit column,
+through ``nest_values`` from the sources' columns when there is a nest.
+Cells of one fixture class on which every default agrees are decided as
+one. Because the priority order is transitively closed, z <= z2 holds
 exactly when every maximal default on which the two differ holds at z2; so
 for two cells of one fixture class, which differ on some default, z <= z2
 already rules out z2 <= z. One loop therefore decides every order: a cell
@@ -22,11 +27,9 @@ parallel case. The preferred models are the union of the undominated
 cells; ``preorder_equivalent`` compares both pre-orders' rows on the joint
 cells of their defaults over the whole universe.
 
-Memory: the masks reach the cell split one at a time. A transform's
-outputs are valued by its own recurrence from the sources' masks, so only
-one block of shared suffix masks, less its outermost step, is held at
-once. Profiles are transposed ``TRANSPOSE_BLOCK`` columns at a time; what
-stays is the cells, one 2^n-bit mask each, and the default columns.
+Memory: the leaves' masks reach the cell split one at a time, and profiles
+are transposed ``TRANSPOSE_BLOCK`` columns at a time; what stays is the
+cells, one 2^n-bit mask each, and the defaults' K-bit columns.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .config import check_atoms
 from .errors import UniverseError
 from .formula import Formula, Interpretation, _columns, iter_bits, truth_mask
 from .preorder import PreorderSpec
-from .theory import LabeledFormula, Nest, PriorityOrder, Theory, default_values
+from .theory import LabeledFormula, Nest, PriorityOrder, Theory, nest_values
 
 
 @dataclass(frozen=True)
@@ -75,36 +78,59 @@ class PreferredModelSet:
 
 
 def truth_masks(
-    base: Iterable[Formula], defaults: Sequence[LabeledFormula], universe: tuple[str, ...], nest: Nest | None = None
+    base: Iterable[Formula], formulas: Iterable[Formula], universe: tuple[str, ...]
 ) -> tuple[int, Iterator[int]]:
     """The conjunction of the base's truth masks, and the truth masks of
-    ``defaults`` in order, one at a time: through the transform's ``nest``
-    when given, as in ``theory.default_values``. Refuses a universe above
-    the atom cap."""
+    ``formulas`` in order, one at a time. Refuses a universe above the atom
+    cap."""
     check_atoms(universe)
     base_mask = _columns(universe)[1]
     for b in base:
         base_mask &= truth_mask(b, universe)
-    return base_mask, default_values(defaults, nest, lambda f: truth_mask(f, universe), operator.or_, operator.and_)
+    return base_mask, (truth_mask(f, universe) for f in formulas)
 
 
-def _leq_row(p: int, masks: Sequence[tuple[int, int]], doms: Sequence[Sequence[int]], row: int) -> int:
+def cell_columns(
+    base: Iterable[Formula],
+    defaults: Sequence[LabeledFormula],
+    nest: Nest | None,
+    universe: tuple[str, ...],
+    fixtures: Sequence[LabeledFormula] = (),
+) -> tuple[list[int], list[int], list[int]]:
+    """Split the base models into the cells of the leaves (the nest's
+    sources, else the defaults) and ``fixtures``. Return the cells, their
+    profiles (bit i of profiles[k]: default i, then fixture i - n, holds on
+    cell k), and each default's column over the cells (bit k: it holds on
+    cell k). Through a nest the columns come from the sources' columns by
+    ``nest_values``, with no 2^n-bit step per default, and the profiles
+    from the columns."""
+    leaves = [f for _, f in defaults] if nest is None else nest[0]
+    cells, profiles = _quotient(*truth_masks(base, [*leaves, *(f for _, f in fixtures)], universe))
+    if nest is None:
+        return cells, profiles, _transpose(profiles, len(leaves))
+    columns = _transpose(profiles, len(leaves) + len(fixtures))
+    outputs = list(nest_values(columns[: len(leaves)], nest[1], operator.or_, operator.and_))
+    return cells, _transpose(outputs + columns[len(leaves) :], len(cells)), outputs
+
+
+def _leq_row(p: int, masks: Sequence[int], doms: Sequence[Sequence[int]], row: int) -> int:
     """The part of ``row`` at least as preferred as a point whose default
     profile is ``p`` (bit i: default i holds there), where ``masks[i]`` is
-    the pair (~t, t) of default i's mask t over the same points.
-    Stops as soon as the row is empty."""
+    default i's mask over the same points. Stops as soon as the row is
+    empty."""
     for i in iter_bits(p):
-        fails, holds = masks[i]
+        holds = masks[i]
         if not doms[i]:
             row &= holds
         else:
             # Out go the points where i fails and every dominator of i keeps its
             # value at p; narrowing them, not widening the rest, can stop early.
-            out = row & fails
+            # x ^ x & m is x less m, with no complement as wide as the cells.
+            out = row ^ row & holds
             for j in doms[i]:
                 if not out:
                     break
-                out &= masks[j][p >> j & 1]
+                out = out & masks[j] if p >> j & 1 else out ^ out & masks[j]
             row ^= out
         if not row:
             break
@@ -119,7 +145,8 @@ def _dominator_positions(order: PriorityOrder) -> list[Sequence[int]]:
 def _quotient(base_mask: int, masks: Iterable[int]) -> tuple[list[int], list[int]]:
     """Split ``base_mask`` into the non-empty cells on which every mask is
     constant, taking the masks one at a time; return the cells and their
-    profiles (bit i of profiles[k] = mask i holds on cell k)."""
+    profiles (bit i of profiles[k] = mask i holds on cell k). A cell comes
+    after every cell whose profile is a superset of its own."""
     cells, profiles = ([base_mask], [0]) if base_mask else ([], [])
     for i, m in enumerate(masks):
         bit = 1 << i
@@ -153,8 +180,8 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
         # last row first; every w-th character from offset w-1-i then spells
         # column first+i, high bit first.
         w = min(TRANSPOSE_BLOCK, width - first)
-        keep = (1 << w) - 1
-        table = "".join(format(r >> first & keep, f"0{w}b") for r in reversed(rows))
+        keep, spec = (1 << w) - 1, f"0{w}b"
+        table = "".join([format(r >> first & keep, spec) for r in reversed(rows)])
         columns += [int(table[w - 1 - i :: w] or "0", 2) for i in range(w)]
     return columns
 
@@ -162,14 +189,22 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
 def preferred_models(t: Theory) -> PreferredModelSet:
     """Base models not strictly dominated by any fixture-equivalent base model."""
     n = len(t.defaults)
-    base_mask, masks = truth_masks(t.base, t.defaults, t.universe, t.nest)
-    fixture_masks = (truth_mask(f, t.universe) for _, f in t.fixtures)
-    cells, profiles = _quotient(base_mask, itertools.chain(masks, fixture_masks))
+    cells, profiles, columns = cell_columns(t.base, t.defaults, t.nest, t.universe, t.fixtures)
+    kept: Iterable[int] = range(len(cells))
+    if t.nest is not None:
+        # Cells that share a (fixture, output) profile are decided once, through
+        # the last of them, which takes in the others' models. The canonical
+        # transform never merges cells, but this route must not assume it.
+        last = dict(zip(profiles, itertools.count()))
+        if len(last) < len(cells):
+            for k, p in enumerate(profiles):
+                if (j := last[p]) != k:
+                    cells[j] |= cells[k]
+        kept = last.values()
     low = (1 << n) - 1
-    columns = [(~m, m) for m in _transpose(profiles, n)]
     classes: defaultdict[int, int] = defaultdict(int)  # fixture profile -> mask of its cells
-    for k, p in enumerate(profiles):
-        classes[p >> n] |= 1 << k
+    for k in kept:
+        classes[profiles[k] >> n] |= 1 << k
     doms = _dominator_positions(t.priority)
     parallel = not any(t.priority.above)
     tops: defaultdict[int, list[int]] = defaultdict(list)  # fixture profile -> preferred default profiles
@@ -177,7 +212,7 @@ def preferred_models(t: Theory) -> PreferredModelSet:
     # A cell is dominated iff its class holds another cell at least as
     # preferred (module docstring). Without priorities, that is a superset of
     # its defaults: the preferred ones come first, and a short list is cheaper.
-    for k in sorted(range(len(cells)), key=lambda k: -(profiles[k] & low).bit_count()):
+    for k in sorted(kept, key=lambda k: -(profiles[k] & low).bit_count()):
         d, maximal = profiles[k] & low, tops[profiles[k] >> n]
         if parallel and len(maximal) <= d.bit_count():
             dominated = any(m & d == d for m in maximal)
@@ -218,9 +253,7 @@ def circ_equivalent(t1: Theory, t2: Theory, project: Sequence[str] | None = None
 def preorder_equivalent(s1: PreorderSpec, s2: PreorderSpec, universe: Iterable[str]) -> bool:
     """Whether two default pre-orders agree on every ordered interpretation pair."""
     n1 = len(s1.defaults)
-    masks = truth_masks((), s1.defaults + s2.defaults, tuple(universe))
-    cells, profiles = _quotient(*masks)
-    columns = [(~m, m) for m in _transpose(profiles, n1 + len(s2.defaults))]
+    cells, profiles, columns = cell_columns((), s1.defaults + s2.defaults, None, tuple(universe))
     masks1, masks2 = columns[:n1], columns[n1:]
     doms1, doms2 = _dominator_positions(s1.priority), _dominator_positions(s2.priority)
     low, full = (1 << n1) - 1, (1 << len(cells)) - 1

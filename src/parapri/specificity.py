@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .circumscription import circ_equivalent, truth_masks
+from .circumscription import cell_columns, circ_equivalent
 from .config import check_atoms
 from .errors import InternalError, ValidationError
 from .formula import Atom, Formula, Implies, Not, iter_bits
@@ -60,9 +60,12 @@ def _positive_combination(fm: int, masks: Sequence[int], base_mask: int) -> bool
     # unless fm is 0 or base_mask, where that least one may be a constant.
     least, rest = 0, fm
     while rest:
-        term = -1  # conjunction of the masks holding on rest's lowest point
+        # The highest point of rest is a minimal one (``_quotient``'s order),
+        # so its term, the conjunction of the masks holding there, is large.
+        point = 1 << rest.bit_length() - 1
+        term = -1
         for m in masks:
-            if m & rest & -rest:
+            if m & point:
                 term &= m
         least |= term
         rest &= ~term
@@ -81,8 +84,10 @@ def prune_redundant(
     keys = [(block_of.setdefault(p.source, len(block_of)), int(p.bits or "0", 2)) for p in w.provenance]
 
     names = tuple(universe)
-    base_mask, masks = truth_masks(base, w.defaults, names, w.nest)
-    masks = list(masks)
+    # Each output is constant on each cell of its leaves, and
+    # _positive_combination reads only the outputs' values at each point.
+    cells, _, masks = cell_columns(base, w.defaults, w.nest, names)
+    base_mask = (1 << len(cells)) - 1
 
     alive = set(range(len(keys)))
     drops: dict[int, DropRecord] = {}
@@ -131,7 +136,7 @@ def _check_k(k: int) -> None:
 
 
 def _parallel(universe: tuple[str, ...], base: Sequence[Formula], defaults: Sequence[LabeledFormula]) -> Theory:
-    # ``truth_masks`` has valued every formula (or the nest's sources) over
+    # ``cell_columns`` has valued every formula (or the nest's sources) over
     # ``universe`` already, and raised UniverseError on any atom outside it.
     return Theory._known_atoms(universe, tuple(base), tuple(defaults), parallel_order(l for l, _ in defaults))
 

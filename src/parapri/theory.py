@@ -20,9 +20,9 @@ schema-level one, one block of instances per schema.
 
 The transform's recurrence lives here, as ``nest_values``, because theories
 are printed here: a theory made by ``transform.parallel_theory`` keeps the
-transform's ``nest`` (its sources and their dominator positions), and
-``default_values`` values such a theory's defaults from their sources
-alone: as formulas, masks or texts, one block at a time.
+transform's ``nest`` (its sources and their dominator positions), from
+which its defaults are valued as formulas, texts or cell columns, one
+block at a time.
 """
 
 from __future__ import annotations
@@ -227,18 +227,6 @@ def nest_values(values: Sequence, sigmas: Sequence[Sequence[int]], or_: Callable
             yield or_(s, a)
 
 
-def default_values(
-    defaults: Sequence[LabeledFormula], nest: Nest | None, value: Callable, or_: Callable, and_: Callable
-) -> Iterator:
-    """``value`` of each formula of ``defaults``, in order. Given the nest of
-    the transform that built them, only its sources are valued, and
-    ``nest_values`` combines them with ``or_`` and ``and_``."""
-    if nest is None:
-        return (value(f) for _, f in defaults)
-    sources, sigmas = nest
-    return nest_values([value(f) for f in sources], sigmas, or_, and_)
-
-
 @dataclass(frozen=True)
 class Theory:
     """Construction checks the labels, the universe for duplicates, and
@@ -255,7 +243,8 @@ class Theory:
     priority: PriorityOrder
     fixtures: tuple[LabeledFormula, ...] = ()
     # Set by ``transform.parallel_theory``: the transform's nest, from which
-    # ``default_values`` values the defaults; None for any other theory.
+    # ``default_texts`` and ``circumscription.cell_columns`` value the
+    # defaults; None for any other theory.
     nest: Nest | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -543,9 +532,12 @@ def print_theory(t: Theory) -> str:
 
 
 def default_texts(defaults: Sequence[LabeledFormula], nest: Nest | None) -> Iterator[str]:
-    """``to_text`` of each formula of ``defaults``, through ``nest`` as in
-    ``default_values``."""
-    return default_values(defaults, nest, to_text, "({} | {})".format, "({} & {})".format)
+    """``to_text`` of each formula of ``defaults``. Given the nest of the
+    transform that built them, only its sources are printed, and
+    ``nest_values`` combines their texts."""
+    if nest is None:
+        return (to_text(f) for _, f in defaults)
+    return nest_values([to_text(f) for f in nest[0]], nest[1], "({} | {})".format, "({} & {})".format)
 
 
 def classify_order(order: PriorityOrder) -> str:

@@ -16,7 +16,8 @@ Its one recurrence, ``theory.nest_values``, builds each block innermost
 first, so a block's outputs share their suffix subtrees. An output keeps
 its sources and dominator positions as ``nest``; ``parallel_theory``
 hands that on, and the engine and the printers value the outputs by the
-same recurrence over the sources' masks and texts, not by walking them.
+same recurrence over the sources' cell columns and texts, not by walking
+them.
 """
 
 from __future__ import annotations

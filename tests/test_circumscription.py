@@ -29,7 +29,15 @@ from parapri.errors import CapExceededError, UniverseError, ValidationError
 from parapri.formula import FALSE, TRUE, And, Atom, Iff, Implies, Interpretation, Not, Or, iter_bits, parse_formula
 from parapri.preorder import PreorderSpec
 from parapri.specificity import prune_redundant
-from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory, parallel_order, parse_theory
+from parapri.theory import (
+    LabeledFormula,
+    PriorityOrder,
+    Theory,
+    build_theory,
+    nest_values,
+    parallel_order,
+    parse_theory,
+)
 from parapri.transform import parallel_theory, transform_all, transform_canonical, transform_theory
 
 F = parse_formula
@@ -116,6 +124,21 @@ class TestPreferredModels:
             tracemalloc.stop()
         assert pm.mask == 1 << 1023  # every pk holds
         assert peak < 1_600_000
+
+    def test_cells_sharing_an_output_profile_are_decided_together(self):
+        # Cyclic sigmas, which no transform makes: the outputs q & p, q | p,
+        # p & q and p | q hold alike at p ~q and ~p q, two cells of the
+        # sources. Neither point is strictly better than the other, so both
+        # are preferred; deciding each cell alone would let one dominate the
+        # other.
+        p, q = Atom("p"), Atom("q")
+        sigmas = ((1,), (0,))
+        outputs = list(nest_values([p, q], sigmas, Or, And))
+        assert outputs == [And(q, p), Or(q, p), And(p, q), Or(p, q)]
+        defaults = tuple(LabeledFormula(f"o{k}", f) for k, f in enumerate(outputs))
+        t = Theory(("p", "q"), (Not(And(p, q)),), defaults, parallel_order(l for l, _ in defaults))
+        object.__setattr__(t, "nest", ((p, q), sigmas))
+        assert preferred_models(t).index_set == preferred_indices_naive(t) == {0b01, 0b10}
 
 
 class TestSkepticalEntails:
@@ -475,6 +498,15 @@ class TestQuotient:
 
     def test_no_masks(self):
         assert _quotient(0b101, iter(())) == ([0b101], [0])
+
+    @given(st.integers(0, 255), st.lists(st.integers(0, 255), max_size=4))
+    def test_no_cell_precedes_one_whose_profile_contains_its_own(self, base, masks):
+        # prune_redundant's _positive_combination starts from the highest
+        # cell, and a minimal one makes its terms few.
+        cells, profiles = _quotient(base, iter(masks))
+        assert sum(cells) == base
+        for j, k in itertools.combinations(range(len(profiles)), 2):
+            assert profiles[j] & ~profiles[k]
 
     def test_empty_base(self):
         assert _quotient(0, iter((0b1, 0b10))) == ([], [])

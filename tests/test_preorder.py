@@ -22,7 +22,7 @@ def quotient_rows(spec, universe):
     full = (1 << (1 << len(universe))) - 1
     masks = [truth_mask(f, universe) for _, f in spec.defaults]
     cells, profiles = _quotient(full, masks)
-    cell_masks = [(~m, m) for m in _transpose(profiles, len(masks))]
+    cell_masks = _transpose(profiles, len(masks))
     cells_full = (1 << len(cells)) - 1
     doms = _dominator_positions(spec.priority)
     rows = [0] * (1 << len(universe))

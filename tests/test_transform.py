@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generate import random_theory
-from helpers import ac_set, build_wil, chain_theory, descending_naive, fixtures_to_defaults
+from helpers import ac_set, build_wil, chain_theory, descending_naive, fixtures_to_defaults, preferred_indices_naive
 from parapri import config
-from parapri.circumscription import preferred_models, preorder_equivalent, truth_masks
+from parapri.circumscription import cell_columns, preferred_models, preorder_equivalent
 from parapri.errors import CapExceededError, ValidationError
-from parapri.formula import And, Atom, Or, parse_formula, truth_mask
+from parapri.formula import And, Atom, Or, iter_bits, parse_formula, truth_mask
 from parapri.preorder import PreorderSpec
 from parapri.theory import (
     LabeledFormula,
@@ -344,31 +344,54 @@ class TestDescendingOracle:
             assert descending_sequences(t.priority, label) == list(descending_naive(t.priority.indices, edges, label))
 
 
+def hand_built(t, out):
+    """build_wil's nest for each provenance of ``out``, as a hand-built
+    output: its nest is None, so every route walks its formulas."""
+    formulas = dict(t.defaults)
+    nests = (build_wil(formulas, p.source, p.sigma, p.bits) for p in out.provenance)
+    return TransformOutput(tuple(LabeledFormula(l, f) for (l, _), f in zip(out.defaults, nests)), out.provenance)
+
+
 def assert_outputs_are_nests(t, out):
     """Each output equals, and prints like, build_wil's nest for its
     provenance. Through the transform's nest, the engine values and
     ``print_theory`` prints the outputs as the AST walks of hand-built
     outputs (whose nest is None) do."""
-    formulas = dict(t.defaults)
-    nests = []
-    for (label, f), p in zip(out.defaults, out.provenance):
-        nests.append(LabeledFormula(label, build_wil(formulas, p.source, p.sigma, p.bits)))
-        assert f == nests[-1].formula
-    unshared = TransformOutput(tuple(nests), out.provenance)
+    unshared = hand_built(t, out)
+    assert out.defaults == unshared.defaults
     via_nest, via_ast = parallel_theory(t, out), parallel_theory(t, unshared)
     assert out.nest is not None and via_nest.nest is out.nest
     assert via_ast.nest is None
     assert print_theory(via_nest) == print_theory(via_ast)
     assert parse_theory(print_theory(via_nest)) == via_nest
     assert preferred_models(via_nest).mask == preferred_models(via_ast).mask
-    masks = truth_masks(via_nest.base, via_nest.defaults, t.universe, via_nest.nest)[1]
-    assert list(masks) == [truth_mask(f, t.universe) for _, f in out.defaults]
+    # Over the whole universe, each output's column through the nest covers
+    # exactly its truth mask.
+    cells, _, columns = cell_columns((), via_nest.defaults, via_nest.nest, t.universe)
+    covered = [sum(cells[k] for k in iter_bits(c)) for c in columns]
+    assert covered == [truth_mask(f, t.universe) for _, f in out.defaults]
     assert_block_masks(t, out)
     # Any other route to the same defaults drops the nest.
     assert TransformOutput(out.defaults, out.provenance).nest is None
     assert dataclasses.replace(out).nest is None
     assert dataclasses.replace(via_nest).nest is None
     assert fixtures_to_defaults(via_nest).nest is None
+
+
+class TestNestRoute:
+    """The engine's three routes to one parallel theory's preferred models."""
+
+    @given(ordered_theories())
+    @settings(max_examples=100, deadline=None)
+    def test_nest_route_matches_ast_route_and_naive(self, t):
+        # General orders and fixtures: the nest route splits the base on the
+        # sources and fixtures, the AST route on the outputs and fixtures.
+        out = transform_canonical(t.defaults, t.priority)
+        via_nest, via_ast = parallel_theory(t, out), parallel_theory(t, hand_built(t, out))
+        assert via_nest.nest is not None and via_ast.nest is None
+        mask = preferred_models(via_nest).mask
+        assert mask == preferred_models(via_ast).mask
+        assert mask == sum(1 << z for z in preferred_indices_naive(via_ast))
 
 
 def blocks(out):
