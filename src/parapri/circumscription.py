@@ -92,24 +92,24 @@ def truth_masks(
 
 def cell_columns(
     base: Iterable[Formula],
-    defaults: Sequence[LabeledFormula],
-    nest: Nest | None,
+    defaults: Nest | Sequence[LabeledFormula],
     universe: tuple[str, ...],
     fixtures: Sequence[LabeledFormula] = (),
 ) -> tuple[list[int], list[int], list[int]]:
-    """Split the base models into the cells of the leaves (the nest's
+    """Split the base models into the cells of the leaves (a nest's
     sources, else the defaults) and ``fixtures``. Return the cells, their
     profiles (bit i of profiles[k]: default i, then fixture i - n, holds on
     cell k), and each default's column over the cells (bit k: it holds on
     cell k). Through a nest the columns come from the sources' columns by
-    ``nest_values``, with no 2^n-bit step per default, and the profiles
-    from the columns."""
-    leaves = [f for _, f in defaults] if nest is None else nest[0]
+    ``nest_values``, with no 2^n-bit step and no formula per default, and
+    the profiles from the columns."""
+    nest = defaults if isinstance(defaults, Nest) else None
+    leaves = [f for _, f in defaults] if nest is None else nest.sources
     cells, profiles = _quotient(*truth_masks(base, [*leaves, *(f for _, f in fixtures)], universe))
     if nest is None:
         return cells, profiles, _transpose(profiles, len(leaves))
     columns = _transpose(profiles, len(leaves) + len(fixtures))
-    outputs = list(nest_values(columns[: len(leaves)], nest[1], operator.or_, operator.and_))
+    outputs = list(nest_values(columns[: len(leaves)], nest.sigmas, operator.or_, operator.and_))
     return cells, _transpose(outputs + columns[len(leaves) :], len(cells)), outputs
 
 
@@ -188,8 +188,8 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
 
 def preferred_models(t: Theory) -> PreferredModelSet:
     """Base models not strictly dominated by any fixture-equivalent base model."""
-    n = len(t.defaults)
-    cells, profiles, columns = cell_columns(t.base, t.defaults, t.nest, t.universe, t.fixtures)
+    n = len(t.priority.indices)
+    cells, profiles, columns = cell_columns(t.base, t.nest or t.defaults, t.universe, t.fixtures)
     kept: Iterable[int] = range(len(cells))
     if t.nest is not None:
         # Cells that share a (fixture, output) profile are decided once, through
@@ -253,7 +253,7 @@ def circ_equivalent(t1: Theory, t2: Theory, project: Sequence[str] | None = None
 def preorder_equivalent(s1: PreorderSpec, s2: PreorderSpec, universe: Iterable[str]) -> bool:
     """Whether two default pre-orders agree on every ordered interpretation pair."""
     n1 = len(s1.defaults)
-    cells, profiles, columns = cell_columns((), s1.defaults + s2.defaults, None, tuple(universe))
+    cells, profiles, columns = cell_columns((), s1.defaults + s2.defaults, tuple(universe))
     masks1, masks2 = columns[:n1], columns[n1:]
     doms1, doms2 = _dominator_positions(s1.priority), _dominator_positions(s2.priority)
     low, full = (1 << n1) - 1, (1 << len(cells)) - 1

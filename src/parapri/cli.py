@@ -32,7 +32,7 @@ from .formula import Not, atoms as formula_atoms, iter_bits, parse_formula, to_t
 from .lp import encode_stratified, parse_program
 from .preorder import PreorderSpec
 from .specificity import AB_VARIANTS, encode_abnormality, transformed_then_pruned
-from .theory import SchemaTheory, Theory, classify_order, default_texts, ground, parse_theory, print_theory
+from .theory import SchemaTheory, Theory, classify_order, ground, labeled_texts, parse_theory, print_theory
 from .transform import (
     TransformOutput,
     output_size,
@@ -95,7 +95,7 @@ def cmd_transform(args) -> int:
                             "sigma": list(p.sigma),
                             "bits": p.bits,
                         }
-                        for (l, _), p, text in zip(m.defaults, m.provenance, default_texts(m.defaults, m.nest))
+                        for (l, text), p in zip(labeled_texts(m), m.provenance)
                     ]
                 }
                 for m in members

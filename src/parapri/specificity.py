@@ -86,7 +86,7 @@ def prune_redundant(
     names = tuple(universe)
     # Each output is constant on each cell of its leaves, and
     # _positive_combination reads only the outputs' values at each point.
-    cells, _, masks = cell_columns(base, w.defaults, w.nest, names)
+    cells, _, masks = cell_columns(base, w.nest or w.defaults, names)
     base_mask = (1 << len(cells)) - 1
 
     alive = set(range(len(keys)))

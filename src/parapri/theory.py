@@ -20,9 +20,10 @@ schema-level one, one block of instances per schema.
 
 The transform's recurrence lives here, as ``nest_values``, because theories
 are printed here: a theory made by ``transform.parallel_theory`` keeps the
-transform's ``nest`` (its sources and their dominator positions), from
-which its defaults are valued as formulas, texts or cell columns, one
-block at a time.
+transform's ``nest`` (its output labels, its sources and their dominator
+positions), from which its defaults are valued as texts or cell columns,
+one block at a time. The nest is the output: its formulas are built only
+when ``defaults`` is first read (``NestedDefaults``).
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ from .formula import (
     LABEL_RE,
     TRUE,
     VARIABLE_RE,
+    And,
     Atom,
     Formula,
     Not,
+    Or,
     atoms as formula_atoms,
     iter_bits,
     parse_atom,
@@ -196,8 +199,14 @@ def parallel_order(labels: Iterable[str]) -> PriorityOrder:
     return PriorityOrder(tuple(labels))
 
 
-# A transform's source formulas and, per source, its dominators' positions.
-Nest = tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...]]
+class Nest(NamedTuple):
+    """A transform's output labels, its source formulas and, per source, its
+    dominators' positions: ``nest_values`` over the sources gives the
+    outputs' formulas, in label order."""
+
+    labels: tuple[str, ...]
+    sources: tuple[Formula, ...]
+    sigmas: tuple[tuple[int, ...], ...]
 
 
 def nest_values(values: Sequence, sigmas: Sequence[Sequence[int]], or_: Callable, and_: Callable) -> Iterator:
@@ -227,15 +236,50 @@ def nest_values(values: Sequence, sigmas: Sequence[Sequence[int]], or_: Callable
             yield or_(s, a)
 
 
+class _BuiltOnFirstRead:
+    """``NestedDefaults.defaults``: a descriptor with no ``__set__``, so an
+    instance's own ``defaults`` hides it. Read on an instance made by
+    ``_from_nest``, it builds them from the nest and stores them there.
+    Read on a class it is absent, so the dataclass decorator sees no
+    default."""
+
+    def __get__(self, x, owner=None):
+        if x is None:
+            raise AttributeError("defaults")
+        nest = x.nest
+        defaults = tuple(map(LabeledFormula, nest.labels, nest_values(nest.sources, nest.sigmas, Or, And)))
+        vars(x)["defaults"] = defaults
+        return defaults
+
+
+class NestedDefaults:
+    """For a frozen dataclass with ``defaults`` and ``nest`` fields: one made
+    by ``_from_nest`` has no ``defaults`` until it is first read, and is
+    then built from the nest and kept. Any other instance has its
+    ``defaults`` from construction and ``nest`` None."""
+
+    defaults = _BuiltOnFirstRead()
+
+    @classmethod
+    def _from_nest(cls, nest: Nest, **fields):
+        """An instance with ``nest`` and ``fields`` as given, unchecked."""
+        x = cls.__new__(cls)
+        vars(x).update(fields, nest=nest)
+        return x
+
+
 @dataclass(frozen=True)
-class Theory:
+class Theory(NestedDefaults):
     """Construction checks the labels, the universe for duplicates, and
     every formula's atoms against the universe. ``_known_atoms`` skips that
     atom walk where the universe holds them by construction: in
-    ``parallel_theory``, ``ground``, ``encode_stratified``, the pruner's
-    self-check, whose truth tables have valued every formula over the
-    universe, ``build_theory`` when no universe is given, and
-    ``parse_theory``, whose parse has collected the atoms."""
+    ``parallel_theory`` for a hand-built output, ``ground``,
+    ``encode_stratified``, the pruner's self-check, whose truth tables have
+    valued every formula over the universe, ``build_theory`` when no
+    universe is given, and ``parse_theory``, whose parse has collected the
+    atoms. ``parallel_theory`` makes a transform's theory by ``_from_nest``,
+    with no checks: its labels are the order's, checked by the transform,
+    and its other fields those of a checked theory."""
 
     universe: tuple[str, ...]
     base: tuple[Formula, ...]
@@ -243,8 +287,9 @@ class Theory:
     priority: PriorityOrder
     fixtures: tuple[LabeledFormula, ...] = ()
     # Set by ``transform.parallel_theory``: the transform's nest, from which
-    # ``default_texts`` and ``circumscription.cell_columns`` value the
-    # defaults; None for any other theory.
+    # ``labeled_texts`` and ``circumscription.cell_columns`` value the
+    # defaults, and ``defaults`` is built on first read; None for any other
+    # theory.
     nest: Nest | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -275,7 +320,7 @@ class Theory:
 
     @property
     def default_labels(self) -> tuple[str, ...]:
-        return tuple(d.label for d in self.defaults)
+        return self.priority.indices
 
 
 class Schema(NamedTuple):
@@ -525,19 +570,21 @@ def print_theory(t: Theory) -> str:
     pairs = sorted((j, i) for i, a in enumerate(above) if a for j in iter_bits(a))
     lines = [f"atoms: {' '.join(t.universe)}"] if t.universe else ["atoms:"]
     lines += [f"base: {to_text(f)}" for f in t.base]
-    lines += [f"default {l}: {s}" for (l, _), s in zip(t.defaults, default_texts(t.defaults, t.nest))]
+    lines += [f"default {l}: {s}" for l, s in labeled_texts(t)]
     lines += [f"prefer {names[j]} > {names[i]}" for j, i in pairs]
     lines += [f"fix {l}: {to_text(f)}" for l, f in t.fixtures]
     return "\n".join(lines) + "\n"
 
 
-def default_texts(defaults: Sequence[LabeledFormula], nest: Nest | None) -> Iterator[str]:
-    """``to_text`` of each formula of ``defaults``. Given the nest of the
-    transform that built them, only its sources are printed, and
-    ``nest_values`` combines their texts."""
-    if nest is None:
-        return (to_text(f) for _, f in defaults)
-    return nest_values([to_text(f) for f in nest[0]], nest[1], "({} | {})".format, "({} & {})".format)
+def labeled_texts(x: NestedDefaults) -> Iterator[tuple[str, str]]:
+    """Each default's label and ``to_text`` of its formula, for a Theory or
+    a ``transform.TransformOutput``. Through a nest, only its sources are
+    printed, ``nest_values`` combines their texts, and no output formula
+    is built."""
+    if (nest := x.nest) is None:
+        return ((l, to_text(f)) for l, f in x.defaults)
+    texts = nest_values([to_text(f) for f in nest.sources], nest.sigmas, "({} | {})".format, "({} & {})".format)
+    return zip(nest.labels, texts)
 
 
 def classify_order(order: PriorityOrder) -> str:

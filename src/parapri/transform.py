@@ -12,12 +12,13 @@ declaration order, bit strings from all-ones down to all-zeros.
 
 The construction never inspects the default formulas themselves, only the
 priority order, so its output size depends solely on the order's shape.
-Its one recurrence, ``theory.nest_values``, builds each block innermost
-first, so a block's outputs share their suffix subtrees. An output keeps
-its sources and dominator positions as ``nest``; ``parallel_theory``
-hands that on, and the engine and the printers value the outputs by the
-same recurrence over the sources' cell columns and texts, not by walking
-them.
+The transform builds only the output labels and their provenance, and
+keeps the labels with the sources and dominator positions as its ``nest``;
+``parallel_theory`` hands that on. The engine and the printers value the
+outputs by the one recurrence, ``theory.nest_values``, over the sources'
+cell columns and texts. The output formulas are built by the same
+recurrence only when ``defaults`` is first read, each block innermost
+first, so a block's outputs share their suffix subtrees.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import config
 from .errors import CapExceededError, ValidationError
-from .formula import And, Or
-from .theory import LabeledFormula, Nest, PriorityOrder, Theory, nest_values, parallel_order
+from .theory import LabeledFormula, Nest, NestedDefaults, PriorityOrder, Theory, parallel_order
 
 TOP_HEAVY_THRESHOLD = 10
 
@@ -41,11 +41,11 @@ class Provenance(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TransformOutput:
+class TransformOutput(NestedDefaults):
     defaults: tuple[LabeledFormula, ...]
     provenance: tuple[Provenance, ...]
-    # The sources and their dominator positions that ``nest_values`` built
-    # ``defaults`` from; None for an output built by hand.
+    # The labels, sources and dominator positions from which ``nest_values``
+    # builds ``defaults`` on first read; None for an output built by hand.
     nest: Nest | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -97,25 +97,21 @@ def output_size(order: PriorityOrder) -> SizeReport:
 def _assemble(defaults: Sequence[LabeledFormula], sigmas: tuple[tuple[int, ...], ...]) -> TransformOutput:
     # ``sigmas[i]``: the dominator positions of defaults[i], in descending order.
     names = [l for l, _ in defaults]
-    sources = tuple(f for _, f in defaults)
-    values = nest_values(sources, sigmas, Or, And)
-    out: list[LabeledFormula] = []
+    labels: list[str] = []
     prov: list[Provenance] = []
-    seen: set[str] = set()
     for label, sigma in zip(names, sigmas):
         m = len(sigma)
         named = tuple(map(names.__getitem__, sigma))
         for v in range((1 << m) - 1, -1, -1):
             bits = format(v, f"0{m}b") if m else ""
-            w_label = f"w_{label}_{bits}" if m else f"w_{label}"
-            if w_label in seen:
-                raise ValidationError(f"generated label {w_label!r} is not unique")
-            seen.add(w_label)
-            out.append(LabeledFormula(w_label, next(values)))
+            labels.append(f"w_{label}_{bits}" if m else f"w_{label}")
             prov.append(Provenance(label, named, bits))
-    result = TransformOutput(tuple(out), tuple(prov))
-    object.__setattr__(result, "nest", (sources, sigmas))
-    return result
+    if len(set(labels)) < len(labels):  # name the first label that repeats an earlier one
+        seen: set[str] = set()
+        clash = next(l for l in labels if l in seen or seen.add(l))
+        raise ValidationError(f"generated label {clash!r} is not unique")
+    nest = Nest(tuple(labels), tuple(f for _, f in defaults), sigmas)
+    return TransformOutput._from_nest(nest, provenance=tuple(prov))
 
 
 def _guard_size(order: PriorityOrder) -> None:
@@ -172,10 +168,14 @@ def parallel_theory(t: Theory, out: TransformOutput) -> Theory:
     """The input theory with its defaults replaced by the parallel output.
 
     ``out`` must be a transform of ``t``'s own defaults: its atoms are then
-    ``t``'s, and are not checked again. The result keeps ``out.nest``."""
-    p = Theory._known_atoms(t.universe, t.base, out.defaults, parallel_order(l for l, _ in out.defaults), t.fixtures)
-    object.__setattr__(p, "nest", out.nest)
-    return p
+    ``t``'s, and are not checked again. The result keeps ``out.nest``, and
+    builds its defaults from it on first read."""
+    if (nest := out.nest) is None:
+        order = parallel_order(l for l, _ in out.defaults)
+        return Theory._known_atoms(t.universe, t.base, out.defaults, order, t.fixtures)
+    return Theory._from_nest(
+        nest, universe=t.universe, base=t.base, priority=parallel_order(nest.labels), fixtures=t.fixtures
+    )
 
 
 def transform_theory(t: Theory) -> Theory:

@@ -31,6 +31,7 @@ from parapri.preorder import PreorderSpec
 from parapri.specificity import prune_redundant
 from parapri.theory import (
     LabeledFormula,
+    Nest,
     PriorityOrder,
     Theory,
     build_theory,
@@ -137,7 +138,7 @@ class TestPreferredModels:
         assert outputs == [And(q, p), Or(q, p), And(p, q), Or(p, q)]
         defaults = tuple(LabeledFormula(f"o{k}", f) for k, f in enumerate(outputs))
         t = Theory(("p", "q"), (Not(And(p, q)),), defaults, parallel_order(l for l, _ in defaults))
-        object.__setattr__(t, "nest", ((p, q), sigmas))
+        object.__setattr__(t, "nest", Nest(t.priority.indices, (p, q), sigmas))
         assert preferred_models(t).index_set == preferred_indices_naive(t) == {0b01, 0b10}
 
 

@@ -15,9 +15,11 @@ from helpers import ac_set, perfect_model, run_python
 from parapri import config
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.cli import main
+from parapri.errors import ParapriError
 from parapri.formula import parse_formula
 from parapri.lp import encode_stratified, parse_program
-from parapri.theory import ground, parse_theory, print_theory
+from parapri.theory import SchemaTheory, ground, parse_theory, print_theory
+from parapri.transform import parallel_theory, transform_canonical
 
 try:
     import resource
@@ -363,6 +365,13 @@ class TestErrorPaths:
         f.write_text(text)
         assert run(capsys, "stats", f) == (2, "", message)
 
+    @pytest.mark.parametrize("argv", [("query", "p"), ("transform",), ("check-equiv",)])
+    def test_generated_label_clash_is_exit_2(self, capsys, tmp_path, argv):
+        # Block a's output w_a_1 takes the label of a_1's only output.
+        f = tmp_path / "clash.thy"
+        f.write_text("default a: p\ndefault a_1: q\ndefault b: r\nprefer b > a\n")
+        assert run(capsys, argv[0], f, *argv[1:]) == (2, "", "error: generated label 'w_a_1' is not unique\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "models", "no_such_file.thy")
         assert code == 2
@@ -638,3 +647,35 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, content, argv, query, max_atoms):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert code != 1 or argv[0] == "check-equiv" or "--assert" in argv
+
+
+@st.composite
+def _well_formed_text(draw):
+    """The lines of a theory in any order: up to four defaults, priorities
+    that follow their numbering (so the order is acyclic), base and fixture
+    lines, and maybe a schema over a domain, above the first default."""
+    n = draw(st.integers(1, 4))
+    lines = [f"default d{k}: {draw(st.sampled_from(['a', 'b & ~a', 'a -> c', '~(a <-> b)']))}" for k in range(n)]
+    lines += [f"prefer d{i} > d{j}" for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    lines += draw(st.lists(st.sampled_from(["base: a -> b", "base: ~a | c", "fix f1: a <-> b"]), unique=True))
+    if draw(st.booleans()):
+        lines += ["domain: k1 k2", "schema s[X]: p(X) -> q(X)", "prefer s > d0"]
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(content=st.one_of(_text_of(THEORY_LINES), _well_formed_text()))
+def test_fuzzed_theories_round_trip(content):
+    # Every fuzzed theory text that parses prints back to the same preferred
+    # models, and its canonical transform prints back to an equal theory.
+    # Few of the exit-code fuzzer's texts parse, and none with priorities,
+    # so well-formed texts are drawn as well.
+    try:
+        t = parse_theory(content)
+        if isinstance(t, SchemaTheory):
+            t = ground(t)
+    except ParapriError:
+        return
+    assert preferred_models(parse_theory(print_theory(t))).mask == preferred_models(t).mask
+    p = parallel_theory(t, transform_canonical(t.defaults, t.priority))
+    assert parse_theory(print_theory(p)) == p

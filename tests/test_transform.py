@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from generate import random_theory
 from helpers import ac_set, build_wil, chain_theory, descending_naive, fixtures_to_defaults, preferred_indices_naive
+import parapri.theory
 from parapri import config
-from parapri.circumscription import cell_columns, preferred_models, preorder_equivalent
+from parapri.circumscription import cell_columns, preferred_models, preorder_equivalent, skeptical_entails
+from parapri.cli import _corrupt, main
 from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import And, Atom, Or, iter_bits, parse_formula, truth_mask
 from parapri.preorder import PreorderSpec
@@ -32,6 +35,7 @@ from parapri.transform import (
 )
 
 F = parse_formula
+DATA = Path(__file__).parent / "data"
 
 
 def descending_sequences(order, label):
@@ -367,7 +371,7 @@ def assert_outputs_are_nests(t, out):
     assert preferred_models(via_nest).mask == preferred_models(via_ast).mask
     # Over the whole universe, each output's column through the nest covers
     # exactly its truth mask.
-    cells, _, columns = cell_columns((), via_nest.defaults, via_nest.nest, t.universe)
+    cells, _, columns = cell_columns((), via_nest.nest, t.universe)
     covered = [sum(cells[k] for k in iter_bits(c)) for c in columns]
     assert covered == [truth_mask(f, t.universe) for _, f in out.defaults]
     assert_block_masks(t, out)
@@ -476,3 +480,92 @@ class TestBlockMasks:
             t = random_theory(rng, max_defaults=6)
             for out in [transform_canonical(t.defaults, t.priority), *transform_all(t.defaults, t.priority, limit=4)]:
                 assert_block_masks(t, out)
+
+
+# Block a's output w_a_1 (a below b, bit string 1) takes the label of
+# a_1's only output.
+CLASH_TEXT = "default a: p\ndefault a_1: q\ndefault b: r\nprefer b > a\n"
+
+
+class TestLabelClash:
+    def test_transform_refuses_a_generated_label_twice(self):
+        # The outputs are built on first read; their labels are checked at once.
+        t = parse_theory(CLASH_TEXT)
+        with pytest.raises(ValidationError, match="^generated label 'w_a_1' is not unique$"):
+            transform_canonical(t.defaults, t.priority)
+        with pytest.raises(ValidationError, match="^generated label 'w_a_1' is not unique$"):
+            transform_all(t.defaults, t.priority, limit=4)
+
+
+@pytest.fixture
+def output_nodes(monkeypatch):
+    """The number of Or and And nodes built for transform outputs since the
+    fixture started: ``theory.NestedDefaults`` builds them through these
+    two names of ``parapri.theory``, which nothing else there calls."""
+    built = [0]
+
+    def counting(node):
+        def make(left, right):
+            built[0] += 1
+            return node(left, right)
+
+        return make
+
+    monkeypatch.setattr(parapri.theory, "Or", counting(Or))
+    monkeypatch.setattr(parapri.theory, "And", counting(And))
+    return lambda: built[0]
+
+
+class TestOutputsBuiltOnFirstRead:
+    """Only a read of ``defaults`` builds a transform's output formulas."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("query", "chain8_fixed.thy", "p1 | q"),  # the direct and the transform route, a fixture
+            ("query", "tweety.thy", "flies"),
+            ("check-equiv", "chain8_fixed.thy"),
+            ("check-equiv", "fixed_bird.thy", "--project", "bird,flies"),
+            ("check-equiv", "fan_in.thy", "--all", "2"),
+            ("transform", "chain8_fixed.thy"),
+            ("transform", "fan_in.thy", "--all", "2", "--format", "json"),
+        ],
+    )
+    def test_cli_builds_no_output_formula(self, capsys, output_nodes, argv):
+        assert main([argv[0], str(DATA / argv[1]), *argv[2:]]) == 0
+        assert capsys.readouterr().err == ""
+        assert output_nodes() == 0
+
+    def test_engine_and_printer_build_none_and_a_read_builds_them(self, output_nodes):
+        t = parse_theory((DATA / "chain8_fixed.thy").read_text())
+        out = transform_canonical(t.defaults, t.priority)
+        p = parallel_theory(t, out)
+        print_theory(p)
+        skeptical_entails(p, F("q"))
+        assert output_nodes() == 0
+        # a control: the count sees the build, 2^(m+1) - 2 nodes per block of 2^m
+        assert len(out.defaults) == 255
+        assert output_nodes() == sum(2 ** (m + 1) - 2 for m in range(8))
+
+    @pytest.mark.parametrize("build", GOLDEN_THEORIES)
+    def test_equal_to_hand_built_whenever_read(self, output_nodes, build):
+        t = build()
+        for read_first in (True, False):
+            start = output_nodes()
+            out = transform_canonical(t.defaults, t.priority)
+            p = parallel_theory(t, out)
+            if read_first:
+                assert len(out.defaults) == output_size(t.priority).total
+            built = output_nodes()
+            mask = preferred_models(p).mask
+            assert output_nodes() == built and (read_first or built == start)
+            unshared = hand_built(t, out)
+            assert out == unshared and hash(out) == hash(unshared)
+            assert p == parallel_theory(t, unshared)
+            assert mask == preferred_models(parallel_theory(t, unshared)).mask
+
+    def test_copies_keep_no_nest(self):
+        out = transform_canonical(chain_theory(3).defaults, chain_theory(3).priority)
+        for copy in (dataclasses.replace(out), _corrupt(out)):
+            assert copy.nest is None and len(copy.defaults) == 7
+        assert dataclasses.replace(out) == out
