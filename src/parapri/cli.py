@@ -168,7 +168,7 @@ def cmd_check_equiv(args) -> int:
 def cmd_stats(args) -> int:
     t = _load_theory(args.file)
     report = output_size(t.priority)
-    print(f"defaults: {len(t.defaults)}")
+    print(f"defaults: {len(t.priority.indices)}")
     for label, m in report.m:
         print(f"m[{label}]: {m}")
     print(f"max_m: {report.max_m}")

@@ -27,7 +27,7 @@ from .config import check_atoms
 from .errors import InternalError, ValidationError
 from .formula import Atom, Formula, Implies, Not, iter_bits
 from .theory import LabeledFormula, Theory, parallel_order
-from .transform import TransformOutput, transform_canonical
+from .transform import TransformOutput, parallel_theory, transform_canonical
 
 TAUT_TRUE = "tautologically-true"
 TAUT_FALSE = "tautologically-false"
@@ -123,7 +123,7 @@ def prune_redundant(
 
     kept = tuple(w.defaults[pos] for pos in sorted(alive))
     dropped = tuple(drops[pos] for pos in sorted(drops))
-    before = _parallel(names, base, w.defaults)
+    before = parallel_theory(_parallel(names, base, ()), w)  # through w's nest, when it has one
     after = _parallel(names, base, kept)
     if not circ_equivalent(before, after):
         raise InternalError("pruning changed the preferred models")

@@ -18,12 +18,18 @@ closure and finds any cycle; ``lp.stratify`` runs the same walk over a
 program's dependencies. A grounded order takes its closure from the
 schema-level one, one block of instances per schema.
 
-The transform's recurrence lives here, as ``nest_values``, because theories
-are printed here: a theory made by ``transform.parallel_theory`` keeps the
-transform's ``nest`` (its output labels, its sources and their dominator
-positions), from which its defaults are valued as texts or cell columns,
-one block at a time. The nest is the output: its formulas are built only
-when ``defaults`` is first read (``NestedDefaults``).
+Two theories hold a recipe in place of some fields, and build those fields
+on the first read of any of them (``BuiltOnFirstRead``); the recipe is
+data, so an unread theory still pickles, copies, compares and hashes.
+``ground`` builds the instance labels and the order, and keeps the
+``SchemaTheory``, from which the instance formulas and the universe are
+built in one walk; ``stats`` reads the order alone and builds neither.
+The transform's recurrence lives here, as ``nest_values``, because
+theories are printed here: a theory made by ``transform.parallel_theory``
+keeps the transform's ``nest`` (its output labels, its sources and their
+dominator positions), from which its defaults are valued as texts or cell
+columns, one block at a time. The nest is the output: its formulas are
+built only when ``defaults`` is first read.
 """
 
 from __future__ import annotations
@@ -124,6 +130,11 @@ def _order_masks(names: Sequence[str], edges: Iterable[tuple[int, int]]) -> list
     return above
 
 
+def _check_unique(items: Collection, message: str) -> None:
+    if len(set(items)) != len(items):
+        raise ValidationError(message)
+
+
 def transitive_closure(edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     """Smallest transitive superset of ``edges``; raises CycleError if it
     would contain a reflexive pair, naming the least label on a cycle."""
@@ -169,8 +180,7 @@ class PriorityOrder:
         return order
 
     def _fill(self, indices: tuple[str, ...], above: tuple[int, ...]) -> None:
-        if len(set(indices)) != len(indices):
-            raise ValidationError("duplicate label in priority order")
+        _check_unique(indices, "duplicate label in priority order")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "above", above)
 
@@ -208,6 +218,10 @@ class Nest(NamedTuple):
     sources: tuple[Formula, ...]
     sigmas: tuple[tuple[int, ...], ...]
 
+    def _built(self, x) -> dict[str, tuple]:
+        """``x.defaults``: the outputs' formulas, paired with their labels."""
+        return {"defaults": tuple(map(LabeledFormula, self.labels, nest_values(self.sources, self.sigmas, Or, And)))}
+
 
 def nest_values(values: Sequence, sigmas: Sequence[Sequence[int]], or_: Callable, and_: Callable) -> Iterator:
     """The transform's recurrence over any value type: for each source i,
@@ -236,73 +250,78 @@ def nest_values(values: Sequence, sigmas: Sequence[Sequence[int]], or_: Callable
             yield or_(s, a)
 
 
-class _BuiltOnFirstRead:
-    """``NestedDefaults.defaults``: a descriptor with no ``__set__``, so an
-    instance's own ``defaults`` hides it. Read on an instance made by
-    ``_from_nest``, it builds them from the nest and stores them there.
-    Read on a class it is absent, so the dataclass decorator sees no
-    default."""
+class OnFirstRead:
+    """A field of a frozen dataclass that an instance made by
+    ``BuiltOnFirstRead._from_recipe`` builds on its first read. The recipe
+    is data: its ``_built(x)`` returns the fields it builds by name, all
+    of which are then stored in ``x``. A ``Nest`` builds ``defaults``, and a
+    ``SchemaTheory`` both ``defaults`` and ``universe``, in one walk.
+
+    The descriptor has no ``__set__``, so an instance's own field hides it:
+    one given to the constructor, or one built. Read on the class it raises
+    AttributeError, so the dataclass decorator gives the field no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, x, owner=None):
         if x is None:
-            raise AttributeError("defaults")
-        nest = x.nest
-        defaults = tuple(map(LabeledFormula, nest.labels, nest_values(nest.sources, nest.sigmas, Or, And)))
-        vars(x)["defaults"] = defaults
-        return defaults
+            raise AttributeError(self.name)
+        fields = vars(x)
+        fields.update(fields["_recipe"]._built(x))
+        return fields[self.name]
 
 
-class NestedDefaults:
-    """For a frozen dataclass with ``defaults`` and ``nest`` fields: one made
-    by ``_from_nest`` has no ``defaults`` until it is first read, and is
-    then built from the nest and kept. Any other instance has its
-    ``defaults`` from construction and ``nest`` None."""
-
-    defaults = _BuiltOnFirstRead()
+class BuiltOnFirstRead:
+    """For a frozen dataclass whose lazy fields are ``OnFirstRead``: one
+    made by ``_from_recipe`` keeps its recipe, and has none of those fields
+    until the first read of any, when the recipe builds them all. Any other
+    instance has its fields from construction, and no recipe."""
 
     @classmethod
-    def _from_nest(cls, nest: Nest, **fields):
-        """An instance with ``nest`` and ``fields`` as given, unchecked."""
+    def _from_recipe(cls, recipe, **fields):
+        """An instance with ``fields`` as given and the rest built from
+        ``recipe`` on first read, unchecked."""
         x = cls.__new__(cls)
-        vars(x).update(fields, nest=nest)
+        vars(x).update(fields, _recipe=recipe)
         return x
+
+    @property
+    def nest(self) -> Nest | None:
+        """The transform's nest this was made from, from which
+        ``labeled_texts`` and ``circumscription.cell_columns`` value the
+        defaults; None for any other instance."""
+        recipe = vars(self).get("_recipe")
+        return recipe if type(recipe) is Nest else None
 
 
 @dataclass(frozen=True)
-class Theory(NestedDefaults):
+class Theory(BuiltOnFirstRead):
     """Construction checks the labels, the universe for duplicates, and
     every formula's atoms against the universe. ``_known_atoms`` skips that
     atom walk where the universe holds them by construction: in
-    ``parallel_theory`` for a hand-built output, ``ground``,
-    ``encode_stratified``, the pruner's self-check, whose truth tables have
-    valued every formula over the universe, ``build_theory`` when no
-    universe is given, and ``parse_theory``, whose parse has collected the
-    atoms. ``parallel_theory`` makes a transform's theory by ``_from_nest``,
-    with no checks: its labels are the order's, checked by the transform,
-    and its other fields those of a checked theory."""
+    ``parallel_theory`` for a hand-built output, ``encode_stratified``, the
+    pruner's self-check, whose truth tables have valued every formula over
+    the universe, ``build_theory`` when no universe is given, and
+    ``parse_theory``, whose parse has collected the atoms. Two makers skip
+    every check and build by ``_from_recipe``, their other fields those of
+    a checked theory: ``parallel_theory``, from the transform's nest,
+    whose labels the transform has checked, and ``ground``, from the
+    schema theory, after its own label checks."""
 
-    universe: tuple[str, ...]
+    universe: tuple[str, ...] = OnFirstRead()
     base: tuple[Formula, ...]
-    defaults: tuple[LabeledFormula, ...]
+    defaults: tuple[LabeledFormula, ...] = OnFirstRead()
     priority: PriorityOrder
     fixtures: tuple[LabeledFormula, ...] = ()
-    # Set by ``transform.parallel_theory``: the transform's nest, from which
-    # ``labeled_texts`` and ``circumscription.cell_columns`` value the
-    # defaults, and ``defaults`` is built on first read; None for any other
-    # theory.
-    nest: Nest | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = [d.label for d in self.defaults]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("duplicate default label")
-        fix_labels = [f.label for f in self.fixtures]
-        if len(set(fix_labels)) != len(fix_labels):
-            raise ValidationError("duplicate fixture label")
-        if self.priority.indices != tuple(labels):
+        labels = tuple(d.label for d in self.defaults)
+        _check_unique(labels, "duplicate default label")
+        _check_unique([f.label for f in self.fixtures], "duplicate fixture label")
+        if self.priority.indices != labels:
             raise ValidationError("priority indices do not match default labels")
-        if len(set(self.universe)) != len(self.universe):
-            raise ValidationError("duplicate atom in universe")
+        _check_unique(self.universe, "duplicate atom in universe")
         if self.__dict__.pop("_atoms_known", False):  # set by _known_atoms
             return
         declared = set(self.universe)
@@ -344,8 +363,7 @@ class SchemaTheory:
 
     def __post_init__(self):
         labels = [d.label for d in self.defaults] + [s.label for s in self.schemas]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("duplicate default/schema label")
+        _check_unique(labels, "duplicate default/schema label")
         if self.schemas and not self.domain:
             raise ValidationError("schemas present but the domain is empty")
         object.__setattr__(self, "order", PriorityOrder(tuple(labels), self.edges))
@@ -358,6 +376,37 @@ class SchemaTheory:
             free = _schema_variables(s.formula) - set(s.params)
             if free:
                 raise ValidationError(f"schema {s.label!r} uses undeclared variables {sorted(free)}")
+
+    def _built(self, x: Theory) -> dict[str, tuple]:
+        """``x.defaults`` and ``x.universe`` for ``x = ground(self)``, in one walk.
+
+        Each schema's formula becomes a ``postorder`` list and its atom
+        names templates, once; each instance runs the list on its own
+        Atoms, and takes its label from ``x``'s order."""
+        grounded: list[LabeledFormula] = list(self.defaults)
+        labels = iter(x.priority.indices[len(grounded):])
+        # Atom names in first-mention order; the instances share one Atom per name.
+        universe: dict[str, Atom | None] = dict.fromkeys(formula_atoms(*self.base, *(f for _, f in self.defaults)))
+        for schema in self.schemas:
+            program = postorder(schema.formula)
+            templates = {n: _template(n, schema.params) for n in program if type(n) is str}
+            leaves: dict[str | bool, Formula] = {True: TRUE, False: FALSE}  # atom names are refilled per instance
+            for combo in itertools.product(self.domain, repeat=len(schema.params)):
+                for n, t in templates.items():
+                    name = t.format(*combo)
+                    leaves[n] = universe[name] = universe.get(name) or Atom(name)
+                stack: list[Formula] = []
+                for op in program:
+                    if op is Not:
+                        stack[-1] = Not(stack[-1])
+                    elif type(op) is type:  # a binary node type
+                        right = stack.pop()
+                        stack[-1] = op(stack[-1], right)
+                    else:  # an atom name or a constant's bool
+                        stack.append(leaves[op])
+                grounded.append(LabeledFormula(next(labels), stack[0]))
+        fixture_atoms = formula_atoms(*(f for _, f in self.fixtures))
+        return {"defaults": tuple(grounded), "universe": tuple(dict.fromkeys((*universe, *fixture_atoms)))}
 
 
 _GROUND_ATOM_RE = re.compile(rf"({IDENT})\((.*)\)")
@@ -386,49 +435,32 @@ def _template(name: str, params: tuple[str, ...]) -> str:
 def ground(s: SchemaTheory) -> Theory:
     """Replace every schema by the collection of its instances.
 
-    Each schema's formula becomes a ``postorder`` list and its atom names
-    templates, once; each instance runs the list on its own Atoms. The
-    instances form one block of mutually unordered labels. A schema edge
-    stands for all pairs of instances, whose closure is ``s.order``'s with
-    each label widened to its block: one ``above`` mask per schema, shared
-    by its instances; the pairs are never built. A cycle among instances
-    would project onto a schema-level one, which ``s.order`` has rejected.
+    Only the labels and the order are built here, and checked as the
+    constructor would: a repeated label in ``PriorityOrder._closed``, a
+    repeated fixture label here. The instance formulas and the universe
+    are built together on the first read of either, by ``s._built``; a
+    command that reads the order alone (``stats``) builds neither.
+
+    The instances of a schema form one block of mutually unordered labels.
+    A schema edge stands for all pairs of instances, whose closure is
+    ``s.order``'s with each label widened to its block: one ``above`` mask
+    per schema, shared by its instances; the pairs are never built. A
+    cycle among instances would project onto a schema-level one, which
+    ``s.order`` has rejected.
     """
-    grounded: list[LabeledFormula] = list(s.defaults)
-    # Atom names in first-mention order; the instances share one Atom per name.
-    universe: dict[str, Atom | None] = dict.fromkeys(formula_atoms(*s.base, *(f for _, f in s.defaults)))
-    blocks = [1 << k for k in range(len(s.defaults))]  # blocks[k]: the grounded labels of s.order's label k
+    labels = [d.label for d in s.defaults]
+    blocks = [1 << k for k in range(len(labels))]  # blocks[k]: the grounded labels of s.order's label k
     for schema in s.schemas:
-        start = len(grounded)
-        program = postorder(schema.formula)
-        templates = {n: _template(n, schema.params) for n in program if type(n) is str}
-        leaves: dict[str | bool, Formula] = {True: TRUE, False: FALSE}  # atom names are refilled per instance
+        start = len(labels)
         for combo in itertools.product(s.domain, repeat=len(schema.params)):
-            for n, t in templates.items():
-                name = t.format(*combo)
-                leaves[n] = universe[name] = universe.get(name) or Atom(name)
-            stack: list[Formula] = []
-            for op in program:
-                if op is Not:
-                    stack[-1] = Not(stack[-1])
-                elif type(op) is type:  # a binary node type
-                    right = stack.pop()
-                    stack[-1] = op(stack[-1], right)
-                else:  # an atom name or a constant's bool
-                    stack.append(leaves[op])
-            label = f"{schema.label}[{','.join(combo)}]" if schema.params else schema.label
-            grounded.append(LabeledFormula(label, stack[0]))
-        blocks.append((1 << len(grounded)) - (1 << start))
+            labels.append(f"{schema.label}[{','.join(combo)}]" if schema.params else schema.label)
+        blocks.append((1 << len(labels)) - (1 << start))
     above: list[int] = []
     for a, block in zip(s.order.above, blocks):  # the blocks are disjoint: their sum is their union
         above += [sum(blocks[j] for j in iter_bits(a))] * block.bit_count()
-    return Theory._known_atoms(
-        universe=tuple(dict.fromkeys((*universe, *formula_atoms(*(f for _, f in s.fixtures))))),
-        base=s.base,
-        defaults=tuple(grounded),
-        priority=PriorityOrder._closed(tuple(lf.label for lf in grounded), tuple(above)),
-        fixtures=s.fixtures,
-    )
+    priority = PriorityOrder._closed(tuple(labels), tuple(above))
+    _check_unique([f.label for f in s.fixtures], "duplicate fixture label")
+    return Theory._from_recipe(s, base=s.base, priority=priority, fixtures=s.fixtures)
 
 
 def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
@@ -576,7 +608,7 @@ def print_theory(t: Theory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def labeled_texts(x: NestedDefaults) -> Iterator[tuple[str, str]]:
+def labeled_texts(x: BuiltOnFirstRead) -> Iterator[tuple[str, str]]:
     """Each default's label and ``to_text`` of its formula, for a Theory or
     a ``transform.TransformOutput``. Through a nest, only its sources are
     printed, ``nest_values`` combines their texts, and no output formula

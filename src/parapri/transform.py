@@ -24,12 +24,12 @@ first, so a block's outputs share their suffix subtrees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from . import config
 from .errors import CapExceededError, ValidationError
-from .theory import LabeledFormula, Nest, NestedDefaults, PriorityOrder, Theory, parallel_order
+from .theory import BuiltOnFirstRead, LabeledFormula, Nest, OnFirstRead, PriorityOrder, Theory, parallel_order
 
 TOP_HEAVY_THRESHOLD = 10
 
@@ -41,12 +41,9 @@ class Provenance(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TransformOutput(NestedDefaults):
-    defaults: tuple[LabeledFormula, ...]
+class TransformOutput(BuiltOnFirstRead):
+    defaults: tuple[LabeledFormula, ...] = OnFirstRead()
     provenance: tuple[Provenance, ...]
-    # The labels, sources and dominator positions from which ``nest_values``
-    # builds ``defaults`` on first read; None for an output built by hand.
-    nest: Nest | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ def _assemble(defaults: Sequence[LabeledFormula], sigmas: tuple[tuple[int, ...],
         clash = next(l for l in labels if l in seen or seen.add(l))
         raise ValidationError(f"generated label {clash!r} is not unique")
     nest = Nest(tuple(labels), tuple(f for _, f in defaults), sigmas)
-    return TransformOutput._from_nest(nest, provenance=tuple(prov))
+    return TransformOutput._from_recipe(nest, provenance=tuple(prov))
 
 
 def _guard_size(order: PriorityOrder) -> None:
@@ -173,7 +170,7 @@ def parallel_theory(t: Theory, out: TransformOutput) -> Theory:
     if (nest := out.nest) is None:
         order = parallel_order(l for l, _ in out.defaults)
         return Theory._known_atoms(t.universe, t.base, out.defaults, order, t.fixtures)
-    return Theory._from_nest(
+    return Theory._from_recipe(
         nest, universe=t.universe, base=t.base, priority=parallel_order(nest.labels), fixtures=t.fixtures
     )
 

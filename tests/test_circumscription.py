@@ -136,10 +136,11 @@ class TestPreferredModels:
         sigmas = ((1,), (0,))
         outputs = list(nest_values([p, q], sigmas, Or, And))
         assert outputs == [And(q, p), Or(q, p), And(p, q), Or(p, q)]
-        defaults = tuple(LabeledFormula(f"o{k}", f) for k, f in enumerate(outputs))
-        t = Theory(("p", "q"), (Not(And(p, q)),), defaults, parallel_order(l for l, _ in defaults))
-        object.__setattr__(t, "nest", Nest(t.priority.indices, (p, q), sigmas))
-        assert preferred_models(t).index_set == preferred_indices_naive(t) == {0b01, 0b10}
+        nest = Nest(("o0", "o1", "o2", "o3"), (p, q), sigmas)
+        t = Theory._from_recipe(nest, universe=("p", "q"), base=(Not(And(p, q)),), priority=parallel_order(nest.labels))
+        assert preferred_models(t).index_set == {0b01, 0b10}
+        assert t.defaults == tuple(map(LabeledFormula, nest.labels, outputs))
+        assert preferred_indices_naive(t) == {0b01, 0b10}
 
 
 class TestSkepticalEntails:

@@ -625,12 +625,27 @@ def _text_of(lines):
     return st.lists(st.one_of(st.sampled_from(lines), st.text(max_size=30)), max_size=8).map("\n".join)
 
 
+@st.composite
+def _well_formed_text(draw):
+    """The lines of a theory in any order: up to four defaults, priorities
+    that follow their numbering (so the order is acyclic), base and fixture
+    lines, and maybe a schema over a domain, above the first default."""
+    n = draw(st.integers(1, 4))
+    lines = [f"default d{k}: {draw(st.sampled_from(['a', 'b & ~a', 'a -> c', '~(a <-> b)']))}" for k in range(n)]
+    lines += [f"prefer d{i} > d{j}" for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    lines += draw(st.lists(st.sampled_from(["base: a -> b", "base: ~a | c", "fix f1: a <-> b"]), unique=True))
+    if draw(st.booleans()):
+        lines += ["domain: k1 k2", "schema s[X]: p(X) -> q(X)", "prefer s > d0"]
+    return "\n".join(draw(st.permutations(lines)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     content=st.one_of(
         _text_of(THEORY_LINES).map(str.encode),
         _text_of(PROGRAM_LINES).map(str.encode),
         st.binary(max_size=40),
+        _well_formed_text().map(str.encode),  # the success paths: few fuzzed texts parse
     ),
     argv=st.sampled_from(FUZZ_ARGV),
     query=st.one_of(st.sampled_from(["a", "~b | c", "p(k1)", "a & (b", "zz"]), st.text(max_size=15)),
@@ -647,20 +662,6 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, content, argv, query, max_atoms):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert code != 1 or argv[0] == "check-equiv" or "--assert" in argv
-
-
-@st.composite
-def _well_formed_text(draw):
-    """The lines of a theory in any order: up to four defaults, priorities
-    that follow their numbering (so the order is acyclic), base and fixture
-    lines, and maybe a schema over a domain, above the first default."""
-    n = draw(st.integers(1, 4))
-    lines = [f"default d{k}: {draw(st.sampled_from(['a', 'b & ~a', 'a -> c', '~(a <-> b)']))}" for k in range(n)]
-    lines += [f"prefer d{i} > d{j}" for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
-    lines += draw(st.lists(st.sampled_from(["base: a -> b", "base: ~a | c", "fix f1: a <-> b"]), unique=True))
-    if draw(st.booleans()):
-        lines += ["domain: k1 k2", "schema s[X]: p(X) -> q(X)", "prefer s > d0"]
-    return "\n".join(draw(st.permutations(lines)))
 
 
 @settings(max_examples=500, deadline=None)

@@ -1,5 +1,9 @@
 """Theory files, priority orders, grounding, and the fixture reduction."""
 
+import copy
+import dataclasses
+import functools
+import pickle
 import random
 import re
 from pathlib import Path
@@ -19,9 +23,10 @@ from helpers import (
     transitive_closure_naive,
 )
 from parapri.circumscription import circ_equivalent, preferred_models
+from parapri.cli import main
 from parapri.config import TRANSFORM_FORMULAS
 from parapri.errors import CycleError, ParseError, ValidationError
-from parapri.formula import Atom, atoms
+from parapri.formula import And, Atom, Iff, Implies, Not, Or, atoms
 from parapri.theory import (
     LabeledFormula,
     PriorityOrder,
@@ -474,11 +479,16 @@ class TestOrderDifferential:
                 build()
 
 
-def schema_formula_texts(params, domain):
+@functools.cache
+def schema_formula_texts(params: tuple[str, ...], domain: tuple[str, ...]):
     """Formula text over atoms with constant arguments (``p(X,k0)``),
     repeated variables (``q(X,X)``), bare variables, a propositional
     atom and the constants, drawn from a small pool so that one atom often
-    occurs twice, under ``~``, ``->``, ``<->``, ``&`` and ``|``."""
+    occurs twice, under ``~``, ``->``, ``<->``, ``&`` and ``|``.
+
+    Built once per arguments, and the formulas once per pool: hypothesis
+    validates every new strategy object, and building them per draw took
+    about 70 ms a draw, most of a grounding property's time."""
     terms = [*params, *domain[:2]]
     atom = st.one_of(
         st.tuples(st.sampled_from("pq"), st.lists(st.sampled_from(terms), min_size=1, max_size=3)).map(
@@ -486,15 +496,18 @@ def schema_formula_texts(params, domain):
         ),
         st.sampled_from([*params, "r", "true", "false"]),
     )
-    return st.lists(atom, min_size=1, max_size=3).flatmap(
-        lambda pool: st.recursive(
-            st.sampled_from(pool),
-            lambda sub: st.one_of(
-                sub.map(lambda f: f"~{f}"),
-                st.tuples(sub, st.sampled_from(["->", "<->", "&", "|"]), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-            ),
-            max_leaves=6,
-        )
+    return st.lists(atom, min_size=1, max_size=3).flatmap(lambda pool: _formula_texts_over(tuple(pool)))
+
+
+@functools.cache
+def _formula_texts_over(pool: tuple[str, ...]):
+    return st.recursive(
+        st.sampled_from(pool),
+        lambda sub: st.one_of(
+            sub.map(lambda f: f"~{f}"),
+            st.tuples(sub, st.sampled_from(["->", "<->", "&", "|"]), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        ),
+        max_leaves=6,
     )
 
 
@@ -503,11 +516,11 @@ def grounding_texts(draw):
     """Schema theories of up to three schemas of arity 0-2 over 1-3
     constants, with a plain default, a base, a fixture and edges that
     follow the order of the labels."""
-    domain = [f"k{j}" for j in range(draw(st.integers(1, 3)))]
+    domain = tuple(f"k{j}" for j in range(draw(st.integers(1, 3))))
     lines = [f"domain: {' '.join(domain)}", "base: r | p1(k0)", "default d: ~r", "fix f: q1(k0)"]
     labels = ["d"]
     for k in range(draw(st.integers(1, 3))):
-        params = ["X", "Y"][: draw(st.integers(0, 2))]
+        params = ("X", "Y")[: draw(st.integers(0, 2))]
         lines.append(f"schema s{k}[{','.join(params)}]: {draw(schema_formula_texts(params, domain))}")
         labels.append(f"s{k}")
     pairs = st.tuples(st.integers(0, len(labels) - 1), st.integers(0, len(labels) - 1))
@@ -568,10 +581,17 @@ class TestPrintedForm:
 def assert_checked_constructor_agrees(x: Theory) -> None:
     """``x`` and its transform, rebuilt by the constructor that walks every
     formula's atoms, are accepted and equal, and print to text that parses
-    back to them."""
-    for t in (x, transform_theory(x)):
-        assert Theory(t.universe, t.base, t.defaults, t.priority, t.fixtures) == t
-        assert parse_theory(print_theory(t)) == t
+    back to them. ``x`` is checked first, so a failing ``x`` costs no
+    transform; the library refuses a transform above the cap, so such an
+    ``x`` is checked alone."""
+    assert_rebuilt_equal(x)
+    if output_size(x.priority).total <= TRANSFORM_FORMULAS:
+        assert_rebuilt_equal(transform_theory(x))
+
+
+def assert_rebuilt_equal(t: Theory) -> None:
+    assert Theory(t.universe, t.base, t.defaults, t.priority, t.fixtures) == t
+    assert parse_theory(print_theory(t)) == t
 
 
 class TestKnownAtoms:
@@ -596,10 +616,7 @@ class TestKnownAtoms:
     @given(grounding_texts())
     @settings(max_examples=100, deadline=None)
     def test_grounded_theories(self, text):
-        x = ground(parse_theory(text))
-        # The library refuses a transform above the cap, so such a draw has nothing to compare.
-        assume(output_size(x.priority).total <= TRANSFORM_FORMULAS)
-        assert_checked_constructor_agrees(x)
+        assert_checked_constructor_agrees(ground(parse_theory(text)))
 
     def test_empty_atoms_line_is_still_checked(self):
         with pytest.raises(ValidationError, match="^atom 'q' not in declared universe$"):
@@ -617,3 +634,85 @@ class TestKnownAtoms:
             x = parse_theory(text)
             if isinstance(x, SchemaTheory):
                 ground(x)
+
+
+SCHEMA_FILES = [p for p in THEORY_FILES if isinstance(parse_theory(p.read_text()), SchemaTheory)]
+
+
+@pytest.fixture
+def formula_nodes(monkeypatch):
+    """The number of Atom, Not and binary formula nodes built since the
+    fixture started, by any code."""
+    built = [0]
+    for node in (Atom, Not, And, Or, Implies, Iff):
+
+        def counting(self, *args, init=node.__init__):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(node, "__init__", counting)
+    return lambda: built[0]
+
+
+class TestGroundedOnFirstRead:
+    """``ground`` builds the instance labels and the order; the instance
+    formulas and the universe are built together on the first read of
+    either."""
+
+    @pytest.mark.parametrize("path", SCHEMA_FILES, ids=lambda p: p.name)
+    def test_order_readers_build_no_formula(self, capsys, formula_nodes, path):
+        s = parse_theory(path.read_text())
+        parsed = formula_nodes()
+        t = ground(s)
+        output_size(t.priority), classify_order(t.priority), t.priority.dominators_map
+        assert formula_nodes() == parsed
+        for argv in (["stats", str(path)], ["transform", str(path), "--size-only"]):
+            before = formula_nodes()
+            assert main(argv) == 0
+            assert formula_nodes() - before == parsed  # the file's parse, and nothing more
+        assert capsys.readouterr().err == ""
+        # a control: the count sees a read
+        assert len(t.defaults) == len(t.priority.indices) and formula_nodes() > parsed
+
+    @pytest.mark.parametrize("first", ["universe", "defaults"])
+    @pytest.mark.parametrize("path", SCHEMA_FILES, ids=lambda p: p.name)
+    def test_one_walk_builds_both_fields(self, formula_nodes, path, first):
+        t = ground(parse_theory(path.read_text()))
+        getattr(t, first)
+        built = formula_nodes()
+        t.universe, t.defaults
+        assert formula_nodes() == built
+
+    @pytest.mark.parametrize("first", ["universe", "defaults"])
+    @given(text=grounding_texts())
+    @settings(max_examples=50, deadline=None)
+    def test_equal_to_naive_whichever_read_first(self, first, text):
+        s = parse_theory(text)
+        t, want = ground(s), ground_naive(s)
+        getattr(t, first)
+        assert (t.universe, t.defaults) == (want.universe, want.defaults)
+        assert t == want and hash(t) == hash(want)
+
+    @pytest.mark.parametrize("path", SCHEMA_FILES, ids=lambda p: p.name)
+    def test_unread_theory_pickles_copies_compares_and_hashes(self, path):
+        s = parse_theory(path.read_text())
+        want = ground_naive(s)
+        loaded = pickle.loads(pickle.dumps(ground(s)))
+        assert not {"universe", "defaults"} & vars(loaded).keys()  # still unread
+        copies = [loaded, copy.copy(ground(s)), copy.deepcopy(ground(s)), dataclasses.replace(ground(s))]
+        for t in copies:
+            assert t == want and hash(t) == hash(want)
+        assert hash(ground(s)) == hash(want) and ground(s) == ground(s)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("domain: a\ndefault s[a]: p\nschema s[X]: q(X)\n", "duplicate label in priority order"),
+            ("domain: a\nschema s[X]: p(X)\nfix f: p(a)\nfix f: q\n", "duplicate fixture label"),
+        ],
+        ids=["instance", "fixture"],
+    )
+    def test_label_errors_raised_by_ground(self, text, message):
+        s = parse_theory(text)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ground(s)

@@ -500,7 +500,7 @@ class TestLabelClash:
 @pytest.fixture
 def output_nodes(monkeypatch):
     """The number of Or and And nodes built for transform outputs since the
-    fixture started: ``theory.NestedDefaults`` builds them through these
+    fixture started: ``theory.Nest._built`` builds them through these
     two names of ``parapri.theory``, which nothing else there calls."""
     built = [0]
 
