@@ -19,7 +19,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # the package and its s
 
 from generate import random_theory  # noqa: E402
 from parapri.circumscription import circ_equivalent, preorder_equivalent  # noqa: E402
-from parapri.preorder import PreorderSpec  # noqa: E402
 from parapri.transform import parallel_theory, transform_all, transform_canonical  # noqa: E402
 
 
@@ -30,10 +29,9 @@ def preorder_suite(count: int, seed: int) -> int:
     started = time.perf_counter()
     for _ in range(count):
         t = random_theory(rng, max_atoms=5, max_defaults=4)
-        spec = PreorderSpec.of(t)
         for member in transform_all(t.defaults, t.priority, limit=64):
             members_checked += 1
-            if not preorder_equivalent(spec, PreorderSpec.parallel(member.defaults), t.universe):
+            if not preorder_equivalent(t, parallel_theory(t, member), t.universe):
                 failures += 1
                 print(f"PREORDER FAILURE:\n{t}")
     elapsed = time.perf_counter() - started

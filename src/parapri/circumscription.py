@@ -9,25 +9,26 @@ i), and so are results: a ``PreferredModelSet`` is the mask of its models.
 
 The prioritized pre-order and fixture equivalence read an interpretation
 only through its truth values on the defaults and fixtures, and each
-default is a Boolean function of the leaves: the transform's sources when
-the theory carries its nest, else the defaults themselves. So domination is
-decided on a quotient: the models are split into cells, the non-empty sets
-of models that agree on every leaf and fixture (at most
-min(#models, 2^(leaves+fixtures)) of them), one streamed truth mask at a
+default is a Boolean function of the sources of the theory's ``nest``: the
+transform's sources for a theory made from a transform, else the identity
+nest, whose sources are the defaults themselves. So domination is decided
+on a quotient: the models are split into cells, the non-empty sets of
+models that agree on every source and fixture (at most
+min(#models, 2^(sources+fixtures)) of them), one streamed truth mask at a
 time, and each default is valued over the K cells as a K-bit column,
-through ``nest_values`` from the sources' columns when there is a nest.
-Cells of one fixture class on which every default agrees are decided as
-one. Because the priority order is transitively closed, z <= z2 holds
-exactly when every maximal default on which the two differ holds at z2; so
-for two cells of one fixture class, which differ on some default, z <= z2
-already rules out z2 <= z. One loop therefore decides every order: a cell
+through ``nest_values`` from the sources' columns. Cells of one fixture
+class on which every default agrees are decided as one. Because the
+priority order is transitively closed, z <= z2 holds exactly when every
+maximal default on which the two differ holds at z2; so for two cells of
+one fixture class, which differ on some default, z <= z2 already rules out
+z2 <= z. One loop therefore decides every order: a cell
 is preferred iff its packed pre-order row over the rest of its class is
 empty, and without priorities that row is the containment test of the
 parallel case. The preferred models are the union of the undominated
-cells; ``preorder_equivalent`` compares both pre-orders' rows on the joint
-cells of their defaults over the whole universe.
+cells; ``preorder_equivalent`` compares two theories' pre-orders, row by
+row, on the joint cells of both nests' sources over the whole universe.
 
-Memory: the leaves' masks reach the cell split one at a time, and profiles
+Memory: the sources' masks reach the cell split one at a time, and profiles
 are transposed ``TRANSPOSE_BLOCK`` columns at a time; what stays is the
 cells, one 2^n-bit mask each, and the defaults' K-bit columns.
 """
@@ -44,7 +45,6 @@ from typing import Iterable, Iterator, Sequence
 from .config import check_atoms
 from .errors import UniverseError
 from .formula import Formula, Interpretation, _columns, iter_bits, truth_mask
-from .preorder import PreorderSpec
 from .theory import LabeledFormula, Nest, PriorityOrder, Theory, nest_values
 
 
@@ -92,25 +92,28 @@ def truth_masks(
 
 def cell_columns(
     base: Iterable[Formula],
-    defaults: Nest | Sequence[LabeledFormula],
+    nests: Sequence[Nest],
     universe: tuple[str, ...],
     fixtures: Sequence[LabeledFormula] = (),
 ) -> tuple[list[int], list[int], list[int]]:
-    """Split the base models into the cells of the leaves (a nest's
-    sources, else the defaults) and ``fixtures``. Return the cells, their
-    profiles (bit i of profiles[k]: default i, then fixture i - n, holds on
-    cell k), and each default's column over the cells (bit k: it holds on
-    cell k). Through a nest the columns come from the sources' columns by
-    ``nest_values``, with no 2^n-bit step and no formula per default, and
-    the profiles from the columns."""
-    nest = defaults if isinstance(defaults, Nest) else None
-    leaves = [f for _, f in defaults] if nest is None else nest.sources
+    """Split the base models into the cells of the nests' sources and
+    ``fixtures``. Return the cells, their profiles (bit i of profiles[k]:
+    output i of the nests, in order, then fixture i - n, holds on cell k),
+    and each output's column over the cells (bit k: it holds on cell k).
+    The columns come from the sources' columns by ``nest_values``, with no
+    2^n-bit step and no formula per output, and the profiles from the
+    columns; when no sigma is non-empty, the outputs are the sources, and
+    the split's profiles are already theirs."""
+    leaves = [f for nest in nests for f in nest.sources]
     cells, profiles = _quotient(*truth_masks(base, [*leaves, *(f for _, f in fixtures)], universe))
-    if nest is None:
+    if not any(sigma for nest in nests for sigma in nest.sigmas):
         return cells, profiles, _transpose(profiles, len(leaves))
     columns = _transpose(profiles, len(leaves) + len(fixtures))
-    outputs = list(nest_values(columns[: len(leaves)], nest.sigmas, operator.or_, operator.and_))
-    return cells, _transpose(outputs + columns[len(leaves) :], len(cells)), outputs
+    rest: Iterator[int] = iter(columns)  # each nest's sources' columns in turn, then the fixtures'
+    outputs: list[int] = []
+    for nest in nests:
+        outputs += nest_values([*itertools.islice(rest, len(nest.sources))], nest.sigmas, operator.or_, operator.and_)
+    return cells, _transpose([*outputs, *rest], len(cells)), outputs
 
 
 def _leq_row(p: int, masks: Sequence[int], doms: Sequence[Sequence[int]], row: int) -> int:
@@ -189,18 +192,18 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
 def preferred_models(t: Theory) -> PreferredModelSet:
     """Base models not strictly dominated by any fixture-equivalent base model."""
     n = len(t.priority.indices)
-    cells, profiles, columns = cell_columns(t.base, t.nest or t.defaults, t.universe, t.fixtures)
-    kept: Iterable[int] = range(len(cells))
-    if t.nest is not None:
-        # Cells that share a (fixture, output) profile are decided once, through
-        # the last of them, which takes in the others' models. The canonical
-        # transform never merges cells, but this route must not assume it.
-        last = dict(zip(profiles, itertools.count()))
-        if len(last) < len(cells):
-            for k, p in enumerate(profiles):
-                if (j := last[p]) != k:
-                    cells[j] |= cells[k]
-        kept = last.values()
+    cells, profiles, columns = cell_columns(t.base, [t.nest], t.universe, t.fixtures)
+    # Cells that share a (fixture, output) profile are decided once, through
+    # the last of them, which takes in the others' models. The identity nest
+    # and every transform member keep distinct source profiles apart (a
+    # member's block holds its source wherever the dominators are known),
+    # but a nest built otherwise need not.
+    last = dict(zip(profiles, itertools.count()))
+    if len(last) < len(cells):
+        for k, p in enumerate(profiles):
+            if (j := last[p]) != k:
+                cells[j] |= cells[k]
+    kept = last.values()
     low = (1 << n) - 1
     classes: defaultdict[int, int] = defaultdict(int)  # fixture profile -> mask of its cells
     for k in kept:
@@ -250,10 +253,12 @@ def circ_equivalent(t1: Theory, t2: Theory, project: Sequence[str] | None = None
     return projected(t1) == projected(t2)
 
 
-def preorder_equivalent(s1: PreorderSpec, s2: PreorderSpec, universe: Iterable[str]) -> bool:
-    """Whether two default pre-orders agree on every ordered interpretation pair."""
-    n1 = len(s1.defaults)
-    cells, profiles, columns = cell_columns((), s1.defaults + s2.defaults, tuple(universe))
+def preorder_equivalent(s1: Theory, s2: Theory, universe: Iterable[str]) -> bool:
+    """Whether the default pre-orders of ``s1`` and ``s2`` (their nests and
+    priorities; bases and fixtures are not read) agree on every ordered
+    interpretation pair over ``universe``."""
+    n1 = len(s1.priority.indices)
+    cells, profiles, columns = cell_columns((), [s1.nest, s2.nest], tuple(universe))
     masks1, masks2 = columns[:n1], columns[n1:]
     doms1, doms2 = _dominator_positions(s1.priority), _dominator_positions(s2.priority)
     low, full = (1 << n1) - 1, (1 << len(cells)) - 1

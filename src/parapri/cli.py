@@ -30,11 +30,11 @@ from .errors import (
 )
 from .formula import Not, atoms as formula_atoms, iter_bits, parse_formula, to_text
 from .lp import encode_stratified, parse_program
-from .preorder import PreorderSpec
 from .specificity import AB_VARIANTS, encode_abnormality, transformed_then_pruned
 from .theory import SchemaTheory, Theory, classify_order, ground, labeled_texts, parse_theory, print_theory
 from .transform import (
     TransformOutput,
+    decimal_text,
     output_size,
     parallel_theory,
     transform_all,
@@ -77,7 +77,7 @@ def _corrupt(out: TransformOutput) -> TransformOutput:
 def cmd_transform(args) -> int:
     t = _load_theory(args.file)
     if args.size_only:
-        print(output_size(t.priority).total)
+        print(decimal_text(output_size(t.priority).total))
         return 0
     members = _members(t, args.all)
     if args.format == "json":
@@ -155,10 +155,8 @@ def cmd_check_equiv(args) -> int:
         members = [_corrupt(m) for m in members]
     ok = True
     for m in members:
-        if args.preorder:
-            ok = preorder_equivalent(PreorderSpec.of(t), PreorderSpec.parallel(m.defaults), t.universe)
-        else:
-            ok = circ_equivalent(t, parallel_theory(t, m), project)
+        p = parallel_theory(t, m)
+        ok = preorder_equivalent(t, p, t.universe) if args.preorder else circ_equivalent(t, p, project)
         if not ok:
             break
     print("equivalent" if ok else "not-equivalent")
@@ -172,7 +170,7 @@ def cmd_stats(args) -> int:
     for label, m in report.m:
         print(f"m[{label}]: {m}")
     print(f"max_m: {report.max_m}")
-    print(f"size: {report.total}")
+    print(f"size: {decimal_text(report.total)}")
     print(f"top_heavy: {'yes' if report.top_heavy else 'no'}")
     print(f"classification: {classify_order(t.priority)}")
     return 0

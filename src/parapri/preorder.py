@@ -6,6 +6,11 @@ higher-priority default j keeps the same truth value in both
 interpretations; it then demands that i's truth value does not drop.
 With an empty priority order this degenerates to the parallel case,
 pointwise implication for every default.
+
+``circumscription.preorder_equivalent`` reads a theory's ``nest`` and
+``priority``, so it takes theories as they are. A ``PreorderSpec`` is a
+theory's defaults, order and fixtures without a base or universe; its
+``nest`` is the identity nest of ``BuiltOnFirstRead``.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .theory import LabeledFormula, PriorityOrder, Theory, parallel_order
+from .theory import BuiltOnFirstRead, LabeledFormula, PriorityOrder, Theory, parallel_order
 
 
 @dataclass(frozen=True)
-class PreorderSpec:
+class PreorderSpec(BuiltOnFirstRead):
     defaults: tuple[LabeledFormula, ...]
     priority: PriorityOrder
     fixtures: tuple[LabeledFormula, ...] = ()

@@ -86,7 +86,7 @@ def prune_redundant(
     names = tuple(universe)
     # Each output is constant on each cell of its leaves, and
     # _positive_combination reads only the outputs' values at each point.
-    cells, _, masks = cell_columns(base, w.nest or w.defaults, names)
+    cells, _, masks = cell_columns(base, [w.nest], names)
     base_mask = (1 << len(cells)) - 1
 
     alive = set(range(len(keys)))
@@ -123,7 +123,7 @@ def prune_redundant(
 
     kept = tuple(w.defaults[pos] for pos in sorted(alive))
     dropped = tuple(drops[pos] for pos in sorted(drops))
-    before = parallel_theory(_parallel(names, base, ()), w)  # through w's nest, when it has one
+    before = parallel_theory(_parallel(names, base, ()), w)  # through w's nest
     after = _parallel(names, base, kept)
     if not circ_equivalent(before, after):
         raise InternalError("pruning changed the preferred models")
@@ -136,7 +136,7 @@ def _check_k(k: int) -> None:
 
 
 def _parallel(universe: tuple[str, ...], base: Sequence[Formula], defaults: Sequence[LabeledFormula]) -> Theory:
-    # ``cell_columns`` has valued every formula (or the nest's sources) over
+    # ``cell_columns`` has valued the nest's sources, and so every output, over
     # ``universe`` already, and raised UniverseError on any atom outside it.
     return Theory._known_atoms(universe, tuple(base), tuple(defaults), parallel_order(l for l, _ in defaults))
 

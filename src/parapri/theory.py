@@ -25,11 +25,12 @@ data, so an unread theory still pickles, copies, compares and hashes.
 ``SchemaTheory``, from which the instance formulas and the universe are
 built in one walk; ``stats`` reads the order alone and builds neither.
 The transform's recurrence lives here, as ``nest_values``, because
-theories are printed here: a theory made by ``transform.parallel_theory``
-keeps the transform's ``nest`` (its output labels, its sources and their
-dominator positions), from which its defaults are valued as texts or cell
-columns, one block at a time. The nest is the output: its formulas are
-built only when ``defaults`` is first read.
+theories are printed here. Every default set has a ``nest`` (output
+labels, sources and, per source, its dominators' positions), from which
+its defaults are valued as texts or cell columns, one block at a time: a
+theory made by ``transform.parallel_theory`` keeps the transform's, whose
+output formulas are built only when ``defaults`` is first read; any other
+has the identity nest, each default its own source with no dominators.
 """
 
 from __future__ import annotations
@@ -287,12 +288,15 @@ class BuiltOnFirstRead:
         return x
 
     @property
-    def nest(self) -> Nest | None:
-        """The transform's nest this was made from, from which
-        ``labeled_texts`` and ``circumscription.cell_columns`` value the
-        defaults; None for any other instance."""
-        recipe = vars(self).get("_recipe")
-        return recipe if type(recipe) is Nest else None
+    def nest(self) -> Nest:
+        """The nest from which ``labeled_texts`` and
+        ``circumscription.cell_columns`` value the defaults: the transform's,
+        if this was made from one, else the identity nest, each default its
+        own source with no dominators."""
+        if type(recipe := vars(self).get("_recipe")) is Nest:
+            return recipe
+        labels, sources = [*zip(*self.defaults)] or ((), ())
+        return Nest(labels, sources, ((),) * len(labels))
 
 
 @dataclass(frozen=True)
@@ -300,14 +304,15 @@ class Theory(BuiltOnFirstRead):
     """Construction checks the labels, the universe for duplicates, and
     every formula's atoms against the universe. ``_known_atoms`` skips that
     atom walk where the universe holds them by construction: in
-    ``parallel_theory`` for a hand-built output, ``encode_stratified``, the
-    pruner's self-check, whose truth tables have valued every formula over
-    the universe, ``build_theory`` when no universe is given, and
-    ``parse_theory``, whose parse has collected the atoms. Two makers skip
-    every check and build by ``_from_recipe``, their other fields those of
-    a checked theory: ``parallel_theory``, from the transform's nest,
-    whose labels the transform has checked, and ``ground``, from the
-    schema theory, after its own label checks."""
+    ``encode_stratified``, the pruner's self-check, whose truth tables have
+    valued every formula over the universe, ``build_theory`` when no
+    universe is given, and ``parse_theory``, whose parse has collected the
+    atoms. Two makers skip every check but the order's and build by
+    ``_from_recipe``, their other fields those of a checked theory:
+    ``parallel_theory``, from the output's nest, whose labels the
+    transform has checked (a repeated label of a hand-built output is
+    refused by its parallel order), and ``ground``, from the schema theory,
+    after its own label checks."""
 
     universe: tuple[str, ...] = OnFirstRead()
     base: tuple[Formula, ...]
@@ -610,11 +615,9 @@ def print_theory(t: Theory) -> str:
 
 def labeled_texts(x: BuiltOnFirstRead) -> Iterator[tuple[str, str]]:
     """Each default's label and ``to_text`` of its formula, for a Theory or
-    a ``transform.TransformOutput``. Through a nest, only its sources are
-    printed, ``nest_values`` combines their texts, and no output formula
-    is built."""
-    if (nest := x.nest) is None:
-        return ((l, to_text(f)) for l, f in x.defaults)
+    a ``transform.TransformOutput``: only the nest's sources are printed,
+    ``nest_values`` combines their texts, and no output formula is built."""
+    nest = x.nest
     texts = nest_values([to_text(f) for f in nest.sources], nest.sigmas, "({} | {})".format, "({} & {})".format)
     return zip(nest.labels, texts)
 

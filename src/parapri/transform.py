@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterator, NamedTuple, Sequence
 
 from . import config
@@ -111,10 +112,16 @@ def _assemble(defaults: Sequence[LabeledFormula], sigmas: tuple[tuple[int, ...],
     return TransformOutput._from_recipe(nest, provenance=tuple(prov))
 
 
+def decimal_text(n: int) -> str:
+    """``n`` in decimal, at any length: ``str`` refuses an int of more than
+    4300 digits (CPython's default limit), and an output size can have more."""
+    return str(Decimal(n))
+
+
 def _guard_size(order: PriorityOrder) -> None:
     total, cap = output_size(order).total, config.TRANSFORM_FORMULAS
     if total > cap:
-        raise CapExceededError(f"transform would emit {total} formulas, above the cap of {cap}")
+        raise CapExceededError(f"transform would emit {decimal_text(total)} formulas, above the cap of {cap}")
 
 
 def transform_canonical(defaults: Sequence[LabeledFormula], order: PriorityOrder) -> TransformOutput:
@@ -165,11 +172,10 @@ def parallel_theory(t: Theory, out: TransformOutput) -> Theory:
     """The input theory with its defaults replaced by the parallel output.
 
     ``out`` must be a transform of ``t``'s own defaults: its atoms are then
-    ``t``'s, and are not checked again. The result keeps ``out.nest``, and
-    builds its defaults from it on first read."""
-    if (nest := out.nest) is None:
-        order = parallel_order(l for l, _ in out.defaults)
-        return Theory._known_atoms(t.universe, t.base, out.defaults, order, t.fixtures)
+    ``t``'s, and are not checked again. The result keeps ``out.nest`` (the
+    identity nest for a hand-built output), and builds its defaults from it
+    on first read."""
+    nest = out.nest
     return Theory._from_recipe(
         nest, universe=t.universe, base=t.base, priority=parallel_order(nest.labels), fixtures=t.fixtures
     )

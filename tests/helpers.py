@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from parapri.errors import CycleError, ParseError, UniverseError, ValidationError
 from parapri.formula import FALSE, IDENT, TRUE, And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
 from parapri.lp import Clause, Program, stratify
-from parapri.preorder import PreorderSpec
 from parapri.theory import LabeledFormula, PriorityOrder, SchemaTheory, Theory, build_theory
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -205,7 +204,7 @@ def _check_universes(z: Interpretation, z2: Interpretation) -> None:
         raise UniverseError("interpretations over different universes are incomparable")
 
 
-def default_leq(spec: PreorderSpec, z: Interpretation, z2: Interpretation) -> bool:
+def default_leq(spec: Theory, z: Interpretation, z2: Interpretation) -> bool:
     """Whether z2 is at least as preferred as z under the prioritized pre-order."""
     _check_universes(z, z2)
     formulas = dict(spec.defaults)
@@ -225,7 +224,7 @@ def fixture_equiv(fixtures: Iterable[Formula], z: Interpretation, z2: Interpreta
     return all(evaluate(f, z) == evaluate(f, z2) for f in fixtures)
 
 
-def strictly_better(spec: PreorderSpec, z2: Interpretation, z: Interpretation) -> bool:
+def strictly_better(spec: Theory, z2: Interpretation, z: Interpretation) -> bool:
     """Whether z2 strictly improves on z: fixture-equivalent, z below z2, not conversely."""
     return (
         fixture_equiv((f for _, f in spec.fixtures), z, z2)
@@ -464,9 +463,8 @@ def models_naive(base, universe) -> list[Interpretation]:
 
 def preferred_indices_naive(t: Theory) -> set[int]:
     """Enumerate all interpretations and apply the strict-domination test pairwise."""
-    spec = PreorderSpec.of(t)
     ms = models_naive(t.base, t.universe)
-    return {m.index for m in ms if not any(strictly_better(spec, m2, m) for m2 in ms)}
+    return {m.index for m in ms if not any(strictly_better(t, m2, m) for m2 in ms)}
 
 
 def perfect_model(p: Program) -> Interpretation:

@@ -24,7 +24,6 @@ from parapri.circumscription import (
 from parapri.cli import main
 from parapri.formula import parse_formula, truth_mask
 from parapri.lp import encode_stratified
-from parapri.preorder import PreorderSpec
 from parapri.theory import Theory, build_theory, parse_theory
 from parapri.transform import output_size, parallel_theory, transform_all, transform_canonical
 
@@ -115,9 +114,8 @@ def test_criterion_3_preorder_equivalence_suite():
         failures = 0
         for _ in range(500):
             t = random_theory(rng, max_atoms=5, max_defaults=4)
-            spec = PreorderSpec.of(t)
             for member in transform_all(t.defaults, t.priority, limit=64):
-                if not preorder_equivalent(spec, PreorderSpec.parallel(member.defaults), t.universe):
+                if not preorder_equivalent(t, parallel_theory(t, member), t.universe):
                     failures += 1
         elapsed = time.perf_counter() - started
         assert failures == 0
@@ -154,9 +152,7 @@ def test_criterion_5_two_default_proof_replay():
         assert truth_mask(F("((p&q)|(~p&~q)) <-> (p<->q)"), ("p", "q")) == 0b1111  # a tautology
         t = build_theory(defaults=[("d1", "p1"), ("d2", "p2")], prefer=[("d1", "d2")])
         out = transform_canonical(t.defaults, t.priority)
-        assert preorder_equivalent(
-            PreorderSpec.of(t), PreorderSpec.parallel(out.defaults), t.universe
-        )
+        assert preorder_equivalent(t, parallel_theory(t, out), t.universe)
 
 
 def test_criterion_6_inheritance_goldens(capsys):

@@ -1,5 +1,6 @@
 """Preferred-model enumeration, skeptical entailment, and the equivalence oracles."""
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -27,7 +28,6 @@ from parapri.circumscription import (
 )
 from parapri.errors import CapExceededError, UniverseError, ValidationError
 from parapri.formula import FALSE, TRUE, And, Atom, Iff, Implies, Interpretation, Not, Or, iter_bits, parse_formula
-from parapri.preorder import PreorderSpec
 from parapri.specificity import prune_redundant
 from parapri.theory import (
     LabeledFormula,
@@ -209,32 +209,28 @@ class TestPreorderEquivalent:
     def test_pair_transform(self):
         t = build_theory(defaults=[("d1", "p1"), ("d2", "p2")], prefer=[("d1", "d2")])
         out = transform_canonical(t.defaults, t.priority)
-        assert preorder_equivalent(
-            PreorderSpec.of(t), PreorderSpec.parallel(out.defaults), t.universe
-        )
+        assert preorder_equivalent(t, parallel_theory(t, out), t.universe)
 
     def test_spec_equals_itself(self):
         t = tweety_theory()
-        s = PreorderSpec.of(t)
-        assert preorder_equivalent(s, s, t.universe)
+        assert preorder_equivalent(t, t, t.universe)
 
     def test_priority_matters_for_conflicting_defaults(self):
         t = build_theory(atoms=["a"], defaults=[("hi", "a"), ("lo", "~a")], prefer=[("hi", "lo")])
         flat = build_theory(atoms=["a"], defaults=[("hi", "a"), ("lo", "~a")])
-        s1, s2 = PreorderSpec.of(t), PreorderSpec.of(flat)
-        assert not preorder_equivalent(s1, s2, ("a",))
+        assert not preorder_equivalent(t, flat, ("a",))
         # the distinguishing pair: dropping 'a' is allowed only in parallel
         z = Interpretation(("a",), (True,))
         z2 = Interpretation(("a",), (False,))
-        assert default_leq(s2, z, z2) != default_leq(s1, z, z2) or default_leq(
-            s2, z2, z
-        ) != default_leq(s1, z2, z)
+        assert default_leq(flat, z, z2) != default_leq(t, z, z2) or default_leq(
+            flat, z2, z
+        ) != default_leq(t, z2, z)
 
     def test_cap(self):
         t = tweety_theory()
         with pytest.raises(CapExceededError):
             preorder_equivalent(
-                PreorderSpec.of(t), PreorderSpec.of(t), tuple(f"x{k}" for k in range(21))
+                t, t, tuple(f"x{k}" for k in range(21))
             )
 
 
@@ -247,9 +243,7 @@ class TestAtomCap:
         "preferred_models": lambda t, out: preferred_models(t),
         "skeptical_entails": lambda t, out: skeptical_entails(t, F("flies")),
         "circ_equivalent": lambda t, out: circ_equivalent(t, parallel_theory(t, out)),
-        "preorder_equivalent": lambda t, out: preorder_equivalent(
-            PreorderSpec.of(t), PreorderSpec.parallel(out.defaults), t.universe
-        ),
+        "preorder_equivalent": lambda t, out: preorder_equivalent(t, parallel_theory(t, out), t.universe),
         "prune_redundant": lambda t, out: prune_redundant(out, t.base, t.universe),
     }
 
@@ -280,9 +274,7 @@ class TestEquivalenceGuarantees:
         for _ in range(60):
             t = random_theory(rng)
             for member in transform_all(t.defaults, t.priority, limit=64):
-                assert preorder_equivalent(
-                    PreorderSpec.of(t), PreorderSpec.parallel(member.defaults), t.universe
-                )
+                assert preorder_equivalent(t, parallel_theory(t, member), t.universe)
 
     def test_circ_equivalence_random_with_fixtures(self):
         rng = random.Random(103)
@@ -383,19 +375,56 @@ class TestDifferential:
     @settings(max_examples=200, deadline=None)
     def test_preorder_equivalent(self, data):
         t = data.draw(theories())
-        s1 = PreorderSpec.of(t)
         kind = data.draw(st.sampled_from(("transform", "reordered", "other")))
         if kind == "transform":
-            s2 = PreorderSpec.parallel(transform_canonical(t.defaults, t.priority).defaults)
+            s2 = parallel_theory(t, transform_canonical(t.defaults, t.priority))
         elif kind == "reordered":
-            s2 = PreorderSpec(t.defaults, data.draw(priorities(t.default_labels)))
+            s2 = dataclasses.replace(t, priority=data.draw(priorities(t.default_labels)))
         else:
-            s2 = PreorderSpec.of(data.draw(theories(universe=t.universe)))
+            s2 = data.draw(theories(universe=t.universe))
         zs = [Interpretation.from_index(t.universe, z) for z in range(2 ** len(t.universe))]
         expected = all(
-            default_leq(s1, z, z2) == default_leq(s2, z, z2) for z in zs for z2 in zs
+            default_leq(t, z, z2) == default_leq(s2, z, z2) for z in zs for z2 in zs
         )
-        assert preorder_equivalent(s1, s2, t.universe) == expected
+        assert preorder_equivalent(t, s2, t.universe) == expected
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_preorder_equivalent_through_nests(self, data):
+        # A transform member's nest, intact or corrupted: one sigma reversed,
+        # or one of its dominators swapped for another label, each sigma
+        # keeping its length. The check reads the nest's sources; the oracle
+        # and the hand-built copy read the formulas the nest builds. Half the
+        # time each default is its own atom, so that every default profile is
+        # realized and most corruptions show.
+        universe, labels = ("a", "b", "c", "d"), tuple(f"d{k}" for k in range(data.draw(st.integers(3, 4))))
+        fs = formulas_over(universe)
+        formulas = map(Atom, universe) if data.draw(st.booleans()) else [data.draw(fs) for _ in labels]
+        fixtures = tuple(LabeledFormula(f"fx{k}", f) for k, f in enumerate(data.draw(st.lists(fs, max_size=2))))
+        t = Theory(universe, (), tuple(map(LabeledFormula, labels, formulas)), data.draw(priorities(labels)), fixtures)
+        out = data.draw(st.sampled_from(transform_all(t.defaults, t.priority, limit=4)))
+        sigmas, n = list(out.nest.sigmas), len(labels)
+        corruptions = [("reversed", i) for i, s in enumerate(sigmas) if len(s) > 1]
+        corruptions += [("swapped", i) for i, s in enumerate(sigmas) if 0 < len(s) < n - 1]
+        if corruptions and data.draw(st.integers(0, 3)):
+            way, i = data.draw(st.sampled_from(corruptions))
+            if way == "reversed":
+                sigmas[i] = sigmas[i][::-1]
+            else:
+                k = data.draw(st.integers(0, len(sigmas[i]) - 1))
+                j = data.draw(st.sampled_from([j for j in range(n) if j != i and j not in sigmas[i]]))
+                sigmas[i] = (*sigmas[i][:k], j, *sigmas[i][k + 1 :])
+        nest = Nest(out.nest.labels, out.nest.sources, tuple(sigmas))
+        member = Theory._from_recipe(
+            nest, universe=t.universe, base=t.base, priority=parallel_order(nest.labels), fixtures=t.fixtures
+        )
+        hand_built = Theory(t.universe, t.base, member.defaults, member.priority, t.fixtures)
+        zs = [Interpretation.from_index(t.universe, z) for z in range(2 ** len(t.universe))]
+        expected = all(default_leq(t, z, z2) == default_leq(member, z, z2) for z in zs for z2 in zs)
+        assert expected or sigmas != list(out.nest.sigmas)
+        assert preorder_equivalent(t, member, t.universe) == expected
+        assert preorder_equivalent(member, t, t.universe) == expected
+        assert preorder_equivalent(t, hand_built, t.universe) == expected
 
 
 def exactly(k, universe):
@@ -449,11 +478,10 @@ class TestParallelKernel:
         # preferred, so a cell is dominated iff another cell of its class
         # is at least as preferred.
         t = data.draw(theories())
-        spec = PreorderSpec.of(t)
         zs = [Interpretation.from_index(t.universe, z) for z in range(2 ** len(t.universe))]
         z, z2 = data.draw(st.sampled_from(zs)), data.draw(st.sampled_from(zs))
         if any(evaluate(f, z) != evaluate(f, z2) for _, f in t.defaults):
-            assert not (default_leq(spec, z, z2) and default_leq(spec, z2, z))
+            assert not (default_leq(t, z, z2) and default_leq(t, z2, z))
 
     def test_fixture_classes_are_separate(self):
         # three incomparable cells where f holds, and where f fails one cell

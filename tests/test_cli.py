@@ -1,9 +1,11 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import contextlib
+import functools
 import io
 import json
 import os
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -226,6 +228,27 @@ class TestStats:
         code, out, _ = run(capsys, "stats", f)
         assert code == 0
         assert "classification: parallel" in out
+
+    def test_size_past_the_int_to_text_limit(self, capsys, tmp_path):
+        # Each of the 120 instances of e1 lies below the 14,400 of e2, so the
+        # size 120 * 2^14400 + 14400 has 4,337 digits: past CPython's default
+        # limit of 4300 on int-to-text conversion, which stays as it was.
+        f = tmp_path / "wide.thy"
+        domain = " ".join(f"c{k}" for k in range(1, 121))
+        f.write_text(f"domain: {domain}\nschema e1[X]: p(X)\nschema e2[X,Y]: q(X,Y)\nprefer e2 > e1\n")
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "stats", f)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "defaults: 14520" and lines[-2:] == ["top_heavy: yes", "classification: layered"]
+        assert lines[-3].startswith("size: ")
+        digits = lines[-3].removeprefix("size: ")
+        assert len(digits) == 4337
+        assert functools.reduce(lambda n, d: 10 * n + int(d), digits, 0) == 120 * 2**14400 + 14400
+        assert run(capsys, "transform", f, "--size-only") == (0, f"{digits}\n", "")
+        cap = f"above the cap of {config.TRANSFORM_FORMULAS}"
+        assert run(capsys, "transform", f) == (3, "", f"error: transform would emit {digits} formulas, {cap}\n")
+        assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize(
         "name, domain, shape",

@@ -6,11 +6,12 @@ import pytest
 
 from generate import random_theory
 from helpers import default_leq, evaluate, fixture_equiv, strictly_better
-from parapri.circumscription import _dominator_positions, _leq_row, _quotient, _transpose
+from parapri.circumscription import _dominator_positions, _leq_row, _quotient, _transpose, preorder_equivalent
 from parapri.errors import UniverseError
 from parapri.formula import Interpretation, iter_bits, parse_formula, truth_mask
 from parapri.preorder import PreorderSpec
 from parapri.theory import build_theory
+from parapri.transform import parallel_theory, transform_all
 
 F = parse_formula
 
@@ -185,3 +186,19 @@ class TestStrictlyBetter:
         top = Interpretation(("a",), (True,))
         bot = Interpretation(("a",), (False,))
         assert not strictly_better(spec, top, bot)
+
+
+class TestPreorderSpec:
+    def test_identity_nest_checks_like_the_theory(self):
+        # The spec of a theory and of a member's defaults carry identity
+        # nests; the check answers on them as on the theory and its member.
+        rng = random.Random(17)
+        for _ in range(20):
+            t = random_theory(rng, max_atoms=4, fixture_prob=0.5)
+            spec = PreorderSpec.of(t)
+            assert spec.nest == (t.priority.indices, tuple(f for _, f in t.defaults), ((),) * len(t.defaults))
+            for m in transform_all(t.defaults, t.priority, limit=4):
+                answer = preorder_equivalent(spec, PreorderSpec.parallel(m.defaults), t.universe)
+                assert answer and answer == preorder_equivalent(t, parallel_theory(t, m), t.universe)
+            flat = PreorderSpec.parallel(t.defaults)
+            assert preorder_equivalent(spec, flat, t.universe) == preorder_equivalent(t, flat, t.universe)

@@ -58,7 +58,7 @@ class TestPruneRedundant:
         # walk; the truth tables have already refused any atom it would find.
         t = build_theory(atoms=("p", "q"), defaults=[("d1", "p"), ("d2", "q")], prefer=[("d1", "d2")])
         out = transform_canonical(t.defaults, t.priority)
-        assert out.nest is not None
+        assert out.nest.sigmas == ((), (0,))
         for w, base, name in (
             (labeled(("w1", "p"), ("w2", "zz")), [], "zz"),  # a hand-built output
             (labeled(("w1", "p")), [F("q")], "q"),  # a base formula

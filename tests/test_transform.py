@@ -1,6 +1,7 @@
 """The priority-elimination construction and its size accounting."""
 
 import dataclasses
+import operator
 import random
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from parapri.circumscription import cell_columns, preferred_models, preorder_equ
 from parapri.cli import _corrupt, main
 from parapri.errors import CapExceededError, ValidationError
 from parapri.formula import And, Atom, Or, iter_bits, parse_formula, truth_mask
-from parapri.preorder import PreorderSpec
 from parapri.theory import (
     LabeledFormula,
     PriorityOrder,
@@ -304,11 +304,9 @@ class TestStructuralInvariants:
         for _ in range(15):
             t = random_theory(rng, max_atoms=4)
             members = transform_all(t.defaults, t.priority, limit=6)
-            base_spec = PreorderSpec.parallel(members[0].defaults)
+            first = parallel_theory(t, members[0])
             for m in members[1:]:
-                assert preorder_equivalent(
-                    base_spec, PreorderSpec.parallel(m.defaults), t.universe
-                )
+                assert preorder_equivalent(first, parallel_theory(t, m), t.universe)
 
 
 GOLDEN_THEORIES = [pair_theory, columns_theory, fan_out_theory, fan_in_theory, lambda: chain_theory(3)]
@@ -350,36 +348,46 @@ class TestDescendingOracle:
 
 def hand_built(t, out):
     """build_wil's nest for each provenance of ``out``, as a hand-built
-    output: its nest is None, so every route walks its formulas."""
+    output: its nest is the identity, so every route walks its formulas."""
     formulas = dict(t.defaults)
     nests = (build_wil(formulas, p.source, p.sigma, p.bits) for p in out.provenance)
     return TransformOutput(tuple(LabeledFormula(l, f) for (l, _), f in zip(out.defaults, nests)), out.provenance)
+
+
+def assert_identity_nest(x):
+    """``x`` holds no transform's nest: its nest is the identity, whose
+    sources are ``x``'s own formulas and whose every sigma is ()."""
+    nest, formulas = x.nest, [f for _, f in x.defaults]
+    assert nest.labels == tuple(l for l, _ in x.defaults)
+    assert len(nest.sources) == len(formulas) and all(map(operator.is_, nest.sources, formulas))
+    assert nest.sigmas == ((),) * len(formulas)
 
 
 def assert_outputs_are_nests(t, out):
     """Each output equals, and prints like, build_wil's nest for its
     provenance. Through the transform's nest, the engine values and
     ``print_theory`` prints the outputs as the AST walks of hand-built
-    outputs (whose nest is None) do."""
+    outputs (whose nest is the identity) do."""
     unshared = hand_built(t, out)
     assert out.defaults == unshared.defaults
     via_nest, via_ast = parallel_theory(t, out), parallel_theory(t, unshared)
-    assert out.nest is not None and via_nest.nest is out.nest
-    assert via_ast.nest is None
+    assert via_nest.nest is out.nest
+    assert_identity_nest(unshared)
+    assert_identity_nest(via_ast)
     assert print_theory(via_nest) == print_theory(via_ast)
     assert parse_theory(print_theory(via_nest)) == via_nest
     assert preferred_models(via_nest).mask == preferred_models(via_ast).mask
     # Over the whole universe, each output's column through the nest covers
     # exactly its truth mask.
-    cells, _, columns = cell_columns((), via_nest.nest, t.universe)
+    cells, _, columns = cell_columns((), [via_nest.nest], t.universe)
     covered = [sum(cells[k] for k in iter_bits(c)) for c in columns]
     assert covered == [truth_mask(f, t.universe) for _, f in out.defaults]
     assert_block_masks(t, out)
-    # Any other route to the same defaults drops the nest.
-    assert TransformOutput(out.defaults, out.provenance).nest is None
-    assert dataclasses.replace(out).nest is None
-    assert dataclasses.replace(via_nest).nest is None
-    assert fixtures_to_defaults(via_nest).nest is None
+    # Any other route to the same defaults drops the transform's nest.
+    assert_identity_nest(TransformOutput(out.defaults, out.provenance))
+    assert_identity_nest(dataclasses.replace(out))
+    assert_identity_nest(dataclasses.replace(via_nest))
+    assert_identity_nest(fixtures_to_defaults(via_nest))
 
 
 class TestNestRoute:
@@ -392,7 +400,8 @@ class TestNestRoute:
         # sources and fixtures, the AST route on the outputs and fixtures.
         out = transform_canonical(t.defaults, t.priority)
         via_nest, via_ast = parallel_theory(t, out), parallel_theory(t, hand_built(t, out))
-        assert via_nest.nest is not None and via_ast.nest is None
+        assert via_nest.nest is out.nest
+        assert_identity_nest(via_ast)
         mask = preferred_models(via_nest).mask
         assert mask == preferred_models(via_ast).mask
         assert mask == sum(1 << z for z in preferred_indices_naive(via_ast))
@@ -567,5 +576,6 @@ class TestOutputsBuiltOnFirstRead:
     def test_copies_keep_no_nest(self):
         out = transform_canonical(chain_theory(3).defaults, chain_theory(3).priority)
         for copy in (dataclasses.replace(out), _corrupt(out)):
-            assert copy.nest is None and len(copy.defaults) == 7
+            assert_identity_nest(copy)
+            assert len(copy.defaults) == 7
         assert dataclasses.replace(out) == out
