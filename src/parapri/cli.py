@@ -35,6 +35,7 @@ from .theory import SchemaTheory, Theory, classify_order, ground, labeled_texts,
 from .transform import (
     TransformOutput,
     decimal_text,
+    guard_size,
     output_size,
     parallel_theory,
     transform_all,
@@ -58,6 +59,7 @@ def _load_theory(path: str) -> Theory:
 
 
 def _members(t: Theory, n: int | None) -> list[TransformOutput]:
+    guard_size(t.priority)  # before ``t.defaults``, which grounds a schema theory
     if n is None:
         return [transform_canonical(t.defaults, t.priority)]
     return transform_all(t.defaults, t.priority, limit=n)

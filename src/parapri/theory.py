@@ -26,11 +26,13 @@ data, so an unread theory still pickles, copies, compares and hashes.
 built in one walk; ``stats`` reads the order alone and builds neither.
 The transform's recurrence lives here, as ``nest_values``, because
 theories are printed here. Every default set has a ``nest`` (output
-labels, sources and, per source, its dominators' positions), from which
-its defaults are valued as texts or cell columns, one block at a time: a
-theory made by ``transform.parallel_theory`` keeps the transform's, whose
-output formulas are built only when ``defaults`` is first read; any other
-has the identity nest, each default its own source with no dominators.
+labels, sources, per source its dominators' positions, and the sources'
+labels), from which its defaults are valued as texts or cell columns, one
+block at a time: a theory made by ``transform.parallel_theory`` keeps the
+transform's, whose output formulas are built only when ``defaults`` is
+first read; any other has the identity nest, each default its own source
+with no dominators. A transform output's ``Provenance`` is built from
+its nest too, on the first read of ``provenance``.
 """
 
 from __future__ import annotations
@@ -210,17 +212,44 @@ def parallel_order(labels: Iterable[str]) -> PriorityOrder:
     return PriorityOrder(tuple(labels))
 
 
+class Provenance(NamedTuple):
+    """A transform output's source label, its dominators' labels and its
+    bit string."""
+
+    source: str
+    sigma: tuple[str, ...]
+    bits: str
+
+
+def bit_strings(m: int) -> list[list[str]]:
+    """``b[k]``, for k up to m, lists the k-bit strings from all ones down,
+    each built by doubling ``b[k - 1]``."""
+    b = [[""]]
+    for _ in range(m):
+        b.append(["1" + s for s in b[-1]] + ["0" + s for s in b[-1]])
+    return b
+
+
 class Nest(NamedTuple):
-    """A transform's output labels, its source formulas and, per source, its
-    dominators' positions: ``nest_values`` over the sources gives the
-    outputs' formulas, in label order."""
+    """A transform's output labels, its source formulas, per source its
+    dominators' positions, and the sources' labels: ``nest_values`` over
+    the sources gives the outputs' formulas, in label order."""
 
     labels: tuple[str, ...]
     sources: tuple[Formula, ...]
     sigmas: tuple[tuple[int, ...], ...]
+    source_labels: tuple[str, ...]
 
-    def _built(self, x) -> dict[str, tuple]:
-        """``x.defaults``: the outputs' formulas, paired with their labels."""
+    def _built(self, x, name: str) -> dict[str, tuple]:
+        """``x.defaults``, the outputs' formulas paired with their labels, or
+        ``x.provenance``, each output's ``Provenance``: each alone."""
+        if name == "provenance":
+            names, bits = self.source_labels, bit_strings(max(map(len, self.sigmas), default=0))
+            prov = []
+            for source, sigma in zip(names, self.sigmas):
+                named = tuple(map(names.__getitem__, sigma))
+                prov += [Provenance(source, named, b) for b in bits[len(sigma)]]
+            return {"provenance": tuple(prov)}
         return {"defaults": tuple(map(LabeledFormula, self.labels, nest_values(self.sources, self.sigmas, Or, And)))}
 
 
@@ -254,9 +283,12 @@ def nest_values(values: Sequence, sigmas: Sequence[Sequence[int]], or_: Callable
 class OnFirstRead:
     """A field of a frozen dataclass that an instance made by
     ``BuiltOnFirstRead._from_recipe`` builds on its first read. The recipe
-    is data: its ``_built(x)`` returns the fields it builds by name, all
-    of which are then stored in ``x``. A ``Nest`` builds ``defaults``, and a
-    ``SchemaTheory`` both ``defaults`` and ``universe``, in one walk.
+    is data: its ``_built(x, name)`` returns, by name, the fields it builds
+    on the first read of field ``name``, that one among them, all of which
+    are then stored in ``x``. A ``Nest`` builds ``defaults`` or
+    ``provenance``, each alone, so a read of either builds nothing of the
+    other; a ``SchemaTheory`` builds both ``defaults`` and ``universe``, in
+    one walk.
 
     The descriptor has no ``__set__``, so an instance's own field hides it:
     one given to the constructor, or one built. Read on the class it raises
@@ -269,15 +301,16 @@ class OnFirstRead:
         if x is None:
             raise AttributeError(self.name)
         fields = vars(x)
-        fields.update(fields["_recipe"]._built(x))
+        fields.update(fields["_recipe"]._built(x, self.name))
         return fields[self.name]
 
 
 class BuiltOnFirstRead:
     """For a frozen dataclass whose lazy fields are ``OnFirstRead``: one
     made by ``_from_recipe`` keeps its recipe, and has none of those fields
-    until the first read of any, when the recipe builds them all. Any other
-    instance has its fields from construction, and no recipe."""
+    until they are read, when the recipe builds each one read with those
+    it builds alongside. Any other instance has its fields from
+    construction, and no recipe."""
 
     @classmethod
     def _from_recipe(cls, recipe, **fields):
@@ -292,11 +325,11 @@ class BuiltOnFirstRead:
         """The nest from which ``labeled_texts`` and
         ``circumscription.cell_columns`` value the defaults: the transform's,
         if this was made from one, else the identity nest, each default its
-        own source with no dominators."""
+        own source, under its own label, with no dominators."""
         if type(recipe := vars(self).get("_recipe")) is Nest:
             return recipe
         labels, sources = [*zip(*self.defaults)] or ((), ())
-        return Nest(labels, sources, ((),) * len(labels))
+        return Nest(labels, sources, ((),) * len(labels), labels)
 
 
 @dataclass(frozen=True)
@@ -382,8 +415,9 @@ class SchemaTheory:
             if free:
                 raise ValidationError(f"schema {s.label!r} uses undeclared variables {sorted(free)}")
 
-    def _built(self, x: Theory) -> dict[str, tuple]:
-        """``x.defaults`` and ``x.universe`` for ``x = ground(self)``, in one walk.
+    def _built(self, x: Theory, name: str) -> dict[str, tuple]:
+        """``x.defaults`` and ``x.universe`` for ``x = ground(self)``, in one
+        walk, whichever of them is read first.
 
         Each schema's formula becomes a ``postorder`` list and its atom
         names templates, once; each instance runs the list on its own

@@ -12,13 +12,17 @@ declaration order, bit strings from all-ones down to all-zeros.
 
 The construction never inspects the default formulas themselves, only the
 priority order, so its output size depends solely on the order's shape.
-The transform builds only the output labels and their provenance, and
-keeps the labels with the sources and dominator positions as its ``nest``;
-``parallel_theory`` hands that on. The engine and the printers value the
-outputs by the one recurrence, ``theory.nest_values``, over the sources'
-cell columns and texts. The output formulas are built by the same
-recurrence only when ``defaults`` is first read, each block innermost
-first, so a block's outputs share their suffix subtrees.
+The transform builds only the output labels, checks them for clashes, and
+keeps them with the sources, their labels and dominator positions as its
+``nest``; ``parallel_theory`` hands that on. A label is its source's head
+``w_<label>_`` and a bit string from one list per length, built by
+doubling and shared by every block of that length. The engine and the
+printers value the outputs by the one recurrence, ``theory.nest_values``,
+over the sources' cell columns and texts. The output formulas are built
+by the same recurrence only when ``defaults`` is first read, each block
+innermost first, so a block's outputs share their suffix subtrees; the
+``provenance`` only when it is first read, and neither read builds the
+other.
 """
 
 from __future__ import annotations
@@ -26,25 +30,29 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from . import config
 from .errors import CapExceededError, ValidationError
-from .theory import BuiltOnFirstRead, LabeledFormula, Nest, OnFirstRead, PriorityOrder, Theory, parallel_order
+from .theory import (
+    BuiltOnFirstRead,
+    LabeledFormula,
+    Nest,
+    OnFirstRead,
+    PriorityOrder,
+    Provenance,
+    Theory,
+    bit_strings,
+    parallel_order,
+)
 
 TOP_HEAVY_THRESHOLD = 10
-
-
-class Provenance(NamedTuple):
-    source: str
-    sigma: tuple[str, ...]
-    bits: str
 
 
 @dataclass(frozen=True)
 class TransformOutput(BuiltOnFirstRead):
     defaults: tuple[LabeledFormula, ...] = OnFirstRead()
-    provenance: tuple[Provenance, ...]
+    provenance: tuple[Provenance, ...] = OnFirstRead()
 
 
 @dataclass(frozen=True)
@@ -92,24 +100,23 @@ def output_size(order: PriorityOrder) -> SizeReport:
     return SizeReport(total=total, m=m, top_heavy=any(v > TOP_HEAVY_THRESHOLD for _, v in m))
 
 
-def _assemble(defaults: Sequence[LabeledFormula], sigmas: tuple[tuple[int, ...], ...]) -> TransformOutput:
-    # ``sigmas[i]``: the dominator positions of defaults[i], in descending order.
-    names = [l for l, _ in defaults]
+def _assemble(
+    defaults: Sequence[LabeledFormula], names: tuple[str, ...], sigmas: tuple[tuple[int, ...], ...]
+) -> TransformOutput:
+    # ``names``: the order's labels, which are the defaults'. ``sigmas[i]``:
+    # the dominator positions of defaults[i], in descending order.
+    bits = bit_strings(max(map(len, sigmas), default=0))
     labels: list[str] = []
-    prov: list[Provenance] = []
     for label, sigma in zip(names, sigmas):
-        m = len(sigma)
-        named = tuple(map(names.__getitem__, sigma))
-        for v in range((1 << m) - 1, -1, -1):
-            bits = format(v, f"0{m}b") if m else ""
-            labels.append(f"w_{label}_{bits}" if m else f"w_{label}")
-            prov.append(Provenance(label, named, bits))
+        if sigma:
+            labels += map(f"w_{label}_".__add__, bits[len(sigma)])
+        else:
+            labels.append(f"w_{label}")
     if len(set(labels)) < len(labels):  # name the first label that repeats an earlier one
         seen: set[str] = set()
         clash = next(l for l in labels if l in seen or seen.add(l))
         raise ValidationError(f"generated label {clash!r} is not unique")
-    nest = Nest(tuple(labels), tuple(f for _, f in defaults), sigmas)
-    return TransformOutput._from_recipe(nest, provenance=tuple(prov))
+    return TransformOutput._from_recipe(Nest(tuple(labels), tuple(f for _, f in defaults), sigmas, names))
 
 
 def decimal_text(n: int) -> str:
@@ -118,7 +125,10 @@ def decimal_text(n: int) -> str:
     return str(Decimal(n))
 
 
-def _guard_size(order: PriorityOrder) -> None:
+def guard_size(order: PriorityOrder) -> None:
+    """Refuse an order whose transform is above ``TRANSFORM_FORMULAS``: the
+    order alone decides, so a caller can refuse before it reads the
+    defaults, which a grounded theory builds on that read."""
     total, cap = output_size(order).total, config.TRANSFORM_FORMULAS
     if total > cap:
         raise CapExceededError(f"transform would emit {decimal_text(total)} formulas, above the cap of {cap}")
@@ -128,8 +138,8 @@ def transform_canonical(defaults: Sequence[LabeledFormula], order: PriorityOrder
     """The deterministic member: canonical topological ordering per default,
     the first of ``_sigma_combinations`` and so the first of ``transform_all``."""
     _check_alignment(defaults, order)
-    _guard_size(order)
-    return _assemble(defaults, next(_sigma_combinations(order)))
+    guard_size(order)
+    return _assemble(defaults, order.indices, next(_sigma_combinations(order)))
 
 
 def transform_all(defaults: Sequence[LabeledFormula], order: PriorityOrder, limit: int) -> list[TransformOutput]:
@@ -138,9 +148,9 @@ def transform_all(defaults: Sequence[LabeledFormula], order: PriorityOrder, limi
     if limit <= 0:
         raise ValidationError("limit must be positive")
     _check_alignment(defaults, order)
-    _guard_size(order)
+    guard_size(order)
     members = _sigma_combinations(order)
-    return [_assemble(defaults, sigmas) for sigmas in itertools.islice(members, limit)]
+    return [_assemble(defaults, order.indices, sigmas) for sigmas in itertools.islice(members, limit)]
 
 
 def _sigma_combinations(order: PriorityOrder) -> Iterator[tuple[tuple[int, ...], ...]]:

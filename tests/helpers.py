@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from parapri.errors import CycleError, ParseError, UniverseError, ValidationError
 from parapri.formula import FALSE, IDENT, TRUE, And, Atom, Const, Formula, Iff, Implies, Interpretation, Not, Or
 from parapri.lp import Clause, Program, stratify
-from parapri.theory import LabeledFormula, PriorityOrder, SchemaTheory, Theory, build_theory
+from parapri.theory import LabeledFormula, PriorityOrder, Provenance, SchemaTheory, Theory, build_theory
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -348,6 +348,31 @@ def build_wil(formulas: Mapping[str, Formula], index: str, sigma: Sequence[str],
     for s, b in reversed(list(zip(sigma, bits, strict=True))):
         acc = (And if b == "1" else Or)(formulas[s], acc)
     return acc
+
+
+def labels_and_provenance_eagerly(
+    names: Sequence[str], sigmas: Sequence[Sequence[int]]
+) -> tuple[list[str], list[Provenance]]:
+    """The transform's output labels and provenance built one output at a
+    time, a bit string by ``format`` for each, for the sources ``names``
+    whose dominator positions are ``sigmas``: label ``w_<source>_<bits>``,
+    or ``w_<source>`` with no dominators. A label made twice is refused
+    with the transform's message, naming the first repeat."""
+    labels: list[str] = []
+    prov: list[Provenance] = []
+    for label, sigma in zip(names, sigmas, strict=True):
+        m = len(sigma)
+        named = tuple(names[j] for j in sigma)
+        for v in range((1 << m) - 1, -1, -1):
+            bits = format(v, f"0{m}b") if m else ""
+            labels.append(f"w_{label}_{bits}" if m else f"w_{label}")
+            prov.append(Provenance(label, named, bits))
+    seen: set[str] = set()
+    for l in labels:
+        if l in seen:
+            raise ValidationError(f"generated label {l!r} is not unique")
+        seen.add(l)
+    return labels, prov
 
 
 def classify_order_naive(indices: tuple[str, ...], edges: Iterable[tuple[str, str]]) -> str:

@@ -136,7 +136,7 @@ class TestPreferredModels:
         sigmas = ((1,), (0,))
         outputs = list(nest_values([p, q], sigmas, Or, And))
         assert outputs == [And(q, p), Or(q, p), And(p, q), Or(p, q)]
-        nest = Nest(("o0", "o1", "o2", "o3"), (p, q), sigmas)
+        nest = Nest(("o0", "o1", "o2", "o3"), (p, q), sigmas, ("s0", "s1"))
         t = Theory._from_recipe(nest, universe=("p", "q"), base=(Not(And(p, q)),), priority=parallel_order(nest.labels))
         assert preferred_models(t).index_set == {0b01, 0b10}
         assert t.defaults == tuple(map(LabeledFormula, nest.labels, outputs))
@@ -414,7 +414,7 @@ class TestDifferential:
                 k = data.draw(st.integers(0, len(sigmas[i]) - 1))
                 j = data.draw(st.sampled_from([j for j in range(n) if j != i and j not in sigmas[i]]))
                 sigmas[i] = (*sigmas[i][:k], j, *sigmas[i][k + 1 :])
-        nest = Nest(out.nest.labels, out.nest.sources, tuple(sigmas))
+        nest = out.nest._replace(sigmas=tuple(sigmas))
         member = Theory._from_recipe(
             nest, universe=t.universe, base=t.base, priority=parallel_order(nest.labels), fixtures=t.fixtures
         )

@@ -196,7 +196,8 @@ class TestPreorderSpec:
         for _ in range(20):
             t = random_theory(rng, max_atoms=4, fixture_prob=0.5)
             spec = PreorderSpec.of(t)
-            assert spec.nest == (t.priority.indices, tuple(f for _, f in t.defaults), ((),) * len(t.defaults))
+            labels = t.priority.indices
+            assert spec.nest == (labels, tuple(f for _, f in t.defaults), ((),) * len(labels), labels)
             for m in transform_all(t.defaults, t.priority, limit=4):
                 answer = preorder_equivalent(spec, PreorderSpec.parallel(m.defaults), t.universe)
                 assert answer and answer == preorder_equivalent(t, parallel_theory(t, m), t.universe)

@@ -674,6 +674,22 @@ class TestGroundedOnFirstRead:
         # a control: the count sees a read
         assert len(t.defaults) == len(t.priority.indices) and formula_nodes() > parsed
 
+    @pytest.mark.parametrize("argv", [[], ["--all", "2"], ["--format", "json"]])
+    def test_transform_refused_before_grounding(self, capsys, tmp_path, formula_nodes, argv):
+        # Each of the 20 instances of e1 lies below the 400 of e2: 2^400 formulas.
+        path = tmp_path / "wide.thy"
+        domain = " ".join(f"c{k}" for k in range(1, 21))
+        path.write_text(f"domain: {domain}\nschema e1[X]: p(X)\nschema e2[X,Y]: q(X,Y)\nprefer e2 > e1\n")
+        parse_theory(path.read_text())
+        parsed = formula_nodes()
+        assert main(["transform", str(path), *argv]) == 3
+        assert formula_nodes() - parsed == parsed  # the file's parse, and no instance formula
+        total = 20 * 2**400 + 400
+        assert capsys.readouterr() == (
+            "",
+            f"error: transform would emit {total} formulas, above the cap of {TRANSFORM_FORMULAS}\n",
+        )
+
     @pytest.mark.parametrize("first", ["universe", "defaults"])
     @pytest.mark.parametrize("path", SCHEMA_FILES, ids=lambda p: p.name)
     def test_one_walk_builds_both_fields(self, formula_nodes, path, first):

@@ -1,7 +1,10 @@
 """The priority-elimination construction and its size accounting."""
 
+import copy
 import dataclasses
+import itertools
 import operator
+import pickle
 import random
 from pathlib import Path
 
@@ -10,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generate import random_theory
-from helpers import ac_set, build_wil, chain_theory, descending_naive, fixtures_to_defaults, preferred_indices_naive
+from helpers import (
+    ac_set,
+    build_wil,
+    chain_theory,
+    descending_naive,
+    fixtures_to_defaults,
+    labels_and_provenance_eagerly,
+    preferred_indices_naive,
+)
 import parapri.theory
 from parapri import config
 from parapri.circumscription import cell_columns, preferred_models, preorder_equivalent, skeptical_entails
@@ -28,6 +39,7 @@ from parapri.theory import (
 from parapri.transform import (
     TransformOutput,
     _iter_descending,
+    _sigma_combinations,
     output_size,
     parallel_theory,
     transform_all,
@@ -356,9 +368,10 @@ def hand_built(t, out):
 
 def assert_identity_nest(x):
     """``x`` holds no transform's nest: its nest is the identity, whose
-    sources are ``x``'s own formulas and whose every sigma is ()."""
+    sources are ``x``'s own formulas, under its own labels, and whose every
+    sigma is ()."""
     nest, formulas = x.nest, [f for _, f in x.defaults]
-    assert nest.labels == tuple(l for l, _ in x.defaults)
+    assert nest.labels == nest.source_labels == tuple(l for l, _ in x.defaults)
     assert len(nest.sources) == len(formulas) and all(map(operator.is_, nest.sources, formulas))
     assert nest.sigmas == ((),) * len(formulas)
 
@@ -504,6 +517,97 @@ class TestLabelClash:
             transform_canonical(t.defaults, t.priority)
         with pytest.raises(ValidationError, match="^generated label 'w_a_1' is not unique$"):
             transform_all(t.defaults, t.priority, limit=4)
+
+
+# Plain labels, schema-instance labels, and labels that a generated one
+# can repeat: w_a_1 is both a's output with bit string 1 and a_1's only
+# output.
+CLASH_POOL = ["a", "a_1", "a_0", "a_10", "b", "e1[tweety]", "e1[tweety]_1", "e1[opus]", "e2[tweety,opus]", "d0"]
+
+
+@st.composite
+def labelled_orders(draw):
+    """Up to 6 defaults over labels of ``CLASH_POOL`` and a random acyclic
+    order over them."""
+    labels = draw(st.lists(st.sampled_from(CLASH_POOL), min_size=1, max_size=6, unique=True))
+    rank = draw(st.permutations(labels))
+    edges = [(a, b) for i, a in enumerate(rank) for b in rank[i + 1 :] if draw(st.booleans())]
+    return build_theory(defaults=[(l, f"p{k}") for k, l in enumerate(labels)], prefer=edges)
+
+
+class TestLabelsAndProvenanceOracle:
+    """Labels and lazily built provenance equal the eager per-output loop's."""
+
+    @given(labelled_orders())
+    @settings(max_examples=200, deadline=None)
+    def test_every_member_matches_the_eager_loop(self, t):
+        names = t.priority.indices
+        combos = list(itertools.islice(_sigma_combinations(t.priority), 6))
+        try:
+            labels_and_provenance_eagerly(names, combos[0])
+        except ValidationError as e:
+            for build in (transform_canonical, lambda d, o: transform_all(d, o, limit=6)):
+                with pytest.raises(ValidationError) as raised:
+                    build(t.defaults, t.priority)
+                assert str(raised.value) == str(e)
+            return
+        members = transform_all(t.defaults, t.priority, limit=6)
+        assert len(members) == len(combos)
+        for provenance_first in (True, False):
+            for out, sigmas in zip([transform_canonical(t.defaults, t.priority), *members], [combos[0], *combos]):
+                labels, prov = labels_and_provenance_eagerly(names, sigmas)
+                if provenance_first:
+                    assert out.provenance == tuple(prov)
+                    assert "defaults" not in vars(out)
+                assert out.nest.labels == tuple(labels)
+                assert [l for l, _ in out.defaults] == labels
+                assert out.provenance == tuple(prov)
+
+
+class TestLazyFieldsIndependent:
+    """``defaults`` and ``provenance`` are built each on its own first read."""
+
+    def test_provenance_builds_no_output_formula(self, output_nodes):
+        t = chain_theory(8)
+        out = transform_canonical(t.defaults, t.priority)
+        assert len(out.provenance) == 255 and output_nodes() == 0
+        assert "defaults" not in vars(out)
+        assert not hasattr(parallel_theory(t, out), "provenance")
+        # a control: the count sees the build
+        assert len(out.defaults) == 255 and output_nodes() > 0
+
+    def test_defaults_build_no_provenance(self, monkeypatch):
+        built = [0]
+
+        def counting(*args, make=parapri.theory.Provenance):
+            built[0] += 1
+            return make(*args)
+
+        monkeypatch.setattr(parapri.theory, "Provenance", counting)
+        t = chain_theory(8)
+        out = transform_canonical(t.defaults, t.priority)
+        assert len(out.defaults) == 255 and built[0] == 0
+        assert "provenance" not in vars(out)
+        # a control: the count sees the build
+        assert len(out.provenance) == 255 and built[0] == 255
+
+    @pytest.mark.parametrize("build", GOLDEN_THEORIES)
+    def test_unread_output_pickles_copies_compares_and_hashes(self, build):
+        t = build()
+
+        def unread():
+            return transform_canonical(t.defaults, t.priority)
+
+        read = unread()
+        read.defaults, read.provenance
+        loaded = pickle.loads(pickle.dumps(unread()))
+        assert not {"defaults", "provenance"} & vars(loaded).keys()  # still unread
+        assert loaded.nest == read.nest
+        copies = [loaded, copy.copy(unread()), copy.deepcopy(unread()), dataclasses.replace(unread()), unread()]
+        for out in copies:
+            assert out == read and hash(out) == hash(read)
+        assert hash(unread()) == hash(read) and unread() == unread()
+        assert unread() == hand_built(t, read)
 
 
 @pytest.fixture
