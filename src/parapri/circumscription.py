@@ -84,7 +84,7 @@ def truth_masks(
     ``formulas`` in order, one at a time. Refuses a universe above the atom
     cap."""
     check_atoms(universe)
-    base_mask = _columns(universe)[1]
+    base_mask = _columns(universe)[2]
     for b in base:
         base_mask &= truth_mask(b, universe)
     return base_mask, (truth_mask(f, universe) for f in formulas)

@@ -119,6 +119,7 @@ def cmd_query(args) -> int:
     for a in formula_atoms(q):
         if a not in t.universe:
             raise UniverseError(f"query atom {a!r} not in the theory's universe")
+    check_atoms(t.universe)  # before the engine, which grounds a schema theory's formulas
     direct = skeptical_entails(t, q)
     out = transform_canonical(t.defaults, t.priority)
     via_parallel = skeptical_entails(parallel_theory(t, out), q)
@@ -135,6 +136,7 @@ def cmd_query(args) -> int:
 
 def cmd_models(args) -> int:
     t = _load_theory(args.file)
+    check_atoms(t.universe)  # before the engine, which grounds a schema theory's formulas
     pm = preferred_models(t)
     rows = [[bool((z >> k) & 1) for k in range(len(pm.universe))] for z in iter_bits(pm.mask)]
     if args.format == "json":

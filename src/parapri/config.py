@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import CapExceededError, ValidationError
 
 MODEL_ATOMS = 20  # 2^n interpretations enumerated for model sets and pre-orders
-TRANSFORM_FORMULAS = 1 << 20  # formulas the transform may emit
+TRANSFORM_FORMULAS = 1 << 20  # formulas the transform, or the guarded encoding, may emit
 
 
 def check_atoms(universe: Sequence[str]) -> None:

@@ -24,8 +24,11 @@ depth is limited by memory, not by the recursion limit. ``postorder``
 lists the tree; ``==``, ``hash``, ``theory.ground``, ``to_text`` and
 ``atoms`` run that list. ``truth_mask`` keeps its own fused loop, the one
 walk the benchmark times on a hot path (``transform-wide``): a generic
-evaluator over ``postorder``'s list ran 1.7-2.0x slower than it on the
-transform outputs of 8- and 10-default chains. Printing is no hot path:
+evaluator over ``postorder``'s list ran 1.7-2.0x slower than an earlier
+push-and-pop form of it on the transform outputs of 8- and 10-default
+chains. The loop now folds right spines top-down, in ``keep`` and ``got``
+masks, so a transform output pushes no frame at all; the README gives its
+figures. Printing is no hot path:
 ``to_text`` takes about 1.5% of a traced ``verify-small`` pass, and none of
 ``query-dense``. A transform's outputs share subtrees, but they are
 printed and valued by the transform's own recurrence
@@ -252,7 +255,6 @@ def parse_atom(text: str, names: dict[str, Atom]) -> Atom | None:
 
 
 _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
-_PENDING = object()
 
 
 def postorder(f: Formula) -> list:
@@ -334,85 +336,122 @@ def iter_bits(mask: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
-@lru_cache(maxsize=4)
-def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], int]:
-    # Column k holds atom k's truth values across all 2^n interpretation
-    # indices, built by doubling so construction is O(n^2) bigint ops; with
-    # them comes the all-true mask of 2^n ones. Cached per universe: the
-    # returned dict is shared and read-only.
+@lru_cache(maxsize=64)
+def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], dict[str, int], int]:
+    # Each atom's column and negated column, and the all-true mask, as
+    # ``_columns_of_size`` builds them for the universe's size. Cached per
+    # universe: the returned dicts are shared and read-only.
     if len(set(universe)) != len(universe):
         raise ValidationError("universe contains a duplicate atom")
-    cols: dict[str, int] = {}
+    cols, ncols, full = _columns_of_size(len(universe))
+    return dict(zip(universe, cols)), dict(zip(universe, ncols)), full
+
+
+@lru_cache(maxsize=None)
+def _columns_of_size(n: int) -> tuple[list[int], list[int], int]:
+    # Column k holds atom k's truth values across all 2^n interpretation
+    # indices, built by doubling so construction is O(n^2) bigint ops; then
+    # the negated columns and the mask of 2^n ones. Built once per size, so
+    # the universes of one size share their ints, and all held sizes
+    # together take at most twice the bits of the largest.
+    cols: list[int] = []
     width = 1
-    for name in universe:
-        for a in cols:
-            cols[a] |= cols[a] << width
-        cols[name] = ((1 << width) - 1) << width
+    for _ in range(n):
+        cols = [c | c << width for c in cols]
+        cols.append(((1 << width) - 1) << width)
         width <<= 1
-    return cols, (1 << width) - 1
+    full = (1 << width) - 1
+    return cols, [full ^ c for c in cols], full
 
 
 def truth_mask(f: Formula, universe: Iterable[str]) -> int:
     """Truth table of ``f`` packed into an int: bit i = value under index i.
 
-    One explicit-stack loop with no callbacks: a frame is a connective
-    with the value of its left operand, or ``_PENDING`` while that is still
-    being computed, and a literal left operand (an atom, a negated atom or
-    a constant) is valued on the way down. A right-nested spine such as a
-    transform output costs one push and one pop per connective.
+    One explicit-stack loop with no callbacks, which folds right spines on
+    the way down. The formula ``g`` of the open frame is worth
+    ``value(g) & keep | got``: an ``And`` whose left operand is a literal
+    (an atom or a negated atom) narrows ``keep`` to it, an ``Or`` adds
+    ``keep & literal`` to ``got``, and the walk goes on into the right
+    operand; a leaf closes the frame. Any other left operand, the argument
+    of a ``Not`` over a non-atom and the right operand of an ``Iff`` are
+    valued in a frame of their own, pushed with the open frame's ``keep``
+    and ``got``; a left operand valued so is folded in the same way, an
+    ``Implies`` adding ``keep & ~left``. A trivial ``keep`` (all ones) or
+    ``got`` (0) costs no bigint operation. So a transform output, a right
+    spine of literals, pushes nothing and takes at most two bigint
+    operations per connective.
     """
-    cols, full = _columns(tuple(universe))
-    stack: list[tuple[Formula, int | object]] = []
+    cols, ncols, full = _columns(tuple(universe))
+    stack: list[tuple[Formula | int, int, int]] = []
+    keep, got = full, 0
     g = f
     try:
         while True:
-            # Down: value ``g``, pushing one frame per connective left to combine.
+            # Down: fold literal left operands until a leaf or a new frame.
             while True:
                 t = type(g)
-                if t is And or t is Or or t is Implies or t is Iff:
+                if t is And:
                     a = g.left
                     u = type(a)
-                    if u is Atom:
-                        stack.append((g, cols[a.name]))
-                    elif u is Not and type(a.arg) is Atom:
-                        stack.append((g, full ^ cols[a.arg.name]))
-                    elif u is Const:
-                        stack.append((g, full if a.value else 0))
-                    else:
-                        stack.append((g, _PENDING))
-                        g = a
+                    if u is Atom or u is Not and type(a.arg) is Atom:
+                        v = cols[a.name] if u is Atom else ncols[a.arg.name]
+                        keep = v if keep is full else keep & v
+                        g = g.right
                         continue
-                    g = g.right
+                elif t is Or:
+                    a = g.left
+                    u = type(a)
+                    if u is Atom or u is Not and type(a.arg) is Atom:
+                        v = cols[a.name] if u is Atom else ncols[a.arg.name]
+                        if keep is not full:
+                            v &= keep
+                        got = got | v if got else v
+                        g = g.right
+                        continue
                 elif t is Atom:
                     v = cols[g.name]
                     break
                 elif t is Not:
-                    stack.append((g, _PENDING))
-                    g = g.arg
+                    if type(g.arg) is Atom:
+                        v = ncols[g.arg.name]
+                        break
                 elif t is Const:
                     v = full if g.value else 0
                     break
-                else:
+                elif t is not Implies and t is not Iff:
                     raise TypeError(f"not a formula: {g!r}")
-            # Up: ``v`` is the last operand of the top frame; combine it.
-            while stack:
-                g, left = stack.pop()
+                # A new frame, for the left operand or a Not's argument.
+                stack.append((g, keep, got))
+                keep, got = full, 0
+                g = g.arg if t is Not else g.left
+            # Up: ``v`` is the value of the open frame's formula; close frames
+            # until one goes on into a right operand.
+            while True:
+                if keep is not full:
+                    v &= keep
+                if got:
+                    v |= got
+                if not stack:
+                    return v
+                g, keep, got = stack.pop()
                 t = type(g)
                 if t is Not:
                     v ^= full
-                elif left is _PENDING:  # ``v`` is the left operand; go right
-                    stack.append((g, v))
+                elif t is int:  # ``v`` is the right operand of an Iff whose left is ``g``
+                    v ^= full ^ g
+                else:  # ``v`` is the left operand of ``g``
+                    if t is And:
+                        keep = v if keep is full else keep & v
+                    elif t is Iff:
+                        stack.append((v, keep, got))
+                        keep, got = full, 0
+                    else:
+                        if t is Implies:
+                            v ^= full
+                        if keep is not full:
+                            v &= keep
+                        got = got | v if got else v
                     g = g.right
                     break
-                elif t is And:
-                    v &= left
-                elif t is Or:
-                    v |= left
-                elif t is Implies:
-                    v |= full ^ left
-                else:
-                    v ^= full ^ left
-            else:
-                return v
     except KeyError as e:  # only column lookups raise it
         raise UniverseError(f"atom {e.args[0]!r} not in universe") from None

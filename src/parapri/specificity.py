@@ -22,9 +22,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import config
 from .circumscription import cell_columns, circ_equivalent
-from .config import check_atoms
-from .errors import InternalError, ValidationError
+from .errors import CapExceededError, InternalError, ValidationError
 from .formula import Atom, Formula, Implies, Not, iter_bits
 from .theory import LabeledFormula, Theory, parallel_order
 from .transform import TransformOutput, parallel_theory, transform_canonical
@@ -158,9 +158,17 @@ def encode_abnormality(t: Theory, variant: str = "violation") -> Theory:
 
     The only defaults of the result are the ~ab atoms, in parallel, labeled
     ab_<label>; the base and the fixtures of ``t`` carry over unchanged.
+    More guards and axioms than ``config.TRANSFORM_FORMULAS`` are refused
+    with CapExceededError, from the order alone.
     """
     if variant not in AB_VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; choose from {AB_VARIANTS}")
+    # One guard per default and one cancellation axiom per priority pair,
+    # counted from the order before any default is read.
+    order, cap = t.priority, config.TRANSFORM_FORMULAS
+    total = len(order.indices) + sum(a.bit_count() for a in order.above)
+    if total > cap:
+        raise CapExceededError(f"guarded encoding would emit {total} formulas, above the cap of {cap}")
     for label, f in t.defaults:
         if not isinstance(f, Implies):
             raise ValidationError(f"default {label!r} is not an implication rule")
@@ -191,6 +199,6 @@ def transformed_then_pruned(t: Theory, k: int = 2) -> PruneReport:
     """Convenience pipeline used by the CLI: eliminate priorities, then prune."""
     # Refuse before building a transform that pruning could not enumerate.
     _check_k(k)
-    check_atoms(t.universe)
+    config.check_atoms(t.universe)
     out = transform_canonical(t.defaults, t.priority)
     return prune_redundant(out, t.base, t.universe, k=k)

@@ -23,7 +23,9 @@ on the first read of any of them (``BuiltOnFirstRead``); the recipe is
 data, so an unread theory still pickles, copies, compares and hashes.
 ``ground`` builds the instance labels and the order, and keeps the
 ``SchemaTheory``, from which the instance formulas and the universe are
-built in one walk; ``stats`` reads the order alone and builds neither.
+built in one walk, or the universe alone when it is read first (the model
+commands check it against the atom cap before anything else); ``stats``
+reads the order alone and builds neither.
 The transform's recurrence lives here, as ``nest_values``, because
 theories are printed here. Every default set has a ``nest`` (output
 labels, sources, per source its dominators' positions, and the sources'
@@ -287,8 +289,8 @@ class OnFirstRead:
     on the first read of field ``name``, that one among them, all of which
     are then stored in ``x``. A ``Nest`` builds ``defaults`` or
     ``provenance``, each alone, so a read of either builds nothing of the
-    other; a ``SchemaTheory`` builds both ``defaults`` and ``universe``, in
-    one walk.
+    other; a ``SchemaTheory`` builds ``universe`` alone, or both
+    ``defaults`` and ``universe`` in one walk on a read of ``defaults``.
 
     The descriptor has no ``__set__``, so an instance's own field hides it:
     one given to the constructor, or one built. Read on the class it raises
@@ -416,16 +418,25 @@ class SchemaTheory:
                 raise ValidationError(f"schema {s.label!r} uses undeclared variables {sorted(free)}")
 
     def _built(self, x: Theory, name: str) -> dict[str, tuple]:
-        """``x.defaults`` and ``x.universe`` for ``x = ground(self)``, in one
-        walk, whichever of them is read first.
+        """For ``x = ground(self)``: on a read of ``x.universe``, the
+        universe alone, from the atom-name templates, with no formula built;
+        on a read of ``x.defaults``, both fields in one walk. Either way the
+        universe lists the same names in first-mention order.
 
         Each schema's formula becomes a ``postorder`` list and its atom
         names templates, once; each instance runs the list on its own
         Atoms, and takes its label from ``x``'s order."""
-        grounded: list[LabeledFormula] = list(self.defaults)
-        labels = iter(x.priority.indices[len(grounded):])
+        fixture_atoms = formula_atoms(*(f for _, f in self.fixtures))
         # Atom names in first-mention order; the instances share one Atom per name.
         universe: dict[str, Atom | None] = dict.fromkeys(formula_atoms(*self.base, *(f for _, f in self.defaults)))
+        if name == "universe":
+            for schema in self.schemas:
+                templates = [_template(n, schema.params) for n in formula_atoms(schema.formula)]
+                for combo in itertools.product(self.domain, repeat=len(schema.params)):
+                    universe.update(dict.fromkeys(t.format(*combo) for t in templates))
+            return {"universe": tuple(dict.fromkeys((*universe, *fixture_atoms)))}
+        grounded: list[LabeledFormula] = list(self.defaults)
+        labels = iter(x.priority.indices[len(grounded):])
         for schema in self.schemas:
             program = postorder(schema.formula)
             templates = {n: _template(n, schema.params) for n in program if type(n) is str}
@@ -444,7 +455,6 @@ class SchemaTheory:
                     else:  # an atom name or a constant's bool
                         stack.append(leaves[op])
                 grounded.append(LabeledFormula(next(labels), stack[0]))
-        fixture_atoms = formula_atoms(*(f for _, f in self.fixtures))
         return {"defaults": tuple(grounded), "universe": tuple(dict.fromkeys((*universe, *fixture_atoms)))}
 
 
@@ -477,8 +487,9 @@ def ground(s: SchemaTheory) -> Theory:
     Only the labels and the order are built here, and checked as the
     constructor would: a repeated label in ``PriorityOrder._closed``, a
     repeated fixture label here. The instance formulas and the universe
-    are built together on the first read of either, by ``s._built``; a
-    command that reads the order alone (``stats``) builds neither.
+    are built by ``s._built``: both on the first read of the formulas, the
+    universe alone on a read of it before them; a command that reads the
+    order alone (``stats``) builds neither.
 
     The instances of a schema form one block of mutually unordered labels.
     A schema edge stands for all pairs of instances, whose closure is

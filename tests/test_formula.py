@@ -1,6 +1,7 @@
 """Formula parsing, printing, evaluation, and packed truth tables."""
 
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import ac_key, evaluate, formula_equal_reference, parse_formula_reference, text_naive
 from parapri.errors import ParseError, UniverseError
-from parapri.theory import LabeledFormula, Theory, parallel_order, parse_theory, print_theory
+from parapri.theory import LabeledFormula, Theory, nest_values, parallel_order, parse_theory, print_theory
 from parapri.formula import (
     FALSE,
     TRUE,
@@ -332,12 +333,17 @@ DEEP_CASES = {
     "or-right-negated": (lambda: _nest(lambda f: Or(Not(A), f), B), 0b1101),
     "alternating-spine": (lambda: _nest(lambda f: And(A, Or(Not(B), f)), B), 0b1010),
     "not-odd-over-spine": (lambda: Not(_nest(Not, Or(Not(A), B))), 0b0010),
+    # A Not or an Iff on every step of a folded spine: one frame per step.
+    "not-on-spine": (lambda: _nest(lambda f: Or(A, Not(And(Not(B), f))), B), 0b1110),
+    "iff-on-spine": (lambda: _nest(lambda f: Or(Not(A), Iff(B, f)), B), 0b1101),
+    "iff-compound-left-on-spine": (lambda: _nest(lambda f: Iff(Or(A, Not(B)), And(Not(A), f)), B), 0b0100),
 }
 
 
 class TestDeepFormulas:
     @pytest.mark.parametrize("name", DEEP_CASES)
     def test_round_trip_atoms_and_truth_table(self, name):
+        assert DEEP > sys.getrecursionlimit()
         build, mask = DEEP_CASES[name]
         f = build()
         text = to_text(f)
@@ -391,6 +397,11 @@ class TestTruthMask:
             Not(And(A, Or(B, Atom("z")))),
             Atom("z"),  # a plain leaf
             Implies(And(A, B), Atom("z")),
+            And(A, Or(Atom("z"), B)),  # a folded Or literal under a narrowed keep
+            Or(A, And(Not(Atom("z")), B)),  # a folded And literal under a non-zero got
+            And(A, Or(B, Atom("z"))),  # a leaf closed under a non-trivial keep and got
+            And(Not(A), Not(Atom("z"))),  # a negated leaf closed under a non-trivial keep
+            Iff(A, And(B, Atom("z"))),  # the right operand of an Iff
         ],
     )
     def test_unknown_atom(self, f):
@@ -417,6 +428,49 @@ def spines(draw):
     for op, left in draw(st.lists(st.tuples(ops, st.one_of(st.sampled_from(LITERALS), formulas())), max_size=8)):
         f = op(left, f)
     return f
+
+
+def assert_truth_mask_matches_evaluate(f, universe=("a", "b", "c")):
+    mask = truth_mask(f, universe)
+    for idx in range(1 << len(universe)):
+        assert evaluate(f, Interpretation.from_index(universe, idx)) == bool(mask >> idx & 1)
+
+
+@st.composite
+def nests(draw):
+    """The outputs of ``nest_values(sources, sigmas, Or, And)``, the
+    transform's right spines, over drawn literal, constant and compound
+    sources and dominator positions."""
+    sources = draw(
+        st.lists(st.one_of(st.sampled_from(LITERALS + [Not(Atom("c")), Atom("c")]), formulas()), min_size=1, max_size=4)
+    )
+    positions = st.lists(st.integers(0, len(sources) - 1), max_size=3, unique=True)
+    sigmas = [draw(positions) for _ in sources]
+    return list(nest_values(sources, sigmas, Or, And))
+
+
+class TestFoldedSpines:
+    """``truth_mask`` folds right spines; the recursive ``evaluate`` is the
+    oracle, on every interpretation."""
+
+    @given(nests())
+    @settings(max_examples=200)
+    def test_nest_outputs(self, outputs):
+        for f in outputs:
+            assert_truth_mask_matches_evaluate(f)
+
+    @given(nests())
+    @settings(max_examples=100)
+    def test_negated_nest_outputs(self, outputs):
+        for f in outputs:  # as the corrupting self test of check-equiv builds them
+            assert_truth_mask_matches_evaluate(Not(f))
+
+    @given(spines(), st.lists(st.tuples(st.sampled_from([Implies, Iff]), st.booleans()), max_size=6))
+    @settings(max_examples=200)
+    def test_implies_and_iff_spines(self, f, steps):
+        for op, negate in steps:
+            f = op(Not(f) if negate else f, f) if op is Iff else op(A if negate else Not(B), f)
+        assert_truth_mask_matches_evaluate(f)
 
 
 class TestToText:

@@ -16,6 +16,7 @@ from scenarios import (
     inheritance_theory,
     verify_special_case,
 )
+from parapri import config
 from parapri.circumscription import circ_equivalent, preferred_models, skeptical_entails
 from parapri.errors import CapExceededError, UniverseError, ValidationError
 from parapri.formula import Atom, parse_formula, to_text, truth_mask
@@ -245,6 +246,27 @@ class TestEncodeAbnormality:
     def test_empty_priority_adds_no_cancellation(self):
         enc = encode_abnormality(build_theory(defaults=[("r1", "p -> q")]))
         assert len(enc.base) == 1
+
+    def test_cap_counts_guards_and_cancellation_axioms(self, monkeypatch):
+        # three guards and three cancellation axioms: r2 > r1 > r0, closed
+        t = build_theory(defaults=[(f"r{k}", f"c{k} -> q") for k in range(3)], prefer=[("r2", "r1"), ("r1", "r0")])
+        monkeypatch.setattr(config, "TRANSFORM_FORMULAS", 6)
+        for variant in AB_VARIANTS:
+            assert len(encode_abnormality(t, variant).base) == 6
+        monkeypatch.setattr(config, "TRANSFORM_FORMULAS", 5)
+        for variant in AB_VARIANTS:
+            with pytest.raises(CapExceededError, match=r"^guarded encoding would emit 6 formulas, above the cap of 5$"):
+                encode_abnormality(t, variant)
+
+    def test_cap_refuses_before_grounding(self):
+        # 1024 instances of e1, each below the 1024 of e2: 2048 guards and
+        # 1024^2 axioms, above the cap; the defaults are never read.
+        domain = " ".join(f"c{k}" for k in range(1, 33))
+        text = f"domain: {domain}\nschema e1[X,Y]: p(X) -> q(X,Y)\nschema e2[X,Y]: r(Y) -> ~q(X,Y)\nprefer e2 > e1\n"
+        t = ground(parse_theory(text))
+        with pytest.raises(CapExceededError, match=f"^guarded encoding would emit {2048 + 1024**2} formulas, "):
+            encode_abnormality(t)
+        assert not {"defaults", "universe"} & vars(t).keys()
 
     def test_violation_variant_projects_onto_the_original(self):
         for case in (11, 12, 13):

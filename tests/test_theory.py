@@ -656,8 +656,9 @@ def formula_nodes(monkeypatch):
 
 class TestGroundedOnFirstRead:
     """``ground`` builds the instance labels and the order; the instance
-    formulas and the universe are built together on the first read of
-    either."""
+    formulas and the universe are built together on the first read of the
+    formulas, and the universe alone, from the atom-name templates, on a
+    read of it before them."""
 
     @pytest.mark.parametrize("path", SCHEMA_FILES, ids=lambda p: p.name)
     def test_order_readers_build_no_formula(self, capsys, formula_nodes, path):
@@ -694,10 +695,48 @@ class TestGroundedOnFirstRead:
     @pytest.mark.parametrize("path", SCHEMA_FILES, ids=lambda p: p.name)
     def test_one_walk_builds_both_fields(self, formula_nodes, path, first):
         t = ground(parse_theory(path.read_text()))
+        start = formula_nodes()
         getattr(t, first)
+        if first == "universe":  # the universe alone, and no formula node
+            assert formula_nodes() == start and "defaults" not in vars(t)
+            universe = t.universe
+            t.defaults
+            assert t.universe == universe
         built = formula_nodes()
+        assert built > start
         t.universe, t.defaults
         assert formula_nodes() == built
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["query", "p(c1)"], 1),  # the query's own Atom
+            (["models"], 0),
+            (["check-equiv"], 0),
+            (["prune"], 0),
+            (["encode-ab"], 0),
+        ],
+        ids=["query", "models", "check-equiv", "prune", "encode-ab"],
+    )
+    def test_caps_refuse_before_grounding(self, capsys, monkeypatch, tmp_path, formula_nodes, argv, extra):
+        # 1088 atoms, above the atom cap; 1024 instances of e1, each below
+        # the 1024 of e2: 2048 guards and 1024^2 axioms, above TRANSFORM_FORMULAS.
+        monkeypatch.delenv("PARAPRI_MAX_ATOMS", raising=False)
+        path = tmp_path / "wide.thy"
+        domain = " ".join(f"c{k}" for k in range(1, 33))
+        path.write_text(
+            f"domain: {domain}\nschema e1[X,Y]: p(X) -> q(X,Y)\nschema e2[X,Y]: r(Y) -> ~q(X,Y)\nprefer e2 > e1\n"
+        )
+        parse_theory(path.read_text())
+        parsed = formula_nodes()
+        command, *rest = argv
+        assert main([command, str(path), *rest]) == 3
+        assert formula_nodes() - parsed == parsed + extra  # the parses, and no instance formula
+        if command == "encode-ab":
+            want = f"guarded encoding would emit {2048 + 1024**2} formulas, above the cap of {TRANSFORM_FORMULAS}"
+        else:
+            want = "1088 atoms exceeds the enumeration cap of 20"
+        assert capsys.readouterr() == ("", f"error: {want}\n")
 
     @pytest.mark.parametrize("first", ["universe", "defaults"])
     @given(text=grounding_texts())
