@@ -135,6 +135,37 @@ class TestParseTheory:
             parse_theory((DATA / "bad_token.thy").read_text())
         assert (e.value.offset, e.value.line) == (None, 3)
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("default a: p\n  bogus line\n", "unrecognized directive 'bogus'", 2),
+            ("defaults a: p\n", "unrecognized directive 'defaults'", 1),
+            ("atoms: p\n# again\natoms: q\n", "duplicate atoms: line", 3),
+            ("domain: a\ndomain: b\n", "duplicate domain: line", 2),
+            ("domain: a 1b\n", "bad domain constant '1b'", 1),
+            ("domain: a\nschema s[X]: p(X)\ndomain: a\n", "duplicate domain: line", 3),
+            ("base: p\ndefault a b: q\n", "bad default label 'a b'", 2),
+            ("default a[x: p\n", "bad default label 'a[x'", 1),
+            ("default a: p\nfix 1f: q\n", "bad fixture label '1f'", 2),
+            ("fix : q\n", "bad fixture label ''", 1),
+            ("domain: a\nschema s(X): p(X)\n", "bad schema head 's(X)'", 2),
+            ("schema s: p\n", "bad schema head 's'", 1),
+            ("base: p\ndefault d: p & $\n", "unknown token '$' (at byte offset 5)", 2),
+            ("fix f: (p\n", "expected ')', found 'end of input' (at byte offset 3)", 1),
+            ("domain: a\nschema s[X]: p(X) &\n", "expected a formula, found 'end of input' (at byte offset 7)", 2),
+        ],
+    )
+    def test_every_line_error_is_pinned(self, text, message, line):
+        # Every line error is numbered once, after its own message; a
+        # formula's byte offset is kept in the message only.
+        with pytest.raises(ParseError) as e:
+            parse_theory(text)
+        assert (str(e.value), e.value.line, e.value.offset) == (f"{message} (line {line})", line, None)
+
+    def test_explicit_atoms_refused_with_a_domain(self):
+        with pytest.raises(ValidationError, match=r"^explicit atoms: line is not supported with a domain$"):
+            parse_theory("atoms: p\ndomain: a\nschema s[X]: p(X)\n")
+
     def test_atoms_are_shared_and_in_first_mention_order(self):
         t = parse_theory("base: b -> a\ndefault d1: a & c\ndefault d2: ~c\nfix f: d | b\n")
         assert t.universe == ("b", "a", "c", "d")
