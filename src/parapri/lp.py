@@ -40,19 +40,15 @@ class Program:
 
     @cached_property
     def atoms(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for c in self.clauses:
-            seen.setdefault(c.head)
-            for a in c.pos + c.neg:
-                seen.setdefault(a)
-        return tuple(seen)
+        """Every atom, in first-mention order."""
+        return tuple(dict.fromkeys(a for c in self.clauses for a in (c.head, *c.pos, *c.neg)))
 
 
-def _parse_atom(token: str, lineno: int, names: dict[str, Atom]) -> str:
+def _parse_atom(token: str, names: dict[str, Atom]) -> str:
     # ``names`` holds the atoms read so far under their names, as in
     # ``parse_formula``, so that the program shares one Atom per name.
     if (atom := parse_atom(token, names)) is None:
-        raise ParseError(f"bad atom {token.strip()!r}", line=lineno)
+        raise ParseError(f"bad atom {token.strip()!r}")
     return atom.name
 
 
@@ -60,33 +56,37 @@ _ARGS_RE = re.compile(r"(\([^()]*\))")  # ``split`` keeps these closed groups at
 
 
 def parse_program(text: str) -> Program:
+    """Parse a program file; each error a line raises is numbered in one
+    place, after its own message, as ``theory.parse_theory`` numbers them."""
     clauses = []
     names: dict[str, Atom] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not line.endswith("."):
-            raise ParseError("clause does not end with '.'", line=lineno)
-        line = line[:-1].strip()
-        head_text, sep, body_text = line.partition(":-")
-        head = _parse_atom(head_text, lineno, names)
-        pos: list[str] = []
-        neg: list[str] = []
-        if sep:
-            if not body_text.strip():
-                raise ParseError("empty clause body after ':-'", line=lineno)
-            literals = [""]  # the body split on its commas outside parentheses
-            for k, piece in enumerate(_ARGS_RE.split(body_text)):
-                first, *rest = (piece,) if k % 2 else piece.split(",")
-                literals[-1] += first
-                literals += rest
-            for lit in literals:
-                lit = lit.strip()
-                if lit.startswith("not "):
-                    neg.append(_parse_atom(lit[4:], lineno, names))
-                else:
-                    pos.append(_parse_atom(lit, lineno, names))
+        try:
+            if not line.endswith("."):
+                raise ParseError("clause does not end with '.'")
+            head_text, sep, body_text = line[:-1].strip().partition(":-")
+            head = _parse_atom(head_text, names)
+            pos: list[str] = []
+            neg: list[str] = []
+            if sep:
+                if not body_text.strip():
+                    raise ParseError("empty clause body after ':-'")
+                literals = [""]  # the body split on its commas outside parentheses
+                for k, piece in enumerate(_ARGS_RE.split(body_text)):
+                    first, *rest = (piece,) if k % 2 else piece.split(",")
+                    literals[-1] += first
+                    literals += rest
+                for lit in literals:
+                    lit = lit.strip()
+                    if lit.startswith("not "):
+                        neg.append(_parse_atom(lit[4:], names))
+                    else:
+                        pos.append(_parse_atom(lit, names))
+        except ParseError as e:
+            raise ParseError(str(e), line=lineno) from None
         clauses.append(Clause(head, tuple(pos), tuple(neg)))
     return Program(tuple(clauses))
 

@@ -25,7 +25,7 @@ from typing import Sequence
 from . import config
 from .circumscription import cell_columns, circ_equivalent
 from .errors import CapExceededError, InternalError, ValidationError
-from .formula import Atom, Formula, Implies, Not, iter_bits
+from .formula import Formula, Implies, Not, iter_bits, parse_atom
 from .theory import LabeledFormula, Theory, parallel_order
 from .transform import TransformOutput, parallel_theory, transform_canonical
 
@@ -94,29 +94,20 @@ def prune_redundant(
     # Highest source block first, bit strings in descending value within it.
     for pos in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
         label, f = w.defaults[pos]
-        fm = masks[pos] & base_mask
-        # These two checks keep fm off 0 and base_mask, where
+        fm = masks[pos]
+        # This check keeps fm off 0 and base_mask, where
         # _positive_combination is exact.
-        if fm == base_mask:
-            drops[pos] = DropRecord(label, f, TAUT_TRUE)
-            alive.discard(pos)
-            continue
-        if fm == 0:
-            drops[pos] = DropRecord(label, f, TAUT_FALSE)
+        if fm in (0, base_mask):
+            drops[pos] = DropRecord(label, f, TAUT_TRUE if fm == base_mask else TAUT_FALSE)
             alive.discard(pos)
             continue
         others = [q for q in sorted(alive) if q != pos]
-        found = None
         # The test is monotone in the masks: if all others fail, so does every subset.
         if not _positive_combination(fm, [masks[q] for q in others], base_mask):
             continue
-        for subset_size in range(1, k + 1):
-            for subset in itertools.combinations(others, subset_size):
-                if _positive_combination(fm, [masks[q] for q in subset], base_mask):
-                    found = subset
-                    break
-            if found:
-                break
+        # Smallest subsets first. The search is bound to no name, so it is freed before the self-check below.
+        found = next((c for size in range(1, k + 1) for c in itertools.combinations(others, size)
+                      if _positive_combination(fm, [masks[q] for q in c], base_mask)), None)
         if found:
             drops[pos] = DropRecord(label, f, COMBINATION, tuple(w.defaults[q].label for q in found))
             alive.discard(pos)
@@ -149,7 +140,10 @@ def encode_abnormality(t: Theory, variant: str = "violation") -> Theory:
 
     Each default f = c -> q gains a fresh atom ab_<label>, the label's
     brackets turned into parentheses (ab_e1(tweety) for e1[tweety]), and
-    the for-sure guard ~ab -> f. Every strict priority pair (j, i)
+    the for-sure guard ~ab -> f. The name is read by ``parse_atom``, as a
+    theory file's atoms are, so the printed encoding loads back: a label
+    with text after its brackets (e1[a]_x) names no atom, and is refused
+    with ValidationError. Every strict priority pair (j, i)
     contributes one cancellation axiom; its shape depends on the variant:
 
       violation       ~f_j -> ab_i
@@ -172,7 +166,12 @@ def encode_abnormality(t: Theory, variant: str = "violation") -> Theory:
     for label, f in t.defaults:
         if not isinstance(f, Implies):
             raise ValidationError(f"default {label!r} is not an implication rule")
-    ab = [Atom("ab_" + label.replace("[", "(").replace("]", ")")) for label in t.default_labels]
+    ab = []
+    for label in t.default_labels:
+        name = "ab_" + label.replace("[", "(").replace("]", ")")
+        if (a := parse_atom(name, {})) is None:  # text after the brackets, as in e1[a]_x
+            raise ValidationError(f"default {label!r} gives no abnormality atom: {name!r} is not an atom name")
+        ab.append(a)
     declared = set(t.universe)
     for a in ab:
         if a.name in declared:

@@ -10,13 +10,21 @@ Theory file format (line oriented, ``#`` comments)::
     domain: c1 c2 ...                 switches to schema (first-order) mode
     schema <label>[X,Y]: <formula>    variables are uppercase identifiers
 
+``parse_theory`` reads every line in one loop, one reader per line shape:
+``atoms:`` and ``domain:`` lines share one, and so do ``default`` and
+``fix`` lines. A line's error is a ParseError numbered in one place, whose
+``line`` is set and whose message ends in ``(line N)``; a formula's byte
+offset stays in the message. Checks across lines (labels, order, universe)
+raise ValidationError after the loop.
+
 Priority is entered as covering edges; the transitive closure is computed
 and validated for acyclicity at load time, and only the closure is kept:
-``print_theory`` writes one ``prefer`` line per closure pair. One walk over
-the strongly connected components of the lower -> higher edges fills the
-closure and finds any cycle; ``lp.stratify`` runs the same walk over a
-program's dependencies. A grounded order takes its closure from the
-schema-level one, one block of instances per schema.
+``print_theory`` writes one ``prefer`` line per closure pair, and
+``transitive_closure`` returns the pairs, both read off the masks by one
+walk. One walk over the strongly connected components of the lower ->
+higher edges fills the closure and finds any cycle; ``lp.stratify`` runs
+the same walk over a program's dependencies. A grounded order takes its
+closure from the schema-level one, one block of instances per schema.
 
 Two theories hold a recipe in place of some fields, and build those fields
 on the first read of any of them (``BuiltOnFirstRead``); the recipe is
@@ -140,11 +148,17 @@ def _check_unique(items: Collection, message: str) -> None:
         raise ValidationError(message)
 
 
+def _closure_pairs(above: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The (higher, lower) position pairs of the closure whose rows are ``above``."""
+    return ((j, i) for i, a in enumerate(above) if a for j in iter_bits(a))
+
+
 def transitive_closure(edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     """Smallest transitive superset of ``edges``; raises CycleError if it
     would contain a reflexive pair, naming the least label on a cycle."""
     edges = list(edges)
-    return PriorityOrder(tuple(dict.fromkeys(x for e in edges for x in e)), edges).closure
+    order = PriorityOrder(tuple(dict.fromkeys(x for e in edges for x in e)), edges)
+    return frozenset((order.indices[j], order.indices[i]) for j, i in _closure_pairs(order.above))
 
 
 @dataclass(frozen=True, init=False)
@@ -154,10 +168,9 @@ class PriorityOrder:
     when ``indices[k]`` is strictly higher. The constructor closes (higher,
     lower) pairs and rejects undeclared labels and cycles; pairs with the
     same closure give equal orders. ``ground`` passes ``_closed`` the masks
-    it reads off the schema-level order. ``position``, ``closure`` and
-    ``dominators_map`` are views built on first use; ``dominators_map``
-    shares one frozenset among the labels with one mask, such as the
-    instances of a schema.
+    it reads off the schema-level order. ``position`` and ``dominators_map``
+    are views built on first use; ``dominators_map`` shares one frozenset
+    among the labels with one mask, such as the instances of a schema.
     """
 
     indices: tuple[str, ...]
@@ -193,11 +206,6 @@ class PriorityOrder:
     def position(self) -> dict[str, int]:
         """Label -> its index in ``indices``."""
         return dict(zip(self.indices, range(len(self.indices))))
-
-    @cached_property
-    def closure(self) -> frozenset[tuple[str, str]]:
-        names = self.indices
-        return frozenset((names[j], names[i]) for i, a in enumerate(self.above) for j in iter_bits(a))
 
     @cached_property
     def dominators_map(self) -> dict[str, frozenset[str]]:
@@ -514,103 +522,84 @@ def ground(s: SchemaTheory) -> Theory:
 
 
 def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
-    """Parse a theory file; returns a SchemaTheory when ``domain:`` occurs.
+    """Parse a theory file; returns a SchemaTheory when ``domain:`` or a
+    schema line occurs.
 
+    One loop reads every line, dispatched on its directive: ``atoms:`` and
+    ``domain:`` lines share one reader (one line each, then per-name
+    checks), and so do ``default`` and ``fix`` lines (one label check, one
+    list per kind). A line's reader raises ParseError with its message
+    alone, and the loop numbers it, the one place that sets ``line``.
     One name -> Atom dict serves every formula: when the base, default and
     fix lines come in that order, its keys are the atoms in mention order.
     """
-    explicit_atoms: tuple[str, ...] | None = None
-    domain: tuple[str, ...] | None = None
+    lists: dict[str, tuple[str, ...]] = {}  # the names of the atoms: and of the domain: line
+    labeled: dict[str, list[LabeledFormula]] = {"default": [], "fix": []}
     base: list[Formula] = []
-    defaults: list[LabeledFormula] = []
     schemas: list[Schema] = []
-    fixtures: list[LabeledFormula] = []
     edges: list[tuple[str, str]] = []
     names: dict[str, Atom] = {}
     in_order = True  # no base line after a default or fix line, nor a default line after a fix line
-
-    def fail(msg: str, lineno: int):
-        raise ParseError(msg, line=lineno)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            if line.startswith("atoms:"):
-                if explicit_atoms is not None:
-                    fail("duplicate atoms: line", lineno)
-                explicit = []
-                for n in line[len("atoms:"):].split():
-                    if (atom := parse_atom(n, names)) is None:
-                        fail(f"bad atom name {n!r}", lineno)
-                    explicit.append(atom.name)
-                explicit_atoms = tuple(explicit)
+            if line.startswith(("atoms:", "domain:")):
+                kind, _, rest = line.partition(":")
+                if kind in lists:
+                    raise ParseError(f"duplicate {kind}: line")
+                items = rest.split()
+                if kind == "atoms":
+                    for k, n in enumerate(items):
+                        if (atom := parse_atom(n, names)) is None:
+                            raise ParseError(f"bad atom name {n!r}")
+                        items[k] = atom.name
+                else:
+                    for c in items:
+                        if not _IDENT_RE.fullmatch(c):
+                            raise ParseError(f"bad domain constant {c!r}")
+                    for c, n in Counter(items).items():
+                        if n > 1:
+                            raise ParseError(f"duplicate domain constant {c!r}")
+                lists[kind] = tuple(items)
             elif line.startswith("base:"):
-                in_order = in_order and not defaults and not fixtures
+                in_order = in_order and not labeled["default"] and not labeled["fix"]
                 base.append(parse_formula(line[len("base:"):], names))
-            elif line.startswith("domain:"):
-                if domain is not None:
-                    fail("duplicate domain: line", lineno)
-                consts = line[len("domain:"):].split()
-                for c in consts:
-                    if not _IDENT_RE.fullmatch(c):
-                        fail(f"bad domain constant {c!r}", lineno)
-                for c, n in Counter(consts).items():
-                    if n > 1:
-                        fail(f"duplicate domain constant {c!r}", lineno)
-                domain = tuple(consts)
-            elif line.startswith("default "):
-                head, _, body = line[len("default "):].partition(":")
+            elif line.startswith(("default ", "fix ")):
+                kind, _, rest = line.partition(" ")
+                head, _, body = rest.partition(":")
                 label = head.strip()
                 if not LABEL_RE.fullmatch(label):
-                    fail(f"bad default label {label!r}", lineno)
-                in_order = in_order and not fixtures
-                defaults.append(LabeledFormula(label, parse_formula(body, names)))
+                    raise ParseError(f"bad {'fixture' if kind == 'fix' else kind} label {label!r}")
+                in_order = in_order and (kind == "fix" or not labeled["fix"])
+                labeled[kind].append(LabeledFormula(label, parse_formula(body, names)))
             elif line.startswith("schema "):
                 head, _, body = line[len("schema "):].partition(":")
                 m = _SCHEMA_HEAD_RE.fullmatch(head.strip())
                 if not m:
-                    fail(f"bad schema head {head.strip()!r}", lineno)
+                    raise ParseError(f"bad schema head {head.strip()!r}")
                 params = tuple(p.strip() for p in m.group(2).split(",")) if m.group(2).strip() else ()
                 schemas.append(Schema(m.group(1), params, parse_formula(body, names)))
             elif line.startswith("prefer "):
                 m = _PREFER_RE.fullmatch(line)
                 if not m:
-                    fail("bad prefer line, expected 'prefer <label> > <label>'", lineno)
+                    raise ParseError("bad prefer line, expected 'prefer <label> > <label>'")
                 edges.append((m.group(1), m.group(2)))
-            elif line.startswith("fix "):
-                head, _, body = line[len("fix "):].partition(":")
-                label = head.strip()
-                if not LABEL_RE.fullmatch(label):
-                    fail(f"bad fixture label {label!r}", lineno)
-                fixtures.append(LabeledFormula(label, parse_formula(body, names)))
             else:
-                fail(f"unrecognized directive {line.split()[0]!r}", lineno)
+                raise ParseError(f"unrecognized directive {line.split()[0]!r}")
         except ParseError as e:
-            if e.line is None:
-                raise ParseError(str(e), line=lineno) from None
-            raise
+            raise ParseError(str(e), line=lineno) from None
 
-    if domain is not None or schemas:
-        if explicit_atoms is not None:
+    defaults, fixtures = tuple(labeled["default"]), tuple(labeled["fix"])
+    if "domain" in lists or schemas:
+        if "atoms" in lists:
             raise ValidationError("explicit atoms: line is not supported with a domain")
-        return SchemaTheory(
-            domain=domain or (),
-            base=tuple(base),
-            defaults=tuple(defaults),
-            schemas=tuple(schemas),
-            edges=frozenset(edges),
-            fixtures=tuple(fixtures),
-        )
+        return SchemaTheory(lists.get("domain", ()), tuple(base), defaults, tuple(schemas), frozenset(edges), fixtures)
     mentioned = tuple(names) if in_order else formula_atoms(*base, *(f for _, f in (*defaults, *fixtures)))
-    theory = Theory._known_atoms(
-        universe=mentioned if explicit_atoms is None else explicit_atoms,
-        base=tuple(base),
-        defaults=tuple(defaults),
-        priority=PriorityOrder(tuple(d.label for d in defaults), edges),
-        fixtures=tuple(fixtures),
-    )
+    priority = PriorityOrder(tuple(d.label for d in defaults), edges)
+    theory = Theory._known_atoms(lists.get("atoms", mentioned), tuple(base), defaults, priority, fixtures)
     if undeclared := names.keys() - theory.universe:
         raise ValidationError(f"atom {next(a for a in mentioned if a in undeclared)!r} not in declared universe")
     return theory
@@ -648,12 +637,11 @@ def print_theory(t: Theory) -> str:
     """Theory file text that parses back to an equal Theory: the order is
     printed as its closure pairs, by position of the higher label, then of
     the lower one."""
-    names, above = t.priority.indices, t.priority.above
-    pairs = sorted((j, i) for i, a in enumerate(above) if a for j in iter_bits(a))
+    names = t.priority.indices
     lines = [f"atoms: {' '.join(t.universe)}"] if t.universe else ["atoms:"]
     lines += [f"base: {to_text(f)}" for f in t.base]
     lines += [f"default {l}: {s}" for l, s in labeled_texts(t)]
-    lines += [f"prefer {names[j]} > {names[i]}" for j, i in pairs]
+    lines += [f"prefer {names[j]} > {names[i]}" for j, i in sorted(_closure_pairs(t.priority.above))]
     lines += [f"fix {l}: {to_text(f)}" for l, f in t.fixtures]
     return "\n".join(lines) + "\n"
 

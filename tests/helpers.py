@@ -234,6 +234,13 @@ def strictly_better(spec: Theory, z2: Interpretation, z: Interpretation) -> bool
 
 
 
+def closure_pairs(order: PriorityOrder) -> frozenset[tuple[str, str]]:
+    """The (higher, lower) label pairs of ``order``'s closure, read bit by
+    bit off its ``above`` masks."""
+    names = order.indices
+    return frozenset((names[j], names[i]) for i, a in enumerate(order.above) for j in range(len(names)) if a >> j & 1)
+
+
 def transitive_closure_naive(edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     """Smallest transitive superset of ``edges``; raises CycleError if it
     would contain a reflexive pair, naming the least label on a cycle."""

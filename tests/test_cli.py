@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ac_set, perfect_model, run_python
+from helpers import ac_set, closure_pairs, perfect_model, run_python
 from parapri import config
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.cli import main
@@ -324,13 +324,21 @@ class TestEncodeAb:
         assert code == 2
         assert "error" in err
 
+    def test_label_with_text_after_its_brackets_refused(self, capsys, tmp_path):
+        # ab_e1(a)_x would be printed, and no theory file can name it
+        f = tmp_path / "suffix.thy"
+        f.write_text("default e1[a]_x: p -> q\ndefault e2: r -> ~q\nprefer e2 > e1[a]_x\n")
+        code, out, err = run(capsys, "encode-ab", f)
+        message = "default 'e1[a]_x' gives no abnormality atom: 'ab_e1(a)_x' is not an atom name"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestEncodeLp:
     def test_two_strata(self, capsys):
         code, out, _ = run(capsys, "encode-lp", DATA / "two_strata.lp")
         assert code == 0
         t = parse_theory(out)
-        assert t.priority.closure == {("min_q", "min_p")}
+        assert closure_pairs(t.priority) == {("min_q", "min_p")}
 
     def test_atoms_with_arguments(self, capsys, tmp_path):
         f = tmp_path / "args.lp"

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from generate import random_stratified_program
-from helpers import cycle_through_negation_by_literals, perfect_model
+from helpers import closure_pairs, cycle_through_negation_by_literals, perfect_model
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.errors import NotStratifiedError, ParseError
 from parapri.lp import Clause, Program, encode_stratified, parse_program, stratify
@@ -174,7 +174,7 @@ class TestEncodeStratified:
         t = encode_stratified(parse_program(TWO_STRATA))
         assert [str(f) for f in t.base] == ["q", "(~q -> p)"]
         assert [str(f) for _, f in t.defaults] == ["~q", "~p"]
-        assert t.priority.closure == {("min_q", "min_p")}
+        assert closure_pairs(t.priority) == {("min_q", "min_p")}
         pm = preferred_models(t)
         assert len(pm) == 1
         m = pm.models[0]
@@ -204,7 +204,7 @@ class TestEncodeStratified:
         for x in p.atoms:
             for y in p.atoms:
                 expected = s[x] < s[y]
-                assert ((f"min_{x}", f"min_{y}") in t.priority.closure) == expected
+                assert ((f"min_{x}", f"min_{y}") in closure_pairs(t.priority)) == expected
 
 
     def test_order_matches_the_stratum_pairs(self):

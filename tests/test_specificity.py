@@ -1,6 +1,7 @@
 """Redundancy pruning, the built-in inheritance cases, and the guarded encoding."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from generate import random_formula, random_theory
-from helpers import ac_set, positive_closure_naive
+from helpers import ac_set, closure_pairs, positive_closure_naive
 from scenarios import (
     INHERITANCE_CASES,
     abnormality_variant_report,
@@ -19,7 +20,7 @@ from scenarios import (
 from parapri import config
 from parapri.circumscription import circ_equivalent, preferred_models, skeptical_entails
 from parapri.errors import CapExceededError, UniverseError, ValidationError
-from parapri.formula import Atom, parse_formula, to_text, truth_mask
+from parapri.formula import LABEL_RE, Atom, parse_formula, to_text, truth_mask
 from parapri.specificity import (
     COMBINATION,
     TAUT_FALSE,
@@ -239,7 +240,7 @@ class TestEncodeAbnormality:
             f"({j.replace('r', 'c')} -> ab_{i})"
             for i in order.indices
             for j in order.indices
-            if (j, i) in order.closure
+            if (j, i) in closure_pairs(order)
         ]
         assert [to_text(f) for f in enc.base[len(t.defaults):]] == want
 
@@ -295,6 +296,28 @@ class TestEncodeAbnormality:
         t = build_theory(atoms=("p", "q", "ab_d"), defaults=[("d", "p & q")])
         with pytest.raises(ValidationError, match="^default 'd' is not an implication rule$"):
             encode_abnormality(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labels=st.lists(st.from_regex(LABEL_RE, fullmatch=True), min_size=2, max_size=3, unique=True),
+        variant=st.sampled_from(AB_VARIANTS),
+    )
+    def test_encoding_loads_back_or_is_refused(self, labels, variant):
+        # A label with text after its brackets names no atom: refused, with
+        # the default named; any other encoding prints a file that loads
+        # back to an equal theory.
+        t = build_theory(
+            defaults=[(label, f"c{k} -> {'~' * (k % 2)}q") for k, label in enumerate(labels)],
+            prefer=list(zip(labels[1:], labels)),
+        )
+        bad = [label for label in labels if "]" in label and not label.endswith("]")]
+        if bad:
+            message = f"^default {re.escape(repr(bad[0]))} gives no abnormality atom: "
+            with pytest.raises(ValidationError, match=message):
+                encode_abnormality(t, variant)
+        else:
+            enc = encode_abnormality(t, variant)
+            assert parse_theory(print_theory(enc)) == enc
 
     def test_schema_encoding_prints_loadable_atoms(self):
         t = ground(parse_theory((DATA / "schema_birds.thy").read_text()))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from generate import random_theory
 from helpers import (
     classify_order_naive,
+    closure_pairs,
     fixtures_to_defaults,
     ground_naive,
     lifted_edges_naive,
@@ -72,7 +73,7 @@ class TestParseTheory:
         t = parse_theory(TWEETY)
         assert isinstance(t, Theory)
         assert len(t.defaults) == 2
-        assert t.priority.closure == {("e2", "e1")}
+        assert closure_pairs(t.priority) == {("e2", "e1")}
         assert t.universe == ("ostrich", "bird", "flies")
 
     def test_priority_cycle_rejected(self):
@@ -228,7 +229,7 @@ class TestGround:
             )
         )
         assert len(t.defaults) == 4
-        assert t.priority.closure == {
+        assert closure_pairs(t.priority) == {
             ("e2[a]", "e1[a]"),
             ("e2[a]", "e1[b]"),
             ("e2[b]", "e1[a]"),
@@ -259,7 +260,7 @@ class TestGround:
     def test_plain_defaults_survive_grounding(self):
         t = ground(parse_theory("domain: a\ndefault d0: s\nschema d[X]: p(X)\nprefer d0 > d\n"))
         assert t.default_labels == ("d0", "d[a]")
-        assert t.priority.closure == {("d0", "d[a]")}
+        assert closure_pairs(t.priority) == {("d0", "d[a]")}
 
     def test_repeated_parameter_rejected(self):
         with pytest.raises(ValidationError, match="schema 's' repeats parameter 'X'"):
@@ -286,7 +287,7 @@ class TestFixturesToDefaults:
         assert [l for l, _ in r.defaults] == ["d", "fix_f", "nfix_f"]
         assert str(r.defaults[1].formula) == "p"
         assert str(r.defaults[2].formula) == "~p"
-        assert r.priority.closure == t.priority.closure
+        assert closure_pairs(r.priority) == closure_pairs(t.priority)
 
     def test_no_fixtures_is_identity(self):
         t = build_theory(defaults=[("d", "q")])
@@ -435,7 +436,7 @@ def check_order_against_oracles(labels, edges, order=None):
         order = PriorityOrder(labels, frozenset(edges))
     assert order.indices == tuple(labels)
     assert order.position == {x: k for k, x in enumerate(labels)}
-    assert order.closure == want
+    assert closure_pairs(order) == want
     doms = {i: frozenset(j for j, k in want if k == i) for i in labels}
     assert order.above == tuple(sum(1 << order.position[j] for j in doms[i]) for i in labels)
     assert order.dominators_map == doms
@@ -605,7 +606,7 @@ class TestPrintedForm:
 
     def test_fixture_reduction_round_trips(self):
         t = fixtures_to_defaults(parse_theory((DATA / "fixed_bird.thy").read_text()))
-        assert t.priority.closure and t.default_labels[-2:] == ("fix_f1", "nfix_f1")
+        assert closure_pairs(t.priority) and t.default_labels[-2:] == ("fix_f1", "nfix_f1")
         assert parse_theory(print_theory(t)) == t
 
 
@@ -640,7 +641,7 @@ class TestKnownAtoms:
     def test_theories_without_a_universe(self, rng):
         t = random_theory(rng, fixture_prob=0.5)
         text = print_theory(t).split("\n", 1)[1]  # no atoms: line
-        built = build_theory(base=t.base, defaults=t.defaults, prefer=t.priority.closure, fixtures=t.fixtures)
+        built = build_theory(base=t.base, defaults=t.defaults, prefer=closure_pairs(t.priority), fixtures=t.fixtures)
         assert parse_theory(text) == built
         assert_checked_constructor_agrees(built)
 

@@ -17,6 +17,7 @@ from helpers import (
     ac_set,
     build_wil,
     chain_theory,
+    closure_pairs,
     descending_naive,
     fixtures_to_defaults,
     labels_and_provenance_eagerly,
@@ -123,7 +124,7 @@ class TestDescendingSequences:
                 for sigma in descending_sequences(t.priority, label):
                     for a in range(len(sigma)):
                         for b in range(a + 1, len(sigma)):
-                            assert (sigma[b], sigma[a]) not in t.priority.closure
+                            assert (sigma[b], sigma[a]) not in closure_pairs(t.priority)
 
 
 class TestBuildWil:
