@@ -19,14 +19,21 @@ time, and each default is valued over the K cells as a K-bit column,
 through ``nest_values`` from the sources' columns. Cells of one fixture
 class on which every default agrees are decided as one. Because the
 priority order is transitively closed, z <= z2 holds exactly when every
-maximal default on which the two differ holds at z2; so for two cells of
-one fixture class, which differ on some default, z <= z2 already rules out
-z2 <= z. One loop therefore decides every order: a cell
-is preferred iff its packed pre-order row over the rest of its class is
-empty, and without priorities that row is the containment test of the
-parallel case. The preferred models are the union of the undominated
-cells; ``preorder_equivalent`` compares two theories' pre-orders, row by
-row, on the joint cells of both nests' sources over the whole universe.
+default that holds at z but not at z2 has a dominator that holds at z2 but
+not at z; so for two cells of one fixture class, which differ on some
+default, z <= z2 already rules out z2 <= z, and a key that sums 2^rank
+over a cell's defaults, where each default outranks all it dominates, is
+larger at z2 whenever z2 is strictly preferred. One sweep therefore decides
+every order, as in sort-filter skyline (Chomicki et al., ICDE 2003): it
+visits each class's cells by descending key, so a cell comes after every
+cell that dominates it, and a cell is dominated exactly when a preferred
+cell found before it is at least as preferred. That is tested pair by pair
+against the preferred cells found, or, when they outnumber the cell's
+defaults, as one packed pre-order row over them; without priorities the
+pair test is profile containment. The preferred models are the union of
+the undominated cells; ``preorder_equivalent`` compares two theories'
+pre-orders, row by row, on the joint cells of both nests' sources over the
+whole universe.
 
 Memory: the sources' masks reach the cell split one at a time, and profiles
 are transposed ``TRANSPOSE_BLOCK`` columns at a time; what stays is the
@@ -145,6 +152,17 @@ def _dominator_positions(order: PriorityOrder) -> list[Sequence[int]]:
     return [list(iter_bits(a)) if a else () for a in order.above]
 
 
+def _sweep_keys(above: Sequence[int], profiles: list[int], columns: Sequence[int]) -> list[int]:
+    """One key per cell that rises along the pre-order within a fixture
+    class (module docstring): the sum of 2^rank over the cell's defaults,
+    ranked by descending dominator count, so that a default outweighs all
+    it dominates. Without priorities the profile itself is such a key."""
+    if not any(above):
+        return profiles
+    ranked = sorted(range(len(above)), key=lambda i: above[i].bit_count(), reverse=True)
+    return _transpose([columns[i] for i in ranked], len(profiles))
+
+
 def _quotient(base_mask: int, masks: Iterable[int]) -> tuple[list[int], list[int]]:
     """Split ``base_mask`` into the non-empty cells on which every mask is
     constant, taking the masks one at a time; return the cells and their
@@ -191,7 +209,8 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
 
 def preferred_models(t: Theory) -> PreferredModelSet:
     """Base models not strictly dominated by any fixture-equivalent base model."""
-    n = len(t.priority.indices)
+    above = t.priority.above
+    n = len(above)
     cells, profiles, columns = cell_columns(t.base, [t.nest], t.universe, t.fixtures)
     # Cells that share a (fixture, output) profile are decided once, through
     # the last of them, which takes in the others' models. The identity nest
@@ -205,24 +224,30 @@ def preferred_models(t: Theory) -> PreferredModelSet:
                 cells[j] |= cells[k]
     kept = last.values()
     low = (1 << n) - 1
-    classes: defaultdict[int, int] = defaultdict(int)  # fixture profile -> mask of its cells
-    for k in kept:
-        classes[profiles[k] >> n] |= 1 << k
-    doms = _dominator_positions(t.priority)
-    parallel = not any(t.priority.above)
+    keys = _sweep_keys(above, profiles, columns)
+    free = sum(1 << i for i, a in enumerate(above) if not a) if any(above) else low  # defaults with no dominator
+    doms: list[Sequence[int]] = []  # the row test's dominator positions, built on its first use
     tops: defaultdict[int, list[int]] = defaultdict(list)  # fixture profile -> preferred default profiles
+    rows: defaultdict[int, int] = defaultdict(int)  # fixture profile -> mask of its preferred cells
     preferred = 0
-    # A cell is dominated iff its class holds another cell at least as
-    # preferred (module docstring). Without priorities, that is a superset of
-    # its defaults: the preferred ones come first, and a short list is cheaper.
-    for k in sorted(kept, key=lambda k: -(profiles[k] & low).bit_count()):
-        d, maximal = profiles[k] & low, tops[profiles[k] >> n]
-        if parallel and len(maximal) <= d.bit_count():
-            dominated = any(m & d == d for m in maximal)
+    # Best first: a cell is dominated iff a preferred cell of its class found
+    # before it is at least as preferred (module docstring). Pair by pair, a
+    # default held at d but not at m needs a dominator held at m but not at
+    # d, and a default with none rules m out at once; when the preferred
+    # cells outnumber d's defaults, one row over them is the cheaper test.
+    for k in sorted(kept, key=keys.__getitem__, reverse=True):
+        d, c = profiles[k] & low, profiles[k] >> n
+        found = tops[c]
+        if len(found) <= d.bit_count():
+            dominated = any(
+                m & d == d or not d & free & ~m and all(above[i] & m & ~d for i in iter_bits(d & ~m)) for m in found
+            )
         else:
-            dominated = _leq_row(d, columns, doms, classes[profiles[k] >> n] ^ 1 << k) != 0
+            doms = doms or _dominator_positions(t.priority)
+            dominated = _leq_row(d, columns, doms, rows[c]) != 0
         if not dominated:
-            maximal.append(d)
+            found.append(d)
+            rows[c] |= 1 << k
             preferred |= cells[k]
     return PreferredModelSet(t.universe, mask=preferred)
 

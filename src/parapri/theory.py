@@ -526,10 +526,11 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
     schema line occurs.
 
     One loop reads every line, dispatched on its directive: ``atoms:`` and
-    ``domain:`` lines share one reader (one line each, then per-name
-    checks), and so do ``default`` and ``fix`` lines (one label check, one
-    list per kind). A line's reader raises ParseError with its message
-    alone, and the loop numbers it, the one place that sets ``line``.
+    ``domain:`` lines share one reader (one line each, per-name checks,
+    then one check for a repeated name), and so do ``default`` and ``fix``
+    lines (one label check, one list per kind). A line's reader raises
+    ParseError with its message alone, and the loop numbers it, the one
+    place that sets ``line``.
     One name -> Atom dict serves every formula: when the base, default and
     fix lines come in that order, its keys are the atoms in mention order.
     """
@@ -560,9 +561,9 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
                     for c in items:
                         if not _IDENT_RE.fullmatch(c):
                             raise ParseError(f"bad domain constant {c!r}")
-                    for c, n in Counter(items).items():
-                        if n > 1:
-                            raise ParseError(f"duplicate domain constant {c!r}")
+                if len(set(items)) < len(items):  # name the first name that repeats
+                    c = next(c for c, n in Counter(items).items() if n > 1)
+                    raise ParseError(f"duplicate {'atom' if kind == 'atoms' else 'domain constant'} {c!r}")
                 lists[kind] = tuple(items)
             elif line.startswith("base:"):
                 in_order = in_order and not labeled["default"] and not labeled["fix"]

@@ -13,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generate import random_theory
-from helpers import chain_theory, default_leq, evaluate, preferred_indices_naive
+from helpers import chain_theory, default_leq, evaluate, preferred_indices_naive, strictly_better
 from parapri.circumscription import (
     TRANSPOSE_BLOCK,
     PreferredModelSet,
     _quotient,
+    _sweep_keys,
     _transpose,
+    cell_columns,
     circ_equivalent,
     format_model,
     preferred_models,
@@ -436,13 +438,20 @@ def exactly(k, universe):
     ))
 
 
+def layered_order(labels, levels):
+    """The order in which each label is above every label of a lower level."""
+    return PriorityOrder(labels, [(a, b) for a, x in zip(labels, levels) for b, y in zip(labels, levels) if x > y])
+
+
 @st.composite
 def parallel_theories(draw):
     """Theories with up to 12 defaults drawn from a small pool, so formula
-    objects repeat, as roots and as shared subtrees; fixtures; no priorities
-    half of the time, else a drawn order (chains, layered and general
-    orders); now and then one default per atom and an "exactly k of n" base,
-    so that both tests of the parallel case decide cells."""
+    objects repeat, as roots and as shared subtrees; fixtures; no priorities,
+    a drawn order (chains, layered and general orders), or a layered order
+    of up to three levels; now and then one default per atom and an
+    "exactly k of n" base, so that both the pair test and the row test of
+    the sweep decide cells. A layered order keeps the atom defaults of one
+    level incomparable, so the row test fires under priorities too."""
     universe = ("a", "b", "c", "d", "e")[: draw(st.integers(1, 5))]
     fs = formulas_over(universe)
     pool = draw(st.lists(fs, min_size=1, max_size=4)) + [Atom(a) for a in universe]
@@ -458,7 +467,13 @@ def parallel_theories(draw):
         LabeledFormula(f"fx{k}", f) for k, f in enumerate(draw(st.lists(picks, max_size=2)))
     )
     labels = tuple(f"d{k}" for k in range(len(defaults)))
-    order = draw(priorities(labels)) if draw(st.booleans()) else parallel_order(labels)
+    order = draw(st.sampled_from(("parallel", "drawn", "layered")))
+    if order == "drawn":
+        order = draw(priorities(labels))
+    elif order == "layered":
+        order = layered_order(labels, draw(st.lists(st.integers(0, 2), min_size=len(labels), max_size=len(labels))))
+    else:
+        order = parallel_order(labels)
     return Theory(universe, tuple(base), tuple(map(LabeledFormula, labels, defaults)), order, fixtures)
 
 
@@ -499,6 +514,49 @@ class TestParallelKernel:
         t = build_theory(atoms=universe, defaults=[(f"d{a}", a) for a in universe])
         t = Theory(universe, (exactly(4, universe),), t.defaults, t.priority, ())
         assert len(preferred_models(t)) == 70
+
+    def test_layered_antichain_keeps_every_top_cell(self):
+        # d0 and d1 above the other six: with exactly four atoms true, both
+        # hold in every preferred model, which is then any two of the other
+        # six; once five of the 15 are found, the row test decides the rest
+        universe = tuple(f"a{k}" for k in range(8))
+        labels = tuple(f"d{a}" for a in universe)
+        order = layered_order(labels, [1, 1] + [0] * 6)
+        t = Theory(universe, (exactly(4, universe),), tuple(map(LabeledFormula, labels, map(Atom, universe))), order, ())
+        expected = {sum(1 << k for k in (0, 1, *rest)) for rest in itertools.combinations(range(2, 8), 2)}
+        assert preferred_models(t).index_set == expected
+
+
+def profile(t, z):
+    """Bit i: default i of ``t`` holds at z."""
+    return sum(evaluate(f, z) << i for i, (_, f) in enumerate(t.defaults))
+
+
+class TestSweep:
+    """The two facts the sweep of ``preferred_models`` rests on, on every
+    pair of points of drawn theories (fixtures, transforms, every order)."""
+
+    @given(theories())
+    @settings(max_examples=200, deadline=None)
+    def test_pair_rule_is_the_preorder(self, t):
+        # z <= z2 iff every default held at z but not at z2 has a dominator
+        # held at z2 but not at z
+        above = t.priority.above
+        zs = [Interpretation.from_index(t.universe, z) for z in range(2 ** len(t.universe))]
+        for z, z2 in itertools.product(zs, repeat=2):
+            d, m = profile(t, z), profile(t, z2)
+            assert all(above[i] & m & ~d for i in iter_bits(d & ~m)) == default_leq(t, z, z2)
+
+    @given(theories())
+    @settings(max_examples=200, deadline=None)
+    def test_key_rises_along_the_preorder(self, t):
+        cells, profiles, columns = cell_columns(t.base, [t.nest], t.universe, t.fixtures)
+        keys = _sweep_keys(t.priority.above, profiles, columns)
+        cell_of = {z: k for k, c in enumerate(cells) for z in iter_bits(c)}
+        zs = {z: Interpretation.from_index(t.universe, z) for z in cell_of}
+        for z, z2 in itertools.product(zs, repeat=2):
+            if strictly_better(t, zs[z2], zs[z]):
+                assert keys[cell_of[z2]] > keys[cell_of[z]]
 
 
 class TestPreferredModelSet:

@@ -396,6 +396,13 @@ class TestErrorPaths:
         f.write_text(text)
         assert run(capsys, "stats", f) == (2, "", message)
 
+    @pytest.mark.parametrize("argv", [("models",), ("query", "p"), ("stats",)])
+    def test_repeated_atom_is_exit_2(self, capsys, tmp_path, argv):
+        # named and numbered as a repeated domain constant is
+        f = tmp_path / "t.thy"
+        f.write_text("# names\natoms: p q p\ndefault d: p\n")
+        assert run(capsys, argv[0], f, *argv[1:]) == (2, "", "error: duplicate atom 'p' (line 2)\n")
+
     @pytest.mark.parametrize("argv", [("query", "p"), ("transform",), ("check-equiv",)])
     def test_generated_label_clash_is_exit_2(self, capsys, tmp_path, argv):
         # Block a's output w_a_1 takes the label of a_1's only output.

@@ -144,6 +144,8 @@ class TestParseTheory:
             ("atoms: p\n# again\natoms: q\n", "duplicate atoms: line", 3),
             ("domain: a\ndomain: b\n", "duplicate domain: line", 2),
             ("domain: a 1b\n", "bad domain constant '1b'", 1),
+            ("atoms: p q p\n", "duplicate atom 'p'", 1),
+            ("base: p\natoms: q p(a) p(a) q\n", "duplicate atom 'q'", 2),
             ("domain: a\nschema s[X]: p(X)\ndomain: a\n", "duplicate domain: line", 3),
             ("base: p\ndefault a b: q\n", "bad default label 'a b'", 2),
             ("default a[x: p\n", "bad default label 'a[x'", 1),
