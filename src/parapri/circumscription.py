@@ -1,7 +1,7 @@
 """Brute-force model semantics for prioritized default circumscription.
 
 All operations enumerate total interpretations explicitly, so they are exact
-but only usable at small atom counts; ``truth_masks``, where every 2^n
+but only usable at small atom counts; ``cell_columns``, where every 2^n
 enumeration starts, refuses a universe above the atom cap through
 ``config.check_atoms``, which reads ``PARAPRI_MAX_ATOMS`` at call time.
 Truth tables are packed into ints (bit i = truth under interpretation index
@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Sequence
 from .config import check_atoms
 from .errors import UniverseError
 from .formula import Formula, Interpretation, _columns, iter_bits, truth_mask
-from .theory import LabeledFormula, Nest, PriorityOrder, Theory, nest_values
+from .theory import LabeledFormula, Nest, Theory, nest_values
 
 
 @dataclass(frozen=True)
@@ -84,19 +84,6 @@ class PreferredModelSet:
         return self.mask.bit_count()
 
 
-def truth_masks(
-    base: Iterable[Formula], formulas: Iterable[Formula], universe: tuple[str, ...]
-) -> tuple[int, Iterator[int]]:
-    """The conjunction of the base's truth masks, and the truth masks of
-    ``formulas`` in order, one at a time. Refuses a universe above the atom
-    cap."""
-    check_atoms(universe)
-    base_mask = _columns(universe)[2]
-    for b in base:
-        base_mask &= truth_mask(b, universe)
-    return base_mask, (truth_mask(f, universe) for f in formulas)
-
-
 def cell_columns(
     base: Iterable[Formula],
     nests: Sequence[Nest],
@@ -110,9 +97,15 @@ def cell_columns(
     The columns come from the sources' columns by ``nest_values``, with no
     2^n-bit step and no formula per output, and the profiles from the
     columns; when no sigma is non-empty, the outputs are the sources, and
-    the split's profiles are already theirs."""
+    the split's profiles are already theirs. Every enumeration of
+    interpretations starts here, and a universe above the atom cap is
+    refused first."""
+    check_atoms(universe)
+    base_mask = _columns(universe)[2]
+    for b in base:
+        base_mask &= truth_mask(b, universe)
     leaves = [f for nest in nests for f in nest.sources]
-    cells, profiles = _quotient(*truth_masks(base, [*leaves, *(f for _, f in fixtures)], universe))
+    cells, profiles = _quotient(base_mask, (truth_mask(f, universe) for f in [*leaves, *(f for _, f in fixtures)]))
     if not any(sigma for nest in nests for sigma in nest.sigmas):
         return cells, profiles, _transpose(profiles, len(leaves))
     columns = _transpose(profiles, len(leaves) + len(fixtures))
@@ -123,21 +116,22 @@ def cell_columns(
     return cells, _transpose([*outputs, *rest], len(cells)), outputs
 
 
-def _leq_row(p: int, masks: Sequence[int], doms: Sequence[Sequence[int]], row: int) -> int:
+def _leq_row(p: int, masks: Sequence[int], above: Sequence[int], row: int) -> int:
     """The part of ``row`` at least as preferred as a point whose default
     profile is ``p`` (bit i: default i holds there), where ``masks[i]`` is
-    default i's mask over the same points. Stops as soon as the row is
-    empty."""
+    default i's mask over the same points and ``above[i]`` the mask of
+    default i's dominators (``PriorityOrder.above``). Stops as soon as the
+    row is empty."""
     for i in iter_bits(p):
         holds = masks[i]
-        if not doms[i]:
+        if not above[i]:
             row &= holds
         else:
             # Out go the points where i fails and every dominator of i keeps its
             # value at p; narrowing them, not widening the rest, can stop early.
             # x ^ x & m is x less m, with no complement as wide as the cells.
             out = row ^ row & holds
-            for j in doms[i]:
+            for j in iter_bits(above[i]):
                 if not out:
                     break
                 out = out & masks[j] if p >> j & 1 else out ^ out & masks[j]
@@ -145,11 +139,6 @@ def _leq_row(p: int, masks: Sequence[int], doms: Sequence[Sequence[int]], row: i
         if not row:
             break
     return row
-
-
-def _dominator_positions(order: PriorityOrder) -> list[Sequence[int]]:
-    # the order's labels are the defaults, in the same order
-    return [list(iter_bits(a)) if a else () for a in order.above]
 
 
 def _sweep_keys(above: Sequence[int], profiles: list[int], columns: Sequence[int]) -> list[int]:
@@ -226,7 +215,6 @@ def preferred_models(t: Theory) -> PreferredModelSet:
     low = (1 << n) - 1
     keys = _sweep_keys(above, profiles, columns)
     free = sum(1 << i for i, a in enumerate(above) if not a) if any(above) else low  # defaults with no dominator
-    doms: list[Sequence[int]] = []  # the row test's dominator positions, built on its first use
     tops: defaultdict[int, list[int]] = defaultdict(list)  # fixture profile -> preferred default profiles
     rows: defaultdict[int, int] = defaultdict(int)  # fixture profile -> mask of its preferred cells
     preferred = 0
@@ -243,8 +231,7 @@ def preferred_models(t: Theory) -> PreferredModelSet:
                 m & d == d or not d & free & ~m and all(above[i] & m & ~d for i in iter_bits(d & ~m)) for m in found
             )
         else:
-            doms = doms or _dominator_positions(t.priority)
-            dominated = _leq_row(d, columns, doms, rows[c]) != 0
+            dominated = _leq_row(d, columns, above, rows[c]) != 0
         if not dominated:
             found.append(d)
             rows[c] |= 1 << k
@@ -285,10 +272,10 @@ def preorder_equivalent(s1: Theory, s2: Theory, universe: Iterable[str]) -> bool
     n1 = len(s1.priority.indices)
     cells, profiles, columns = cell_columns((), [s1.nest, s2.nest], tuple(universe))
     masks1, masks2 = columns[:n1], columns[n1:]
-    doms1, doms2 = _dominator_positions(s1.priority), _dominator_positions(s2.priority)
+    above1, above2 = s1.priority.above, s2.priority.above
     low, full = (1 << n1) - 1, (1 << len(cells)) - 1
     return all(
-        _leq_row(p & low, masks1, doms1, full) == _leq_row(p >> n1, masks2, doms2, full) for p in profiles
+        _leq_row(p & low, masks1, above1, full) == _leq_row(p >> n1, masks2, above2, full) for p in profiles
     )
 
 

@@ -80,19 +80,20 @@ def prune_redundant(
 ) -> PruneReport:
     """Iteratively drop redundant formulas from a transform's output."""
     _check_k(k)
-    block_of: dict[str, int] = {}
-    keys = [(block_of.setdefault(p.source, len(block_of)), int(p.bits or "0", 2)) for p in w.provenance]
-
     names = tuple(universe)
     # Each output is constant on each cell of its leaves, and
     # _positive_combination reads only the outputs' values at each point.
     cells, _, masks = cell_columns(base, [w.nest], names)
     base_mask = (1 << len(cells)) - 1
 
-    alive = set(range(len(keys)))
+    # The nest holds one block of 2^len(sigma) outputs per source, block b at
+    # bounds[b]:bounds[b + 1], its bit strings from all ones down. Visiting
+    # the blocks last to first, each in order, is descending on (source
+    # block, bit value).
+    bounds = [*itertools.accumulate((1 << len(sigma) for sigma in w.nest.sigmas), initial=0)]
+    alive = set(range(bounds[-1]))
     drops: dict[int, DropRecord] = {}
-    # Highest source block first, bit strings in descending value within it.
-    for pos in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+    for pos in itertools.chain(*map(range, bounds[-2::-1], bounds[:0:-1])):
         label, f = w.defaults[pos]
         fm = masks[pos]
         # This check keeps fm off 0 and base_mask, where

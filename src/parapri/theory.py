@@ -427,22 +427,17 @@ class SchemaTheory:
 
     def _built(self, x: Theory, name: str) -> dict[str, tuple]:
         """For ``x = ground(self)``: on a read of ``x.universe``, the
-        universe alone, from the atom-name templates, with no formula built;
-        on a read of ``x.defaults``, both fields in one walk. Either way the
-        universe lists the same names in first-mention order.
+        universe alone, with no formula built; on a read of ``x.defaults``,
+        both fields. One loop serves both reads, and either way the
+        universe lists the same names in first-mention order, the fixtures'
+        atoms last.
 
         Each schema's formula becomes a ``postorder`` list and its atom
-        names templates, once; each instance runs the list on its own
-        Atoms, and takes its label from ``x``'s order."""
-        fixture_atoms = formula_atoms(*(f for _, f in self.fixtures))
+        names templates, once. Each instance fills the templates: a
+        universe read adds the names alone; a defaults read runs the list
+        on the instance's own Atoms and takes its label from ``x``'s order."""
         # Atom names in first-mention order; the instances share one Atom per name.
         universe: dict[str, Atom | None] = dict.fromkeys(formula_atoms(*self.base, *(f for _, f in self.defaults)))
-        if name == "universe":
-            for schema in self.schemas:
-                templates = [_template(n, schema.params) for n in formula_atoms(schema.formula)]
-                for combo in itertools.product(self.domain, repeat=len(schema.params)):
-                    universe.update(dict.fromkeys(t.format(*combo) for t in templates))
-            return {"universe": tuple(dict.fromkeys((*universe, *fixture_atoms)))}
         grounded: list[LabeledFormula] = list(self.defaults)
         labels = iter(x.priority.indices[len(grounded):])
         for schema in self.schemas:
@@ -450,9 +445,12 @@ class SchemaTheory:
             templates = {n: _template(n, schema.params) for n in program if type(n) is str}
             leaves: dict[str | bool, Formula] = {True: TRUE, False: FALSE}  # atom names are refilled per instance
             for combo in itertools.product(self.domain, repeat=len(schema.params)):
+                if name == "universe":
+                    universe.update(dict.fromkeys(t.format(*combo) for t in templates.values()))
+                    continue
                 for n, t in templates.items():
-                    name = t.format(*combo)
-                    leaves[n] = universe[name] = universe.get(name) or Atom(name)
+                    atom = t.format(*combo)
+                    leaves[n] = universe[atom] = universe.get(atom) or Atom(atom)
                 stack: list[Formula] = []
                 for op in program:
                     if op is Not:
@@ -463,7 +461,8 @@ class SchemaTheory:
                     else:  # an atom name or a constant's bool
                         stack.append(leaves[op])
                 grounded.append(LabeledFormula(next(labels), stack[0]))
-        return {"defaults": tuple(grounded), "universe": tuple(dict.fromkeys((*universe, *fixture_atoms)))}
+        built = {"universe": tuple(dict.fromkeys((*universe, *formula_atoms(*(f for _, f in self.fixtures)))))}
+        return built if name == "universe" else {**built, "defaults": tuple(grounded)}
 
 
 _GROUND_ATOM_RE = re.compile(rf"({IDENT})\((.*)\)")

@@ -26,7 +26,6 @@ from parapri.circumscription import (
     preferred_models,
     preorder_equivalent,
     skeptical_entails,
-    truth_masks,
 )
 from parapri.errors import CapExceededError, UniverseError, ValidationError
 from parapri.formula import FALSE, TRUE, And, Atom, Iff, Implies, Interpretation, Not, Or, iter_bits, parse_formula
@@ -55,10 +54,10 @@ def tweety_theory():
 
 
 def models_of(base, universe):
-    """The base models, read off the base mask of ``truth_masks``."""
+    """The base models: the union of the cells of ``cell_columns`` with no nest."""
     names = tuple(universe)
-    mask, _ = truth_masks(base, (), names)
-    return [Interpretation.from_index(names, z) for z in iter_bits(mask)]
+    cells, _, _ = cell_columns(base, [], names)
+    return [Interpretation.from_index(names, z) for z in iter_bits(sum(cells))]
 
 
 class TestModelsOf:

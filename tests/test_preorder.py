@@ -6,7 +6,7 @@ import pytest
 
 from generate import random_theory
 from helpers import default_leq, evaluate, fixture_equiv, strictly_better
-from parapri.circumscription import _dominator_positions, _leq_row, _quotient, _transpose, preorder_equivalent
+from parapri.circumscription import _leq_row, _quotient, _transpose, preorder_equivalent
 from parapri.errors import UniverseError
 from parapri.formula import Interpretation, iter_bits, parse_formula, truth_mask
 from parapri.preorder import PreorderSpec
@@ -25,11 +25,10 @@ def quotient_rows(spec, universe):
     cells, profiles = _quotient(full, masks)
     cell_masks = _transpose(profiles, len(masks))
     cells_full = (1 << len(cells)) - 1
-    doms = _dominator_positions(spec.priority)
     rows = [0] * (1 << len(universe))
     for cell, p in zip(cells, profiles):
         lifted = 0
-        for k2 in iter_bits(_leq_row(p, cell_masks, doms, cells_full)):
+        for k2 in iter_bits(_leq_row(p, cell_masks, spec.priority.above, cells_full)):
             lifted |= cells[k2]
         for z in iter_bits(cell):
             rows[z] = lifted

@@ -1,5 +1,6 @@
 """Redundancy pruning, the built-in inheritance cases, and the guarded encoding."""
 
+import itertools
 import random
 import re
 from pathlib import Path
@@ -18,7 +19,7 @@ from scenarios import (
     verify_special_case,
 )
 from parapri import config
-from parapri.circumscription import circ_equivalent, preferred_models, skeptical_entails
+from parapri.circumscription import cell_columns, circ_equivalent, preferred_models, skeptical_entails
 from parapri.errors import CapExceededError, UniverseError, ValidationError
 from parapri.formula import LABEL_RE, Atom, parse_formula, to_text, truth_mask
 from parapri.specificity import (
@@ -26,15 +27,39 @@ from parapri.specificity import (
     TAUT_FALSE,
     TAUT_TRUE,
     AB_VARIANTS,
+    DropRecord,
+    PruneReport,
     encode_abnormality,
     _positive_combination,
     prune_redundant,
 )
 from parapri.theory import LabeledFormula, Theory, build_theory, ground, parallel_order, parse_theory, print_theory
-from parapri.transform import Provenance, TransformOutput, transform_canonical
+from parapri.transform import Provenance, TransformOutput, transform_all, transform_canonical
 
 F = parse_formula
 DATA = Path(__file__).parent / "data"
+
+
+def pruned_in_order(w, base, universe, order, k=2):
+    """The pruner's loop, visiting the outputs of ``w`` in ``order``: the
+    report ``prune_redundant`` gives if it visits them so."""
+    cells, _, masks = cell_columns(base, [w.nest], tuple(universe))
+    full = (1 << len(cells)) - 1
+    alive, drops = set(range(len(masks))), {}
+    for pos in order:
+        label, f = w.defaults[pos]
+        fm = masks[pos]
+        if fm in (0, full):
+            drops[pos] = DropRecord(label, f, TAUT_TRUE if fm == full else TAUT_FALSE)
+        else:
+            others = sorted(alive - {pos})
+            found = next((c for size in range(1, k + 1) for c in itertools.combinations(others, size)
+                          if _positive_combination(fm, [masks[q] for q in c], full)), None)
+            if not found:
+                continue
+            drops[pos] = DropRecord(label, f, COMBINATION, tuple(w.defaults[q].label for q in found))
+        alive.discard(pos)
+    return PruneReport(tuple(w.defaults[p] for p in sorted(alive)), tuple(drops[p] for p in sorted(drops)))
 
 
 def labeled(*pairs):
@@ -153,6 +178,33 @@ class TestPruneRedundant:
                     priority=parallel_order(l for l, _ in readded),
                 )
                 assert preferred_models(kept).index_set == preferred_models(again).index_set
+
+
+    def test_prune_builds_no_provenance(self):
+        t = inheritance_theory(11)
+        out = transform_canonical(t.defaults, t.priority)
+        prune_redundant(out, t.base, t.universe)
+        assert "provenance" not in vars(out)
+
+    def test_nest_order_is_the_provenance_order(self):
+        # The pruner visits the nest's blocks last to first, each in order;
+        # the oracle sorts on (source block, bit value) from the provenance,
+        # descending, as the pruner once did.
+        rng = random.Random(227)
+        for _ in range(40):
+            t = random_theory(rng, max_atoms=4)
+            for out in transform_all(t.defaults, t.priority, 4):
+                blocks, start = [], 0
+                for sigma in out.nest.sigmas:
+                    blocks.append(list(range(start, start + (1 << len(sigma)))))
+                    start += 1 << len(sigma)
+                visit = [pos for block in reversed(blocks) for pos in block]
+                block_of = {}
+                keys = [(block_of.setdefault(p.source, len(block_of)), int(p.bits or "0", 2)) for p in out.provenance]
+                old = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+                assert visit == old
+                report = prune_redundant(out, t.base, t.universe)
+                assert report == pruned_in_order(out, t.base, t.universe, old)
 
 
 class TestPositiveCombinations:
