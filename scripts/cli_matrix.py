@@ -5,8 +5,11 @@
 
 Each combination runs once as ``python -m parapri.cli`` from this
 checkout's ``src``, with the checkout as working directory, under
-``PYTHONHASHSEED=0``, once as is, once with ``PARAPRI_MAX_ATOMS=2`` and once
-with the bad value ``PARAPRI_MAX_ATOMS=many``.
+``PYTHONHASHSEED=0`` and ``COLUMNS=80`` (so that argparse wraps its help
+the same way on every terminal), once as is, once with
+``PARAPRI_MAX_ATOMS=2`` and once with the bad value ``PARAPRI_MAX_ATOMS=many``.
+The help text, ``--help`` and ``SUBCOMMAND --help`` for every subcommand,
+runs first, once per environment rather than once per file.
 One JSON line per run gives argv, the added environment, exit code,
 stdout and stderr. FILE defaults to every file in ``tests/data``; give
 paths relative to the checkout, so that the output of two checkouts can be
@@ -28,6 +31,8 @@ from parapri.errors import ParapriError  # noqa: E402
 from parapri.theory import SchemaTheory, ground, parse_theory  # noqa: E402
 
 ENVIRONMENTS = ({}, {"PARAPRI_MAX_ATOMS": "2"}, {"PARAPRI_MAX_ATOMS": "many"})
+SUBCOMMANDS = ("transform", "query", "models", "check-equiv", "stats", "prune", "encode-ab", "encode-lp")
+HELP = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
 
 
 def _atoms(path: str) -> tuple[str, ...]:
@@ -74,7 +79,7 @@ def combinations(path: str) -> list[list[str]]:
 
 def run(argv: list[str], extra: dict[str, str]) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PARAPRI_MAX_ATOMS"}
-    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0", **extra)
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0", COLUMNS="80", **extra)
     p = subprocess.run(
         [sys.executable, "-m", "parapri.cli", *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
@@ -85,10 +90,9 @@ def run(argv: list[str], extra: dict[str, str]) -> dict:
 def main(paths: list[str]) -> int:
     if not paths:
         paths = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "tests" / "data").iterdir())
-    for path in paths:
-        for argv in combinations(path):
-            for extra in ENVIRONMENTS:
-                print(json.dumps(run(argv, extra)), flush=True)
+    for argv in HELP + [argv for path in paths for argv in combinations(path)]:
+        for extra in ENVIRONMENTS:
+            print(json.dumps(run(argv, extra)), flush=True)
     return 0
 
 

@@ -55,7 +55,6 @@ from .theory import (
     build_theory,
     classify_order,
     ground,
-    parallel_order,
     parse_theory,
     print_theory,
     transitive_closure,

@@ -31,7 +31,7 @@ from .errors import (
 from .formula import Not, atoms as formula_atoms, iter_bits, parse_formula, to_text
 from .lp import encode_stratified, parse_program
 from .specificity import AB_VARIANTS, encode_abnormality, transformed_then_pruned
-from .theory import SchemaTheory, Theory, classify_order, ground, labeled_texts, parse_theory, print_theory
+from .theory import LabeledFormula, SchemaTheory, Theory, classify_order, ground, labeled_texts, parse_theory, print_theory
 from .transform import (
     TransformOutput,
     decimal_text,
@@ -68,8 +68,6 @@ def _members(t: Theory, n: int | None) -> list[TransformOutput]:
 def _corrupt(out: TransformOutput) -> TransformOutput:
     # Negative-control self test: negating every output formula flips the
     # maximization direction, which no correct transform would survive.
-    from .theory import LabeledFormula
-
     return TransformOutput(
         tuple(LabeledFormula(l, Not(f)) for l, f in out.defaults),
         out.provenance,
@@ -209,49 +207,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transform", help="eliminate priorities from a theory file")
-    p.add_argument("file")
+    def command(name, handler, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("transform", cmd_transform, "eliminate priorities from a theory file")
     p.add_argument("--all", type=int, default=None, metavar="N", help="emit the first N members")
     p.add_argument("--size-only", action="store_true", help="print the output size, emit nothing")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=cmd_transform)
 
-    p = sub.add_parser("query", help="skeptical yes/no query, cross-checked through the transform")
-    p.add_argument("file")
+    p = command("query", cmd_query, "skeptical yes/no query, cross-checked through the transform")
     p.add_argument("query")
     p.add_argument("--assert", dest="assert_", choices=("yes", "no"), default=None)
-    p.set_defaults(handler=cmd_query)
 
-    p = sub.add_parser("models", help="print the preferred models")
-    p.add_argument("file")
+    p = command("models", cmd_models, "print the preferred models")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=cmd_models)
 
-    p = sub.add_parser("check-equiv", help="compare a theory against its own transform")
-    p.add_argument("file")
+    p = command("check-equiv", cmd_check_equiv, "compare a theory against its own transform")
     p.add_argument("--preorder", action="store_true", help="compare pre-orders instead of model sets")
     p.add_argument("--all", type=int, default=None, metavar="N", help="check the first N members")
     p.add_argument("--project", default=None, metavar="a,b,c", help="compare model sets on these atoms only")
     p.add_argument("--self-test-corrupt", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(handler=cmd_check_equiv)
 
-    p = sub.add_parser("stats", help="size and shape of the priority order")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_stats)
+    command("stats", cmd_stats, "size and shape of the priority order")
 
-    p = sub.add_parser("prune", help="transform, then drop redundant output defaults")
-    p.add_argument("file")
+    p = command("prune", cmd_prune, "transform, then drop redundant output defaults")
     p.add_argument("--k", type=int, default=2, help="combination subset bound")
-    p.set_defaults(handler=cmd_prune)
 
-    p = sub.add_parser("encode-ab", help="guarded-rule parallel encoding of an implication-rule theory")
-    p.add_argument("file")
+    p = command("encode-ab", cmd_encode_ab, "guarded-rule parallel encoding of an implication-rule theory")
     p.add_argument("--variant", choices=AB_VARIANTS, default="violation")
-    p.set_defaults(handler=cmd_encode_ab)
 
-    p = sub.add_parser("encode-lp", help="encode a stratified logic program as a default theory")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_encode_lp)
+    command("encode-lp", cmd_encode_lp, "encode a stratified logic program as a default theory")
 
     return parser
 

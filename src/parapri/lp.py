@@ -159,9 +159,11 @@ def encode_stratified(p: Program) -> Theory:
     """Clauses become for-sure premises; every atom is minimized, atoms of
     lower strata at strictly higher priority."""
     level = stratify(p)
-    labels = [_default_label(a) for a in p.atoms]
-    if len(set(labels)) != len(labels):
-        raise ValidationError("atom names collide after label sanitization")
+    first: dict[str, str] = {}  # default label -> the first atom, in program order, that gives it
+    for a in p.atoms:
+        if (b := first.setdefault(_default_label(a), a)) != a:
+            raise ValidationError(f"atoms {b!r} and {a!r} both give the default label {_default_label(a)!r}")
+    labels = tuple(first)
     defaults = tuple(LabeledFormula(l, Not(Atom(a))) for l, a in zip(labels, p.atoms))
     # The labels above an atom's are those of every lower stratum: already closed and acyclic.
     strata_masks = [0] * (max(level.values(), default=0) + 1)
@@ -172,6 +174,6 @@ def encode_stratified(p: Program) -> Theory:
         universe=p.atoms,
         base=tuple(_clause_formula(c) for c in p.clauses),
         defaults=defaults,
-        priority=PriorityOrder._closed(tuple(labels), tuple(below[level[a]] for a in p.atoms)),
+        priority=PriorityOrder._closed(labels, tuple(below[level[a]] for a in p.atoms)),
     )
 

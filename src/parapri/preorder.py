@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .theory import BuiltOnFirstRead, LabeledFormula, PriorityOrder, Theory, parallel_order
+from .theory import BuiltOnFirstRead, LabeledFormula, PriorityOrder, Theory
 
 
 @dataclass(frozen=True)
@@ -39,4 +39,4 @@ class PreorderSpec(BuiltOnFirstRead):
     @classmethod
     def parallel(cls, defaults: Iterable[LabeledFormula], fixtures: Iterable[LabeledFormula] = ()) -> "PreorderSpec":
         ds = tuple(defaults)
-        return cls(ds, parallel_order(d.label for d in ds), tuple(fixtures))
+        return cls(ds, PriorityOrder(tuple(d.label for d in ds)), tuple(fixtures))

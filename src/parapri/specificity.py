@@ -26,7 +26,7 @@ from . import config
 from .circumscription import cell_columns, circ_equivalent
 from .errors import CapExceededError, InternalError, ValidationError
 from .formula import Formula, Implies, Not, iter_bits, parse_atom
-from .theory import LabeledFormula, Theory, parallel_order
+from .theory import LabeledFormula, PriorityOrder, Theory
 from .transform import TransformOutput, parallel_theory, transform_canonical
 
 TAUT_TRUE = "tautologically-true"
@@ -130,7 +130,7 @@ def _check_k(k: int) -> None:
 def _parallel(universe: tuple[str, ...], base: Sequence[Formula], defaults: Sequence[LabeledFormula]) -> Theory:
     # ``cell_columns`` has valued the nest's sources, and so every output, over
     # ``universe`` already, and raised UniverseError on any atom outside it.
-    return Theory._known_atoms(universe, tuple(base), tuple(defaults), parallel_order(l for l, _ in defaults))
+    return Theory._known_atoms(universe, tuple(base), tuple(defaults), PriorityOrder(tuple(l for l, _ in defaults)))
 
 
 AB_VARIANTS = ("violation", "class", "class-positive")
@@ -168,7 +168,7 @@ def encode_abnormality(t: Theory, variant: str = "violation") -> Theory:
         if not isinstance(f, Implies):
             raise ValidationError(f"default {label!r} is not an implication rule")
     ab = []
-    for label in t.default_labels:
+    for label in t.priority.indices:
         name = "ab_" + label.replace("[", "(").replace("]", ")")
         if (a := parse_atom(name, {})) is None:  # text after the brackets, as in e1[a]_x
             raise ValidationError(f"default {label!r} gives no abnormality atom: {name!r} is not an atom name")
@@ -185,12 +185,12 @@ def encode_abnormality(t: Theory, variant: str = "violation") -> Theory:
             trigger = Not(f) if variant == "violation" else Not(f.left) if variant == "class" else f.left
             base.append(Implies(trigger, a))
 
-    defaults = tuple(LabeledFormula(f"ab_{label}", Not(a)) for label, a in zip(t.default_labels, ab))
+    defaults = tuple(LabeledFormula(f"ab_{label}", Not(a)) for label, a in zip(t.priority.indices, ab))
     return Theory(
         universe=t.universe + tuple(a.name for a in ab),
         base=tuple(base),
         defaults=defaults,
-        priority=parallel_order(l for l, _ in defaults),
+        priority=PriorityOrder(tuple(l for l, _ in defaults)),
         fixtures=t.fixtures,
     )
 

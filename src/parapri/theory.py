@@ -167,7 +167,8 @@ class PriorityOrder:
     ``above`` has one int per label, in ``indices`` order, whose bit k is set
     when ``indices[k]`` is strictly higher. The constructor closes (higher,
     lower) pairs and rejects undeclared labels and cycles; pairs with the
-    same closure give equal orders. ``ground`` passes ``_closed`` the masks
+    same closure give equal orders. ``PriorityOrder(labels)``, without
+    edges, is the parallel order. ``ground`` passes ``_closed`` the masks
     it reads off the schema-level order. ``position`` and ``dominators_map``
     are views built on first use; ``dominators_map`` shares one frozenset
     among the labels with one mask, such as the instances of a schema.
@@ -212,14 +213,6 @@ class PriorityOrder:
         names = self.indices
         sets = {a: frozenset(names[j] for j in iter_bits(a)) for a in set(self.above)}
         return {i: sets[a] for i, a in zip(names, self.above)}
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.above)
-
-
-def parallel_order(labels: Iterable[str]) -> PriorityOrder:
-    return PriorityOrder(tuple(labels))
 
 
 class Provenance(NamedTuple):
@@ -384,10 +377,6 @@ class Theory(BuiltOnFirstRead):
         theory.__dict__["_atoms_known"] = True
         theory.__init__(universe, base, defaults, priority, fixtures)
         return theory
-
-    @property
-    def default_labels(self) -> tuple[str, ...]:
-        return self.priority.indices
 
 
 class Schema(NamedTuple):
@@ -663,7 +652,7 @@ def classify_order(order: PriorityOrder) -> str:
     order is layered when its distinct masks form a chain, each one the
     previous one together with the labels that have it.
     """
-    if order.is_empty:
+    if not any(order.above):
         return "parallel"
     above = order.above
     members: dict[int, int] = {}  # mask -> the labels that have it

@@ -43,7 +43,6 @@ from .theory import (
     Provenance,
     Theory,
     bit_strings,
-    parallel_order,
 )
 
 TOP_HEAVY_THRESHOLD = 10
@@ -187,7 +186,7 @@ def parallel_theory(t: Theory, out: TransformOutput) -> Theory:
     on first read."""
     nest = out.nest
     return Theory._from_recipe(
-        nest, universe=t.universe, base=t.base, priority=parallel_order(nest.labels), fixtures=t.fixtures
+        nest, universe=t.universe, base=t.base, priority=PriorityOrder(nest.labels), fixtures=t.fixtures
     )
 
 

@@ -37,7 +37,6 @@ from parapri.theory import (
     Theory,
     build_theory,
     nest_values,
-    parallel_order,
     parse_theory,
 )
 from parapri.transform import parallel_theory, transform_all, transform_canonical, transform_theory
@@ -138,7 +137,7 @@ class TestPreferredModels:
         outputs = list(nest_values([p, q], sigmas, Or, And))
         assert outputs == [And(q, p), Or(q, p), And(p, q), Or(p, q)]
         nest = Nest(("o0", "o1", "o2", "o3"), (p, q), sigmas, ("s0", "s1"))
-        t = Theory._from_recipe(nest, universe=("p", "q"), base=(Not(And(p, q)),), priority=parallel_order(nest.labels))
+        t = Theory._from_recipe(nest, universe=("p", "q"), base=(Not(And(p, q)),), priority=PriorityOrder(nest.labels))
         assert preferred_models(t).index_set == {0b01, 0b10}
         assert t.defaults == tuple(map(LabeledFormula, nest.labels, outputs))
         assert preferred_indices_naive(t) == {0b01, 0b10}
@@ -380,7 +379,7 @@ class TestDifferential:
         if kind == "transform":
             s2 = parallel_theory(t, transform_canonical(t.defaults, t.priority))
         elif kind == "reordered":
-            s2 = dataclasses.replace(t, priority=data.draw(priorities(t.default_labels)))
+            s2 = dataclasses.replace(t, priority=data.draw(priorities(t.priority.indices)))
         else:
             s2 = data.draw(theories(universe=t.universe))
         zs = [Interpretation.from_index(t.universe, z) for z in range(2 ** len(t.universe))]
@@ -417,7 +416,7 @@ class TestDifferential:
                 sigmas[i] = (*sigmas[i][:k], j, *sigmas[i][k + 1 :])
         nest = out.nest._replace(sigmas=tuple(sigmas))
         member = Theory._from_recipe(
-            nest, universe=t.universe, base=t.base, priority=parallel_order(nest.labels), fixtures=t.fixtures
+            nest, universe=t.universe, base=t.base, priority=PriorityOrder(nest.labels), fixtures=t.fixtures
         )
         hand_built = Theory(t.universe, t.base, member.defaults, member.priority, t.fixtures)
         zs = [Interpretation.from_index(t.universe, z) for z in range(2 ** len(t.universe))]
@@ -472,7 +471,7 @@ def parallel_theories(draw):
     elif order == "layered":
         order = layered_order(labels, draw(st.lists(st.integers(0, 2), min_size=len(labels), max_size=len(labels))))
     else:
-        order = parallel_order(labels)
+        order = PriorityOrder(labels)
     return Theory(universe, tuple(base), tuple(map(LabeledFormula, labels, defaults)), order, fixtures)
 
 

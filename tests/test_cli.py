@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -14,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ac_set, closure_pairs, perfect_model, run_python
-from parapri import config
+from parapri import cli, config
 from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.cli import main
-from parapri.errors import ParapriError
+from parapri.errors import InternalError, ParapriError, ValidationError
 from parapri.formula import parse_formula
 from parapri.lp import encode_stratified, parse_program
 from parapri.theory import SchemaTheory, ground, parse_theory, print_theory
@@ -42,7 +43,7 @@ class TestTransform:
         code, out, _ = run(capsys, "transform", DATA / "pair_chain.thy")
         assert code == 0
         t = parse_theory(out)
-        assert t.default_labels == ("w_d1", "w_d2_1", "w_d2_0")
+        assert t.priority.indices == ("w_d1", "w_d2_1", "w_d2_0")
         assert ac_set(f for _, f in t.defaults) == ac_set(
             parse_formula(s) for s in ("p1", "p2 & p1", "p2 | p1")
         )
@@ -306,8 +307,8 @@ class TestEncodeAb:
         code, out, _ = run(capsys, "encode-ab", DATA / "tweety.thy")
         assert code == 0
         t = parse_theory(out)
-        assert t.default_labels == ("ab_e1", "ab_e2")
-        assert t.priority.is_empty
+        assert t.priority.indices == ("ab_e1", "ab_e2")
+        assert not any(t.priority.above)
         assert "ab_e1" in t.universe
 
     def test_fixtures_carry_over(self, capsys):
@@ -477,6 +478,50 @@ class TestErrorPaths:
         for seed in ("0", "1", "2", "3"):
             r = run_python("-m", "parapri.cli", *argv, f, PYTHONHASHSEED=seed)
             assert (r.returncode, r.stdout, r.stderr) == (2, "", stderr), seed
+
+
+class TestRefusals:
+    """Each refusal raises its class with its exact message; through the CLI
+    it is one ``error:`` line and its exit code, with no traceback."""
+
+    def test_atoms_that_give_one_label(self, capsys, tmp_path):
+        # p(a) and p_a_ both sanitize to min_p_a_; the first pair in program order is named.
+        f = tmp_path / "clash.lp"
+        f.write_text("p(a).\np_a_.\nq.\n")
+        message = "atoms 'p(a)' and 'p_a_' both give the default label 'min_p_a_'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            encode_stratified(parse_program(f.read_text()))
+        assert run(capsys, "encode-lp", f) == (2, "", f"error: {message}\n")
+
+    def test_lowercase_schema_parameter(self, capsys, tmp_path):
+        f = tmp_path / "s.thy"
+        f.write_text("domain: a\nschema s[x]: p(x)\n")
+        message = "schema parameter 'x' is not an uppercase identifier"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_theory(f.read_text())
+        assert run(capsys, "stats", f) == (2, "", f"error: {message}\n")
+
+    def test_negative_atom_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARAPRI_MAX_ATOMS", "-1")
+        with pytest.raises(ValidationError, match="^PARAPRI_MAX_ATOMS must be non-negative$"):
+            config.atom_cap_from_env()
+        assert run(capsys, "stats", DATA / "tweety.thy") == (2, "", "error: PARAPRI_MAX_ATOMS must be non-negative\n")
+
+    def test_routes_that_disagree(self, capsys, monkeypatch):
+        # A corrupted transform route answers no where the direct route answers yes.
+        monkeypatch.setattr(cli, "parallel_theory", lambda t, out: parallel_theory(t, cli._corrupt(out)))
+        message = "direct answer True disagrees with the transform route False"
+        args = cli._build_parser().parse_args(["query", str(DATA / "tweety.thy"), "~flies"])
+        with pytest.raises(InternalError, match=f"^{message}$"):
+            cli.cmd_query(args)
+        assert run(capsys, "query", DATA / "tweety.thy", "~flies") == (3, "", f"error: {message}\n")
+
+    def test_unexpected_exception(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_stats", boom)
+        assert run(capsys, "stats", DATA / "tweety.thy") == (3, "", "error: internal error: RuntimeError: boom\n")
 
 
 class TestDeterminism:

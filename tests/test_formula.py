@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ac_key, evaluate, formula_equal_reference, parse_formula_reference, text_naive
-from parapri.errors import ParseError, UniverseError
-from parapri.theory import LabeledFormula, Theory, nest_values, parallel_order, parse_theory, print_theory
+from parapri.errors import ParseError, UniverseError, ValidationError
+from parapri.theory import LabeledFormula, PriorityOrder, Theory, nest_values, parse_theory, print_theory
 from parapri.formula import (
     FALSE,
     TRUE,
@@ -357,7 +357,7 @@ class TestDeepFormulas:
     @pytest.mark.parametrize("name", DEEP_CASES)
     def test_theory_round_trip_compares_and_hashes(self, name):
         f = DEEP_CASES[name][0]()
-        t = Theory(("a", "b"), (), (LabeledFormula("d", f),), parallel_order(("d",)))
+        t = Theory(("a", "b"), (), (LabeledFormula("d", f),), PriorityOrder(("d",)))
         back = parse_theory(print_theory(t))
         assert back == t
         assert hash(back.defaults[0].formula) == hash(f)
@@ -407,6 +407,10 @@ class TestTruthMask:
     def test_unknown_atom(self, f):
         with pytest.raises(UniverseError, match=r"^atom 'z' not in universe$"):
             truth_mask(f, ("a", "b"))
+
+    def test_duplicate_atom(self):
+        with pytest.raises(ValidationError, match="^universe contains a duplicate atom$"):
+            truth_mask(A, ("p", "p"))
 
     @pytest.mark.parametrize("f", [And(A, 3), And(3, A), Not(None), Iff(Not(A), Not("a"))])
     def test_not_a_formula(self, f):

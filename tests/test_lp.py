@@ -182,7 +182,7 @@ class TestEncodeStratified:
 
     def test_negation_free_is_parallel_least_model(self):
         t = encode_stratified(parse_program(NEGATION_FREE))
-        assert t.priority.is_empty
+        assert not any(t.priority.above)
         pm = preferred_models(t)
         assert len(pm) == 1
         m = pm.models[0]

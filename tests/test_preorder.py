@@ -7,10 +7,10 @@ import pytest
 from generate import random_theory
 from helpers import default_leq, evaluate, fixture_equiv, strictly_better
 from parapri.circumscription import _leq_row, _quotient, _transpose, preorder_equivalent
-from parapri.errors import UniverseError
+from parapri.errors import UniverseError, ValidationError
 from parapri.formula import Interpretation, iter_bits, parse_formula, truth_mask
 from parapri.preorder import PreorderSpec
-from parapri.theory import build_theory
+from parapri.theory import PriorityOrder, build_theory
 from parapri.transform import parallel_theory, transform_all
 
 F = parse_formula
@@ -188,6 +188,11 @@ class TestStrictlyBetter:
 
 
 class TestPreorderSpec:
+    def test_order_over_other_labels(self):
+        t = build_theory(defaults=[("a", "p"), ("b", "q")])
+        with pytest.raises(ValidationError, match="^priority indices do not match default labels$"):
+            PreorderSpec(t.defaults, PriorityOrder(("a", "c")))
+
     def test_identity_nest_checks_like_the_theory(self):
         # The spec of a theory and of a member's defaults carry identity
         # nests; the check answers on them as on the theory and its member.

@@ -42,8 +42,15 @@ def test_cli_matrix_smoke():
     r = run_python(ROOT / "scripts" / "cli_matrix.py", "tests/data/pair_chain.thy", "tests/data/two_strata.lp")
     assert r.returncode == 0, r.stderr
     runs = [json.loads(line) for line in r.stdout.splitlines()]
-    assert {run["argv"][1] for run in runs} == {"tests/data/pair_chain.thy", "tests/data/two_strata.lp"}
-    assert len(runs) == 2 * 3 * 32  # files x environments x combinations
+    # The help text of the parser and of its 8 subcommands comes first, once per environment.
+    help_runs, file_runs = runs[:9 * 3], runs[9 * 3:]
+    names = ("transform", "query", "models", "check-equiv", "stats", "prune", "encode-ab", "encode-lp")
+    assert [run["argv"] for run in help_runs[::3]] == [["--help"]] + [[name, "--help"] for name in names]
+    for run in help_runs:
+        assert (run["exit"], run["stderr"]) == (0, ""), run
+        assert run["stdout"].startswith(" ".join(["usage: parapri", *run["argv"][:-1]])), run
+    assert {run["argv"][1] for run in file_runs} == {"tests/data/pair_chain.thy", "tests/data/two_strata.lp"}
+    assert len(file_runs) == 2 * 3 * 32  # files x environments x combinations
     for run in runs:
         assert run["exit"] in (0, 1, 2, 3), run
         assert "Traceback" not in run["stderr"], run

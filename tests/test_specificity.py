@@ -18,9 +18,10 @@ from scenarios import (
     inheritance_theory,
     verify_special_case,
 )
+import parapri.specificity
 from parapri import config
 from parapri.circumscription import cell_columns, circ_equivalent, preferred_models, skeptical_entails
-from parapri.errors import CapExceededError, UniverseError, ValidationError
+from parapri.errors import CapExceededError, InternalError, UniverseError, ValidationError
 from parapri.formula import LABEL_RE, Atom, parse_formula, to_text, truth_mask
 from parapri.specificity import (
     COMBINATION,
@@ -33,7 +34,7 @@ from parapri.specificity import (
     _positive_combination,
     prune_redundant,
 )
-from parapri.theory import LabeledFormula, Theory, build_theory, ground, parallel_order, parse_theory, print_theory
+from parapri.theory import LabeledFormula, PriorityOrder, Theory, build_theory, ground, parse_theory, print_theory
 from parapri.transform import Provenance, TransformOutput, transform_all, transform_canonical
 
 F = parse_formula
@@ -75,6 +76,13 @@ class TestPruneRedundant:
         report = prune_redundant(labeled(("w1", "a | ~a"), ("w2", "a")), [], ("a",))
         assert [d.label for d in report.dropped] == ["w1"]
         assert report.dropped[0].reason == TAUT_TRUE
+
+    def test_failed_self_check(self, monkeypatch):
+        # The last step compares the kept outputs with the whole output; a
+        # failed comparison is a fault of the library, not of the input.
+        monkeypatch.setattr(parapri.specificity, "circ_equivalent", lambda before, after: False)
+        with pytest.raises(InternalError, match="^pruning changed the preferred models$"):
+            prune_redundant(labeled(("w1", "a | ~a"), ("w2", "a")), [], ("a",))
 
     def test_cap(self):
         with pytest.raises(CapExceededError, match="^21 atoms exceeds the enumeration cap of 20$"):
@@ -134,7 +142,7 @@ class TestPruneRedundant:
             universe=t.universe,
             base=t.base,
             defaults=report.kept,
-            priority=parallel_order(l for l, _ in report.kept),
+            priority=PriorityOrder(tuple(l for l, _ in report.kept)),
         )
         listed_set = build_theory(atoms=case.universe, base=case.base, defaults=case.parallel_defaults)
         assert circ_equivalent(pruned, listed_set)
@@ -149,13 +157,13 @@ class TestPruneRedundant:
                 universe=t.universe,
                 base=t.base,
                 defaults=report.kept,
-                priority=parallel_order(l for l, _ in report.kept),
+                priority=PriorityOrder(tuple(l for l, _ in report.kept)),
             )
             full = Theory(
                 universe=t.universe,
                 base=t.base,
                 defaults=out.defaults,
-                priority=parallel_order(l for l, _ in out.defaults),
+                priority=PriorityOrder(tuple(l for l, _ in out.defaults)),
             )
             assert circ_equivalent(pruned, full)
 
@@ -169,13 +177,13 @@ class TestPruneRedundant:
                 continue
             kept = Theory(
                 universe=t.universe, base=t.base, defaults=report.kept,
-                priority=parallel_order(l for l, _ in report.kept),
+                priority=PriorityOrder(tuple(l for l, _ in report.kept)),
             )
             for d in report.dropped:
                 readded = report.kept + (LabeledFormula(d.label, d.formula),)
                 again = Theory(
                     universe=t.universe, base=t.base, defaults=readded,
-                    priority=parallel_order(l for l, _ in readded),
+                    priority=PriorityOrder(tuple(l for l, _ in readded)),
                 )
                 assert preferred_models(kept).index_set == preferred_models(again).index_set
 
@@ -276,7 +284,7 @@ class TestEncodeAbnormality:
         assert "(~ab_e2 -> (ostrich -> ~flies))" in base_texts
         assert "(~(ostrich -> ~flies) -> ab_e1)" in base_texts
         assert [to_text(f) for _, f in enc.defaults] == ["~ab_e1", "~ab_e2"]
-        assert enc.priority.is_empty
+        assert not any(enc.priority.above)
         assert enc.fixtures == ()
 
     def test_cancellation_axioms_follow_declaration_order(self):
@@ -375,7 +383,7 @@ class TestEncodeAbnormality:
         t = ground(parse_theory((DATA / "schema_birds.thy").read_text()))
         enc = encode_abnormality(t)
         assert "ab_e1(tweety)" in enc.universe
-        assert "ab_e1[tweety]" in enc.default_labels
+        assert "ab_e1[tweety]" in enc.priority.indices
         parsed = parse_theory(print_theory(enc))
         assert parsed == enc
         assert circ_equivalent(t, parsed, project=t.universe)

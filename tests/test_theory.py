@@ -82,7 +82,7 @@ class TestParseTheory:
 
     def test_no_prefer_lines_mean_parallel(self):
         t = parse_theory("default a: p\ndefault b: q\n")
-        assert t.priority.is_empty
+        assert not any(t.priority.above)
 
     def test_duplicate_label(self):
         with pytest.raises(ValidationError):
@@ -207,13 +207,13 @@ class TestGround:
         s = parse_theory("domain: tweety\nschema d[X]: bird(X) -> flies(X)\n")
         assert isinstance(s, SchemaTheory)
         t = ground(s)
-        assert t.default_labels == ("d[tweety]",)
+        assert t.priority.indices == ("d[tweety]",)
         assert str(t.defaults[0].formula) == "(bird(tweety) -> flies(tweety))"
 
     def test_two_constants_parallel(self):
         t = ground(parse_theory("domain: a b\nschema d[X]: bird(X) -> flies(X)\n"))
         assert len(t.defaults) == 2
-        assert t.priority.is_empty
+        assert not any(t.priority.above)
         # grounding must mean the same as writing the instances by hand
         by_hand = build_theory(
             atoms=t.universe,
@@ -261,7 +261,7 @@ class TestGround:
 
     def test_plain_defaults_survive_grounding(self):
         t = ground(parse_theory("domain: a\ndefault d0: s\nschema d[X]: p(X)\nprefer d0 > d\n"))
-        assert t.default_labels == ("d0", "d[a]")
+        assert t.priority.indices == ("d0", "d[a]")
         assert closure_pairs(t.priority) == {("d0", "d[a]")}
 
     def test_repeated_parameter_rejected(self):
@@ -577,7 +577,7 @@ class TestGroundDifferential:
         assert t.priority.above == want.priority.above
         doms = t.priority.dominators_map
         for schema in s.schemas:
-            first, *rest = [l for l in t.default_labels if l.split("[")[0] == schema.label]
+            first, *rest = [l for l in t.priority.indices if l.split("[")[0] == schema.label]
             assert all(doms[l] is doms[first] for l in rest)
 
     def test_constant_and_repeated_arguments(self):
@@ -608,7 +608,7 @@ class TestPrintedForm:
 
     def test_fixture_reduction_round_trips(self):
         t = fixtures_to_defaults(parse_theory((DATA / "fixed_bird.thy").read_text()))
-        assert closure_pairs(t.priority) and t.default_labels[-2:] == ("fix_f1", "nfix_f1")
+        assert closure_pairs(t.priority) and t.priority.indices[-2:] == ("fix_f1", "nfix_f1")
         assert parse_theory(print_theory(t)) == t
 
 

@@ -33,7 +33,6 @@ from parapri.theory import (
     LabeledFormula,
     PriorityOrder,
     build_theory,
-    parallel_order,
     parse_theory,
     print_theory,
 )
@@ -89,7 +88,7 @@ class TestDominators:
         assert t.priority.dominators_map["d3"] == {"d1", "d2"}
 
     def test_empty_order(self):
-        order = parallel_order(("a", "b"))
+        order = PriorityOrder(("a", "b"))
         assert order.dominators_map["a"] == frozenset()
 
     def test_fan_in(self):
@@ -218,7 +217,7 @@ class TestOutputSize:
         assert output_size(columns_theory().priority).total == 6
 
     def test_empty_order(self):
-        assert output_size(parallel_order(tuple("abcde"))).total == 5
+        assert output_size(PriorityOrder(tuple("abcde"))).total == 5
 
     def test_chain_closed_form(self):
         for n in range(1, 11):
@@ -258,6 +257,13 @@ class TestTransformAll:
             t = random_theory(rng)
             members = transform_all(t.defaults, t.priority, limit=4)
             assert members[0] == transform_canonical(t.defaults, t.priority)
+
+    def test_order_over_other_labels(self):
+        t = chain_theory(2)
+        order = PriorityOrder(("d1", "d3"), [("d1", "d3")])
+        for transform in (transform_canonical, lambda defaults, o: transform_all(defaults, o, limit=4)):
+            with pytest.raises(ValidationError, match="^defaults and priority order disagree on labels$"):
+                transform(t.defaults, order)
 
     def test_zero_limit_rejected(self):
         t = chain_theory(2)
