@@ -39,7 +39,7 @@ from .transform import (
     output_size,
     parallel_theory,
     transform_all,
-    transform_canonical,
+    transform_theory,
 )
 
 
@@ -58,10 +58,8 @@ def _load_theory(path: str) -> Theory:
     return t
 
 
-def _members(t: Theory, n: int | None) -> list[TransformOutput]:
+def _members(t: Theory, n: int) -> list[TransformOutput]:
     guard_size(t.priority)  # before ``t.defaults``, which grounds a schema theory
-    if n is None:
-        return [transform_canonical(t.defaults, t.priority)]
     return transform_all(t.defaults, t.priority, limit=n)
 
 
@@ -88,13 +86,7 @@ def cmd_transform(args) -> int:
             "members": [
                 {
                     "defaults": [
-                        {
-                            "label": l,
-                            "formula": text,
-                            "source": p.source,
-                            "sigma": list(p.sigma),
-                            "bits": p.bits,
-                        }
+                        {"label": l, "formula": text, **p._asdict()}
                         for (l, text), p in zip(labeled_texts(m), m.provenance)
                     ]
                 }
@@ -119,8 +111,7 @@ def cmd_query(args) -> int:
             raise UniverseError(f"query atom {a!r} not in the theory's universe")
     check_atoms(t.universe)  # before the engine, which grounds a schema theory's formulas
     direct = skeptical_entails(t, q)
-    out = transform_canonical(t.defaults, t.priority)
-    via_parallel = skeptical_entails(parallel_theory(t, out), q)
+    via_parallel = skeptical_entails(transform_theory(t), q)
     if direct != via_parallel:
         raise InternalError(
             f"direct answer {direct} disagrees with the transform route {via_parallel}"
@@ -214,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("transform", cmd_transform, "eliminate priorities from a theory file")
-    p.add_argument("--all", type=int, default=None, metavar="N", help="emit the first N members")
+    p.add_argument("--all", type=int, default=1, metavar="N", help="emit the first N members")
     p.add_argument("--size-only", action="store_true", help="print the output size, emit nothing")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -227,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("check-equiv", cmd_check_equiv, "compare a theory against its own transform")
     p.add_argument("--preorder", action="store_true", help="compare pre-orders instead of model sets")
-    p.add_argument("--all", type=int, default=None, metavar="N", help="check the first N members")
+    p.add_argument("--all", type=int, default=1, metavar="N", help="check the first N members")
     p.add_argument("--project", default=None, metavar="a,b,c", help="compare model sets on these atoms only")
     p.add_argument("--self-test-corrupt", action="store_true", help=argparse.SUPPRESS)
 

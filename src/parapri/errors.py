@@ -2,11 +2,8 @@
 
 
 class ParapriError(Exception):
-    """Base class for every error this package raises deliberately."""
-
-
-class ParseError(ParapriError):
-    """Malformed input text: formula, theory file, or program file."""
+    """Base class for every error this package raises deliberately. An
+    error read from a text may name its byte ``offset`` and its ``line``."""
 
     def __init__(self, message, *, offset=None, line=None):
         if offset is not None:
@@ -16,6 +13,10 @@ class ParseError(ParapriError):
         super().__init__(message)
         self.offset = offset
         self.line = line
+
+
+class ParseError(ParapriError):
+    """Malformed input text: formula, theory file, or program file."""
 
 
 class ValidationError(ParapriError):
@@ -34,7 +35,7 @@ class NotStratifiedError(ValidationError):
         self.cycle = tuple(cycle)
 
 
-class UniverseError(ParapriError):
+class UniverseError(ValidationError):
     """An atom or interpretation does not fit the declared vocabulary."""
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import ParseError, UniverseError, ValidationError
+from .errors import ParseError, UniverseError
 
 
 class Formula:
@@ -342,7 +342,7 @@ def _columns(universe: tuple[str, ...]) -> tuple[dict[str, int], dict[str, int],
     # ``_columns_of_size`` builds them for the universe's size. Cached per
     # universe: the returned dicts are shared and read-only.
     if len(set(universe)) != len(universe):
-        raise ValidationError("universe contains a duplicate atom")
+        raise UniverseError("universe contains a duplicate atom")
     cols, ncols, full = _columns_of_size(len(universe))
     return dict(zip(universe, cols)), dict(zip(universe, ncols)), full
 

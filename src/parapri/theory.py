@@ -12,10 +12,11 @@ Theory file format (line oriented, ``#`` comments)::
 
 ``parse_theory`` reads every line in one loop, one reader per line shape:
 ``atoms:`` and ``domain:`` lines share one, and so do ``default`` and
-``fix`` lines. A line's error is a ParseError numbered in one place, whose
-``line`` is set and whose message ends in ``(line N)``; a formula's byte
-offset stays in the message. Checks across lines (labels, order, universe)
-raise ValidationError after the loop.
+``fix`` lines. A line's error is numbered in one place, whose ``line`` is
+set and whose message ends in ``(line N)``: a ParseError, or the
+ValidationError of a schema's own checks; a formula's byte offset stays in
+the message. Checks across lines (labels, order, universe) raise
+ValidationError after the loop.
 
 Priority is entered as covering edges; the transitive closure is computed
 and validated for acyclicity at load time, and only the closure is kept:
@@ -168,8 +169,10 @@ class PriorityOrder:
     when ``indices[k]`` is strictly higher. The constructor closes (higher,
     lower) pairs and rejects undeclared labels and cycles; pairs with the
     same closure give equal orders. ``PriorityOrder(labels)``, without
-    edges, is the parallel order. ``ground`` passes ``_closed`` the masks
-    it reads off the schema-level order. ``position`` and ``dominators_map``
+    edges, is the parallel order. ``_closed`` builds that order, its labels
+    checked by the constructor, then sets ``above`` to masks already
+    closed: those ``ground`` reads off the schema-level order, and
+    ``encode_stratified``'s strata. ``position`` and ``dominators_map``
     are views built on first use; ``dominators_map`` shares one frozenset
     among the labels with one mask, such as the instances of a schema.
     """
@@ -180,28 +183,24 @@ class PriorityOrder:
     def __init__(self, indices: tuple[str, ...], edges: Collection[tuple[str, str]] = ()):
         # Without edges (the parallel order of every transform) nothing is
         # higher, and no label positions are built until ``position`` is read.
-        self._fill(indices, (0,) * len(indices))
-        if not edges:
-            return
-        position = self.position
-        try:  # _order_masks reads every pair before it looks for a cycle
-            above = _order_masks(indices, [(position[a], position[b]) for a, b in edges])
-        except KeyError:
-            undeclared = {x for e in edges for x in e}.difference(position)
-            raise ValidationError(f"undeclared index {min(undeclared)!r} in priority order") from None
-        object.__setattr__(self, "above", tuple(above))
+        _check_unique(indices, "duplicate label in priority order")
+        object.__setattr__(self, "indices", indices)
+        above = (0,) * len(indices)
+        if edges:
+            position = self.position
+            try:  # _order_masks reads every pair before it looks for a cycle
+                above = tuple(_order_masks(indices, [(position[a], position[b]) for a, b in edges]))
+            except KeyError:
+                undeclared = {x for e in edges for x in e}.difference(position)
+                raise ValidationError(f"undeclared index {min(undeclared)!r} in priority order") from None
+        object.__setattr__(self, "above", above)
 
     @classmethod
     def _closed(cls, indices: tuple[str, ...], above: tuple[int, ...]) -> PriorityOrder:
-        """The order whose closure is ``above``, labels checked as by the constructor."""
-        order = cls.__new__(cls)
-        order._fill(indices, above)
+        """The order whose closure is ``above``, labels checked by the constructor."""
+        order = cls(indices)
+        object.__setattr__(order, "above", above)
         return order
-
-    def _fill(self, indices: tuple[str, ...], above: tuple[int, ...]) -> None:
-        _check_unique(indices, "duplicate label in priority order")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "above", above)
 
     @cached_property
     def position(self) -> dict[str, int]:
@@ -341,9 +340,9 @@ class Theory(BuiltOnFirstRead):
     every formula's atoms against the universe. ``_known_atoms`` skips that
     atom walk where the universe holds them by construction: in
     ``encode_stratified``, the pruner's self-check, whose truth tables have
-    valued every formula over the universe, ``build_theory`` when no
-    universe is given, and ``parse_theory``, whose parse has collected the
-    atoms. Two makers skip every check but the order's and build by
+    valued every formula over the universe, and ``parse_theory``, whose
+    parse has collected the atoms; ``build_theory`` always checks. Two
+    makers skip every check but the order's and build by
     ``_from_recipe``, their other fields those of a checked theory:
     ``parallel_theory``, from the output's nest, whose labels the
     transform has checked (a repeated label of a hand-built output is
@@ -379,10 +378,27 @@ class Theory(BuiltOnFirstRead):
         return theory
 
 
-class Schema(NamedTuple):
+@dataclass(frozen=True)
+class Schema:
+    """A parameterized default. Construction checks that the parameters are
+    distinct uppercase identifiers and that every variable of the formula
+    is one of them; ``parse_theory`` builds each schema on its own line,
+    which its error then names. Each schema is checked once, when made."""
+
     label: str
     params: tuple[str, ...]
     formula: Formula
+
+    def __post_init__(self):
+        for k, p in enumerate(self.params):
+            if not VARIABLE_RE.fullmatch(p):
+                raise ValidationError(f"schema parameter {p!r} is not an uppercase identifier")
+            if p in self.params[:k]:
+                raise ValidationError(f"schema {self.label!r} repeats parameter {p!r}")
+        args = {p for name in formula_atoms(self.formula) for p in _atom_parts(name)[1]}
+        free = {p for p in args if p not in self.params and VARIABLE_RE.fullmatch(p)}
+        if free:
+            raise ValidationError(f"schema {self.label!r} uses undeclared variables {sorted(free)}")
 
 
 @dataclass(frozen=True)
@@ -404,15 +420,6 @@ class SchemaTheory:
         if self.schemas and not self.domain:
             raise ValidationError("schemas present but the domain is empty")
         object.__setattr__(self, "order", PriorityOrder(tuple(labels), self.edges))
-        for s in self.schemas:
-            for k, p in enumerate(s.params):
-                if not VARIABLE_RE.fullmatch(p):
-                    raise ValidationError(f"schema parameter {p!r} is not an uppercase identifier")
-                if p in s.params[:k]:
-                    raise ValidationError(f"schema {s.label!r} repeats parameter {p!r}")
-            free = _schema_variables(s.formula) - set(s.params)
-            if free:
-                raise ValidationError(f"schema {s.label!r} uses undeclared variables {sorted(free)}")
 
     def _built(self, x: Theory, name: str) -> dict[str, tuple]:
         """For ``x = ground(self)``: on a read of ``x.universe``, the
@@ -466,10 +473,6 @@ def _atom_parts(name: str) -> tuple[str | None, list[str]]:
     return (m.group(1), m.group(2).split(",")) if m else (None, [name])
 
 
-def _schema_variables(f: Formula) -> set[str]:
-    return {p for name in formula_atoms(f) for p in _atom_parts(name)[1] if VARIABLE_RE.fullmatch(p)}
-
-
 def _template(name: str, params: tuple[str, ...]) -> str:
     # ``str.format`` template of an atom name: parameter k becomes ``{k}``.
     head, args = _atom_parts(name)
@@ -517,8 +520,9 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
     ``domain:`` lines share one reader (one line each, per-name checks,
     then one check for a repeated name), and so do ``default`` and ``fix``
     lines (one label check, one list per kind). A line's reader raises
-    ParseError with its message alone, and the loop numbers it, the one
-    place that sets ``line``.
+    ParseError, or a ``Schema``'s ValidationError, with its message alone,
+    and the loop numbers it in its own class, the one place that sets
+    ``line``.
     One name -> Atom dict serves every formula: when the base, default and
     fix lines come in that order, its keys are the atoms in mention order.
     """
@@ -578,8 +582,8 @@ def parse_theory(text: str) -> Union[Theory, SchemaTheory]:
                 edges.append((m.group(1), m.group(2)))
             else:
                 raise ParseError(f"unrecognized directive {line.split()[0]!r}")
-        except ParseError as e:
-            raise ParseError(str(e), line=lineno) from None
+        except (ParseError, ValidationError) as e:
+            raise type(e)(str(e), line=lineno) from None
 
     defaults, fixtures = tuple(labeled["default"]), tuple(labeled["fix"])
     if "domain" in lists or schemas:
@@ -610,10 +614,9 @@ def build_theory(
     base_f = tuple(conv(f) for f in base)
     defaults_f = tuple(LabeledFormula(l, conv(f)) for l, f in defaults)
     fixtures_f = tuple(LabeledFormula(l, conv(f)) for l, f in fixtures)
-    make = Theory
     if atoms is None:
-        atoms, make = formula_atoms(*base_f, *(f for _, f in (*defaults_f, *fixtures_f))), Theory._known_atoms
-    return make(
+        atoms = formula_atoms(*base_f, *(f for _, f in (*defaults_f, *fixtures_f)))
+    return Theory(
         universe=tuple(atoms),
         base=base_f,
         defaults=defaults_f,

@@ -58,6 +58,17 @@ class TestTransform:
         assert code == 0
         assert out.count("# member") == 2
 
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.thy")), ids=lambda p: p.name)
+    def test_all_defaults_to_one_member(self, capsys, path):
+        # byte for byte, exit code and stderr too, on every theory file
+        for argv in (("transform",), ("transform", "--format", "json"), ("check-equiv",)):
+            cmd = [argv[0], path, *argv[1:]]
+            assert run(capsys, *cmd) == run(capsys, *cmd, "--all", "1")
+
+    @pytest.mark.parametrize("command", ["transform", "check-equiv"])
+    def test_no_members_is_refused(self, capsys, command):
+        assert run(capsys, command, DATA / "pair_chain.thy", "--all", "0") == (2, "", "error: limit must be positive\n")
+
     def test_json_provenance(self, capsys):
         code, out, _ = run(capsys, "transform", DATA / "pair_chain.thy", "--format", "json")
         assert code == 0
@@ -381,7 +392,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("domain: a b\nschema s[X,X]: p(X)\n", "error: schema 's' repeats parameter 'X'\n"),
+            ("domain: a b\nschema s[X,X]: p(X)\n", "error: schema 's' repeats parameter 'X' (line 2)\n"),
             ("domain: a b a\nschema s[X]: p(X)\n", "error: duplicate domain constant 'a' (line 1)\n"),
             # the grounded labels collide: s[a] is both a default and an instance
             ("domain: a b\ndefault s[a]: p(a)\nschema s[X]: q(X)\n", "error: duplicate label in priority order\n"),
@@ -496,9 +507,10 @@ class TestRefusals:
     def test_lowercase_schema_parameter(self, capsys, tmp_path):
         f = tmp_path / "s.thy"
         f.write_text("domain: a\nschema s[x]: p(x)\n")
-        message = "schema parameter 'x' is not an uppercase identifier"
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        message = "schema parameter 'x' is not an uppercase identifier (line 2)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as raised:
             parse_theory(f.read_text())
+        assert raised.value.line == 2
         assert run(capsys, "stats", f) == (2, "", f"error: {message}\n")
 
     def test_negative_atom_cap(self, capsys, monkeypatch):
@@ -509,7 +521,9 @@ class TestRefusals:
 
     def test_routes_that_disagree(self, capsys, monkeypatch):
         # A corrupted transform route answers no where the direct route answers yes.
-        monkeypatch.setattr(cli, "parallel_theory", lambda t, out: parallel_theory(t, cli._corrupt(out)))
+        monkeypatch.setattr(
+            cli, "transform_theory", lambda t: parallel_theory(t, cli._corrupt(transform_canonical(t.defaults, t.priority)))
+        )
         message = "direct answer True disagrees with the transform route False"
         args = cli._build_parser().parse_args(["query", str(DATA / "tweety.thy"), "~flies"])
         with pytest.raises(InternalError, match=f"^{message}$"):

@@ -409,8 +409,19 @@ class TestTruthMask:
             truth_mask(f, ("a", "b"))
 
     def test_duplicate_atom(self):
-        with pytest.raises(ValidationError, match="^universe contains a duplicate atom$"):
+        with pytest.raises(UniverseError, match="^universe contains a duplicate atom$"):
             truth_mask(A, ("p", "p"))
+
+    def test_duplicate_atom_is_one_refusal(self):
+        # the truth tables and an interpretation refuse a repeated atom alike,
+        # and a caller that catches ValidationError catches both
+        raised = []
+        for refuse in (lambda: truth_mask(A, ("p", "p")), lambda: Interpretation(("p", "p"), (True, False))):
+            try:
+                refuse()
+            except ValidationError as e:
+                raised.append((type(e), str(e)))
+        assert raised == [(UniverseError, "universe contains a duplicate atom")] * 2
 
     @pytest.mark.parametrize("f", [And(A, 3), And(3, A), Not(None), Iff(Not(A), Not("a"))])
     def test_not_a_formula(self, f):

@@ -27,10 +27,11 @@ from parapri.circumscription import circ_equivalent, preferred_models
 from parapri.cli import main
 from parapri.config import TRANSFORM_FORMULAS
 from parapri.errors import CycleError, ParseError, ValidationError
-from parapri.formula import And, Atom, Iff, Implies, Not, Or, atoms
+from parapri.formula import And, Atom, Iff, Implies, Not, Or, atoms, parse_formula
 from parapri.theory import (
     LabeledFormula,
     PriorityOrder,
+    Schema,
     SchemaTheory,
     Theory,
     build_theory,
@@ -275,6 +276,24 @@ class TestGround:
     def test_free_variable_rejected(self):
         with pytest.raises(ValidationError):
             parse_theory("domain: a\nschema d[X]: p(X) & q(Y)\n")
+
+    @pytest.mark.parametrize(
+        "head, body, message",
+        [
+            ("s[x]", "p(x)", "schema parameter 'x' is not an uppercase identifier"),
+            ("s[X,X]", "p(X)", "schema 's' repeats parameter 'X'"),
+            ("s[X]", "p(X) & q(Y)", "schema 's' uses undeclared variables ['Y']"),
+        ],
+    )
+    def test_schema_errors_name_their_line(self, head, body, message):
+        # numbered by the file's line loop, bare from the constructors
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)} \\(line 3\\)$") as raised:
+            parse_theory(f"domain: a\n# the schema\nschema {head}: {body}\n")
+        assert type(raised.value) is ValidationError and raised.value.line == 3
+        label, _, params = head.rstrip("]").partition("[")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as raised:
+            SchemaTheory(("a",), (), (), (Schema(label, tuple(params.split(",")), parse_formula(body)),), frozenset())
+        assert raised.value.line is None
 
     def test_explicit_atoms_with_domain_rejected(self):
         with pytest.raises(ValidationError):
@@ -629,9 +648,9 @@ def assert_rebuilt_equal(t: Theory) -> None:
 
 
 class TestKnownAtoms:
-    """``parallel_theory``, ``ground``, and ``parse_theory`` and
-    ``build_theory`` without a universe skip the atom walk: they must build
-    only what the checked constructor accepts."""
+    """``parallel_theory``, ``ground`` and ``parse_theory`` skip the atom
+    walk: they must build only what the checked constructor accepts, which
+    ``build_theory`` always calls."""
 
     @pytest.mark.parametrize("path", THEORY_FILES, ids=lambda p: p.name)
     def test_data_files(self, path):
